@@ -5,13 +5,24 @@ States are plain tuples of per-mode photon counts. The basis for a given
 start bunched in the first mode: for two photons in two modes the order is
 (2, 0), (1, 1), (0, 2). Positions are recovered by exact combinatorial
 ranking rather than hashing, so ``index_of`` is O(modes) with no collision
-handling. Everything here is immutable and safe to share across threads.
+handling.
+
+The lifts do not apply ladder operators state by state. ``ladder_table``
+ranks every one-photon neighbour of every basis state in one vectorised
+pass and keeps the result, per (modes, photons), in a bounded cache: the
+lifts of one network size share one table. ``apply_creation``,
+``apply_annihilation`` and ``index_of`` remain the per-state reference the
+table is tested against. Everything here is immutable (table arrays are
+read-only) and safe to share across threads.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
+
+import numpy as np
 
 __all__ = [
     "MAX_DIMENSION",
@@ -26,12 +37,19 @@ __all__ = [
     "apply_annihilation",
     "photon_move_relation",
     "bunched_first_order",
+    "LadderTable",
+    "ladder_table",
 ]
 
 OccupationState = tuple[int, ...]
 
 # Largest basis size that still fits signed 64-bit indexing downstream.
 MAX_DIMENSION = 2**63 - 1
+
+# Ladder tables kept per process. One full lift of n photons uses the tables
+# for 1..n photons, so this holds several network sizes at once; a table
+# takes O(modes * M) memory, small beside one M x M lifted matrix.
+_LADDER_CACHE_SIZE = 64
 
 
 def dimension(modes: int, photons: int) -> int:
@@ -107,6 +125,72 @@ def enumerate_basis(modes: int, photons: int) -> FockBasis:
     """Build the full occupation basis for the given mode and photon counts."""
     dimension(modes, photons)
     return FockBasis(modes, photons, tuple(_compositions(photons, modes)))
+
+
+def _rank(occupations: np.ndarray, photons: int) -> np.ndarray:
+    """Canonical positions of the rows of an occupation array: ``index_of``, vectorised.
+
+    Rows must hold ``photons`` photons in total; other rows get meaningless
+    positions, which callers mask out.
+    """
+    modes = occupations.shape[-1]
+    # binomials[left, s] = C(left - 1 + s, s): states ranked before a prefix
+    # that leaves ``left`` photons for s later modes; 0 when none is left.
+    binomials = np.array(
+        [
+            [math.comb(left - 1 + s, s) if left else 0 for s in range(modes)]
+            for left in range(photons + 2)
+        ],
+        dtype=np.intp,
+    )
+    remaining = photons - np.cumsum(occupations[..., :-1], axis=-1)
+    slots_after = np.arange(modes - 1, 0, -1)
+    return binomials[np.clip(remaining, 0, photons + 1), slots_after].sum(axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class LadderTable:
+    """One-photon ladder moves of every basis state, as index arrays.
+
+    With M states of ``basis`` (n photons) and M' states of n - 1 photons:
+
+    * ``occupations[p]`` is state p as a row of counts, shape (M, modes);
+    * ``down[j, p]`` is the position of p - e_j among the n - 1 photon
+      states, or -1 where p_j = 0, shape (modes, M);
+    * ``coef[j, p]`` is sqrt(p_j), the annihilation coefficient;
+    * ``up[j, r]`` is the position of r + e_j among the n photon states,
+      for r an n - 1 photon state, shape (modes, M').
+    """
+
+    basis: FockBasis
+    occupations: np.ndarray
+    down: np.ndarray
+    coef: np.ndarray
+    up: np.ndarray
+
+
+@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def ladder_table(modes: int, photons: int) -> LadderTable:
+    """The ladder table for ``photons`` photons in ``modes`` modes, cached.
+
+    Built in O(modes^2 * M) vectorised work. The same object is returned for
+    repeated (modes, photons), so its arrays are read-only.
+    """
+    basis = enumerate_basis(modes, photons)
+    occupations = np.array(basis.states, dtype=np.intp)
+    counts = np.ascontiguousarray(occupations.T)
+    lowered = occupations - np.eye(modes, dtype=np.intp)[:, None, :]
+    down = np.where(counts > 0, _rank(lowered, photons - 1), -1)
+    # Every n - 1 photon state r is p - e_j for exactly one p, p = r + e_j,
+    # so ``up`` is ``down`` inverted.
+    lower_size = dimension(modes, photons - 1) if photons else 0
+    up = np.empty((modes, lower_size), dtype=np.intp)
+    moves, sources = np.nonzero(counts)
+    up[moves, down[moves, sources]] = sources
+    table = LadderTable(basis, occupations, down, np.sqrt(counts), up)
+    for array in (table.occupations, table.down, table.coef, table.up):
+        array.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ immutable inputs and safe to call concurrently.
 """
 
 import math
-from collections import defaultdict
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +20,8 @@ from .fock import (
     FockBasis,
     MoveKind,
     OccupationState,
-    apply_creation,
     enumerate_basis,
+    ladder_table,
     photon_move_relation,
 )
 from .matfuncs import NotHermitianError, _as_square, is_hermitian, permanent
@@ -59,42 +59,52 @@ class LiftedHamiltonian:
     matrix: np.ndarray
 
 
-def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
-    """Lift S by expanding products of transformed creation operators.
+def _lift_columns(matrix: np.ndarray, photons: int, columns: np.ndarray) -> np.ndarray:
+    """Columns ``columns`` of the n-photon lift of S, one photon at a time.
 
-    Column q is built by applying, for every input mode k with q_k photons,
-    the operator (sum_j S_jk a_j^dag) q_k times to the vacuum and dividing
-    by sqrt(q_k!). Amplitudes are carried as a sparse map from occupation
-    state to complex weight, so each factor costs O(states * modes).
+    With l the first occupied mode of input q, |q> = a_l^dag |q - e_l> /
+    sqrt(q_l) and U a_l^dag U^dag = sum_j S_jl a_j^dag, so
+
+        U[p, q] = (sum_j sqrt(p_j) S_jl U'[p - e_j, q - e_l]) / sqrt(q_l)
+
+    with U' the (n-1)-photon lift. Only the columns of U' that the wanted
+    columns need are built, level by level from the vacuum. Dividing last
+    keeps lifts of the identity and of permutations exact.
+    """
+    modes = matrix.shape[0]
+    levels = []
+    for count in range(photons, 0, -1):
+        table = ladder_table(modes, count)
+        first = np.argmax(table.occupations[columns] > 0, axis=1)
+        sources, gather = np.unique(table.down[first, columns], return_inverse=True)
+        levels.append((table, columns, first, gather))
+        columns = sources
+    block = np.ones((1, 1), dtype=complex)
+    for table, columns, first, gather in reversed(levels):
+        shed = block[:, gather]
+        weights = matrix[:, first]
+        lifted = np.zeros((len(table.basis), len(columns)), dtype=complex)
+        for mode in range(modes):
+            rows = table.down[mode] >= 0
+            terms = table.coef[mode, rows, None] * shed[table.down[mode, rows]]
+            lifted[rows] += terms * weights[mode]
+        block = lifted / np.sqrt(table.occupations[columns, first])
+    return block
+
+
+def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
+    """Lift S through products of transformed creation operators.
+
+    Adds one photon at a time: column q of the n-photon lift is S applied to
+    the first photon of q, a_l^dag -> sum_j S_jl a_j^dag, on top of column
+    q - e_l of the (n-1)-photon lift (see ``_lift_columns``). The moves come
+    from the cached ladder tables of ``fock.ladder_table``, so the full lift
+    costs O(n * m * M^2) for M = C(m+n-1, n).
     """
     matrix = _as_square(scattering)
-    modes = matrix.shape[0]
-    basis = enumerate_basis(modes, photons)
-    size = len(basis)
-    lifted = np.zeros((size, size), dtype=complex)
-    vacuum = (0,) * modes
-    for column, source in enumerate(basis.states):
-        amplitudes: dict[OccupationState, complex] = {vacuum: 1.0 + 0.0j}
-        # The same sqrt ladder coefficients are multiplied into the
-        # normalization, in the same order, so trivial columns stay exact.
-        normalization = 1.0
-        for k in range(modes):
-            for extra in range(source[k]):
-                normalization *= math.sqrt(extra + 1)
-                updated: dict[OccupationState, complex] = defaultdict(complex)
-                for state, amplitude in amplitudes.items():
-                    for j in range(modes):
-                        weight = matrix[j, k]
-                        if weight == 0:
-                            continue
-                        created = apply_creation(state, j)
-                        updated[created.state] += (
-                            amplitude * weight * created.coefficient
-                        )
-                amplitudes = updated
-        for state, amplitude in amplitudes.items():
-            lifted[basis.index_of(state), column] = amplitude / normalization
-    return LiftedUnitary(basis, lifted)
+    table = ladder_table(matrix.shape[0], photons)
+    columns = np.arange(len(table.basis))
+    return LiftedUnitary(table.basis, _lift_columns(matrix, photons, columns))
 
 
 def _photon_mode_indices(state: OccupationState) -> np.ndarray:
@@ -135,34 +145,29 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     * one photon moved from mode l to mode j: sqrt((q_j + 1) * q_l) * H_jl,
     * anything farther: exactly zero.
 
-    The construction loops only over occupied modes of each state, never
-    over all state pairs.
+    The one-move entries are scattered through the cached ladder table:
+    the target of moving a photon of q from l to j is up[j, down[l, q]].
     """
     matrix = _as_square(h_single)
     if not is_hermitian(matrix, tol):
         raise NotHermitianError(f"matrix is not Hermitian within tolerance {tol}")
     modes = matrix.shape[0]
-    basis = enumerate_basis(modes, photons)
-    size = len(basis)
+    table = ladder_table(modes, photons)
+    occupations = table.occupations
+    size = len(table.basis)
     lifted = np.zeros((size, size), dtype=complex)
-    for column, source in enumerate(basis.states):
-        lifted[column, column] = sum(
-            count * matrix[mode, mode] for mode, count in enumerate(source) if count
-        )
-        for mode, count in enumerate(source):
-            if count == 0:
-                continue
-            for target in range(modes):
-                if target == mode:
-                    continue
-                moved = list(source)
-                moved[mode] -= 1
-                moved[target] += 1
-                row = basis.index_of(tuple(moved))
-                lifted[row, column] = (
-                    math.sqrt((source[target] + 1) * count) * matrix[target, mode]
-                )
-    return LiftedHamiltonian(basis, lifted)
+    # Summed mode by mode, as hamiltonian_element sums, so the two agree exactly.
+    diagonal = np.zeros(size, dtype=complex)
+    for mode in range(modes):
+        diagonal += occupations[:, mode] * matrix[mode, mode]
+    np.fill_diagonal(lifted, diagonal)
+    for source in range(modes):
+        columns = np.flatnonzero(occupations[:, source])
+        targets = np.delete(np.arange(modes), source)[:, None]
+        rows = table.up[targets, table.down[source, columns]]
+        weights = np.sqrt(occupations[columns, source] * occupations[rows, targets])
+        lifted[rows, columns] = weights * matrix[targets, source]
+    return LiftedHamiltonian(table.basis, lifted)
 
 
 def hamiltonian_element(h_single, output_state, input_state) -> complex:
@@ -202,21 +207,37 @@ def global_phase_lift(phase: float, photons: int) -> float:
     return reduced
 
 
+def _photon_counts(input_state) -> OccupationState:
+    counts = tuple(input_state)
+    for count in counts:
+        whole = isinstance(count, numbers.Integral) or (
+            isinstance(count, numbers.Real) and float(count).is_integer()
+        )
+        if isinstance(count, bool) or not whole:
+            raise ValueError(f"photon counts must be whole numbers, got {count!r}")
+    return tuple(int(count) for count in counts)
+
+
 def transition_distribution(
     scattering, input_state
 ) -> dict[OccupationState, float]:
     """Output occupation probabilities for a basis-state input.
 
-    Lifts the scattering matrix to the photon number of ``input_state`` and
-    returns |amplitude|^2 per output state, keyed in canonical basis order.
+    Computes only the column of the lifted unitary for ``input_state``, by
+    the same photon-by-photon recursion as ``lift_unitary_expansion``, in
+    O(n * m * M) instead of building the M x M matrix. Returns
+    |amplitude|^2 per output state, keyed in canonical basis order. Counts
+    must be whole numbers; booleans and fractions raise ValueError.
     """
     matrix = _as_square(scattering)
-    occupation = tuple(int(count) for count in input_state)
-    lifted = lift_unitary_expansion(matrix, sum(occupation))
-    column = lifted.matrix[:, lifted.basis.index_of(occupation)]
+    occupation = _photon_counts(input_state)
+    photons = sum(occupation)
+    table = ladder_table(matrix.shape[0], photons)
+    column = np.array([table.basis.index_of(occupation)])
+    amplitudes = _lift_columns(matrix, photons, column)[:, 0]
     return {
         state: float(abs(amplitude) ** 2)
-        for state, amplitude in zip(lifted.basis.states, column)
+        for state, amplitude in zip(table.basis.states, amplitudes)
     }
 
 

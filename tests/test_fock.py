@@ -1,17 +1,20 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlift.fock import (
     MoveKind,
+    _rank,
     apply_annihilation,
     apply_creation,
     bunched_first_order,
     dimension,
     enumerate_basis,
+    ladder_table,
     photon_move_relation,
 )
 
@@ -166,6 +169,40 @@ class TestPhotonMoveRelation:
             photon_move_relation((1, 0), (1, 1))
 
 
+class TestLadderTable:
+    @pytest.mark.parametrize(
+        "modes,photons", [(m, n) for m in range(1, 7) for n in range(0, 5)]
+    )
+    def test_agrees_with_per_state_ladder_operators(self, modes, photons):
+        table = ladder_table(modes, photons)
+        basis = table.basis
+        assert basis.states == enumerate_basis(modes, photons).states
+        assert table.occupations.tolist() == [list(state) for state in basis]
+        lower = enumerate_basis(modes, photons - 1) if photons else None
+        for position, state in enumerate(basis):
+            for mode in range(modes):
+                lowered = apply_annihilation(state, mode)
+                assert table.coef[mode, position] == lowered.coefficient
+                if lowered.state is None:
+                    assert table.down[mode, position] == -1
+                else:
+                    assert table.down[mode, position] == lower.index_of(lowered.state)
+        if lower is None:
+            assert table.up.shape == (modes, 0)
+            return
+        for position, state in enumerate(lower):
+            for mode in range(modes):
+                raised = apply_creation(state, mode)
+                assert table.up[mode, position] == basis.index_of(raised.state)
+
+    def test_is_cached_and_read_only(self):
+        table = ladder_table(3, 2)
+        assert ladder_table(3, 2) is table
+        for array in (table.occupations, table.down, table.coef, table.up):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+
 class TestBunchedFirstOrder:
     def test_two_modes_two_photons(self):
         assert bunched_first_order(enumerate_basis(2, 2)) == (0, 2, 1)
@@ -189,6 +226,7 @@ def basis_and_state(draw):
 def test_index_round_trip(case):
     basis, state, position = case
     assert basis.index_of(state) == position
+    assert _rank(np.array([state]), basis.photons).tolist() == [position]
 
 
 @given(basis_and_state(), st.data())

@@ -138,11 +138,14 @@ class TestLiftUnitaryPermanent:
         lifted = lift_unitary_permanent(np.eye(2), 3)
         assert np.allclose(lifted.matrix, np.eye(4), atol=1e-15)
 
-    def test_agrees_with_expansion_on_random_unitary(self):
+    @pytest.mark.parametrize(
+        "modes,photons", [(3, 2), (2, 10), (3, 6), (4, 4), (5, 3), (6, 3)]
+    )
+    def test_agrees_with_expansion_on_random_unitary(self, modes, photons):
         rng = np.random.default_rng(31)
-        scattering = random_unitary(3, rng)
-        direct = lift_unitary_expansion(scattering, 2)
-        viaper = lift_unitary_permanent(scattering, 2)
+        scattering = random_unitary(modes, rng)
+        direct = lift_unitary_expansion(scattering, photons)
+        viaper = lift_unitary_permanent(scattering, photons)
         assert frobenius_norm(direct.matrix - viaper.matrix) <= 1e-10
 
     def test_zero_photons(self):
@@ -332,3 +335,24 @@ class TestTransitionDistribution:
         assert distribution[(2, 0)] == pytest.approx(0.5, abs=1e-12)
         assert distribution[(0, 2)] == pytest.approx(0.5, abs=1e-12)
         assert sum(distribution.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("modes,photons", [(4, 3), (6, 3)])
+    def test_matches_columns_of_the_full_lift(self, modes, photons):
+        scattering = random_unitary(modes, np.random.default_rng(101))
+        lifted = lift_unitary_expansion(scattering, photons)
+        for column, state in enumerate(lifted.basis):
+            distribution = transition_distribution(scattering, state)
+            assert list(distribution) == list(lifted.basis.states)
+            expected = np.abs(lifted.matrix[:, column]) ** 2
+            probabilities = list(distribution.values())
+            assert np.allclose(probabilities, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("counts", [(1.5, 0.5), (True, 0), (1, np.bool_(True))])
+    def test_rejects_fractional_and_boolean_counts(self, counts):
+        with pytest.raises(ValueError):
+            transition_distribution(balanced_beam_splitter(), counts)
+
+    def test_accepts_whole_number_types(self):
+        expected = transition_distribution(balanced_beam_splitter(), (1, 1))
+        for counts in [(1.0, 1.0), (np.int64(1), np.int64(1)), np.array([1, 1])]:
+            assert transition_distribution(balanced_beam_splitter(), counts) == expected

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from photonlift.lift import balanced_beam_splitter
+import photonlift.verify
+from photonlift.lift import LiftedHamiltonian, balanced_beam_splitter, lift_hamiltonian
 from photonlift.matfuncs import (
     NotHermitianError,
     is_hermitian,
@@ -9,6 +10,7 @@ from photonlift.matfuncs import (
     unitary_logarithm,
 )
 from photonlift.verify import (
+    _count_sparsity_violations,
     check_derivative_oracle,
     check_diagram,
     check_global_phase,
@@ -57,6 +59,27 @@ class TestCheckDiagram:
             and report.residual_hermiticity <= report.tolerance
             and report.sparsity_violations == 0
         )
+
+    def test_counts_only_far_pair_couplings(self, monkeypatch):
+        # Three modes, two photons: (2,0,0) is one move from (1,1,0) and two
+        # moves from (0,2,0).
+        zero = lift_hamiltonian(np.zeros((3, 3)), 2)
+        states = zero.basis.states
+        bunched, one_move, far = (
+            states.index(state) for state in [(2, 0, 0), (1, 1, 0), (0, 2, 0)]
+        )
+        matrix = np.zeros_like(zero.matrix)
+        matrix[bunched, one_move] = matrix[one_move, bunched] = 0.5
+        matrix[bunched, far] = 1e-3
+        corrupted = LiftedHamiltonian(zero.basis, matrix)
+        assert _count_sparsity_violations(corrupted) == 1
+
+        monkeypatch.setattr(
+            photonlift.verify, "lift_hamiltonian", lambda *args, **kwargs: corrupted
+        )
+        report = check_diagram(np.zeros((3, 3)), 2)
+        assert report.sparsity_violations == 1
+        assert not report.passed
 
 
 class TestCheckHomomorphism:
