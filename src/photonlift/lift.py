@@ -3,11 +3,16 @@
 The m x m scattering matrix S of a photon-conserving linear network fixes
 the evolution of any number of photons. ``lift_unitary_expansion`` and
 ``lift_unitary_permanent`` are two independent constructions of the lifted
-M x M unitary (M = C(m+n-1, n)); ``lift_hamiltonian`` is the matching map
-on effective Hamiltonians, where exp(i H) gives the evolution. Entry (p, q)
-of a lifted matrix is the amplitude from basis state q to basis state p, so
-columns are images of input states. Everything here is a pure function over
-immutable inputs and safe to call concurrently.
+M x M unitary (M = C(m+n-1, n)). The first is a photon-by-photon recursion
+over cached ladder tables, in O(n * m * M^2). The second is the closed form
+U[p, q] = per(S[p|q]) / sqrt(prod_j p_j! prod_l q_l!), with the permanents
+of each column q from one pass of Glynn's formula over repeated columns, in
+O(m * M * sum_q K_q) for K_q = prod_j (f_j + 1) and f = q minus its first
+photon. ``lift_hamiltonian`` is the matching map on effective
+Hamiltonians, where exp(i H) gives the evolution. Entry (p, q) of a lifted
+matrix is the amplitude from basis state q to basis state p, so columns are
+images of input states. Everything here is a pure function over immutable
+inputs and safe to call concurrently.
 """
 
 import math
@@ -24,7 +29,12 @@ from .fock import (
     ladder_table,
     photon_move_relation,
 )
-from .matfuncs import NotHermitianError, _as_square, is_hermitian, permanent
+from .matfuncs import (
+    PERMANENT_SIZE_LIMIT,
+    NotHermitianError,
+    _as_square,
+    is_hermitian,
+)
 
 __all__ = [
     "LiftedUnitary",
@@ -107,33 +117,83 @@ def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
     return LiftedUnitary(table.basis, _lift_columns(matrix, photons, columns))
 
 
-def _photon_mode_indices(state: OccupationState) -> np.ndarray:
-    return np.repeat(np.arange(len(state)), state)
+def _glynn_column(
+    matrix: np.ndarray,
+    occupations: np.ndarray,
+    signed_binomials: np.ndarray,
+    state: OccupationState,
+) -> np.ndarray:
+    """per(S[p|q]) for every row state p of ``occupations`` and one input q.
 
+    Glynn's formula with repeated columns: the n columns of S[p|q] carry
+    signs, the first photon's fixed to +. Only the number s_l of minus
+    signs among the q_l copies of column l matters, so the sum runs over
+    0 <= s <= f with f = q - e_l (l the first occupied mode), weighted by
+    w_s = prod_j (-1)^{s_j} C(f_j, s_j). With X = S (q - 2s)^T,
 
-def _occupation_norm(state: OccupationState) -> float:
-    return math.sqrt(math.prod(math.factorial(count) for count in state))
+        per(S[p|q]) = 2^{1-n} sum_s w_s prod_j X[j, s]^{p_j}.
+
+    ``signed_binomials[a, b]`` must hold (-1)^b C(a, b) for a, b < n.
+    """
+    modes = len(state)
+    photons = sum(state)
+    counts = np.array(state)
+    free = counts.copy()
+    free[np.flatnonzero(free)[0]] -= 1
+    signs = np.indices(tuple(free + 1)).reshape(modes, -1).T
+    weights = signed_binomials[free, signs].prod(axis=1)
+    sums = matrix @ (counts - 2 * signs).T
+    # powers[k, j] = X[j]^k with X = sums, by repeated multiplication.
+    powers = np.empty((photons + 1, modes, len(weights)), dtype=complex)
+    powers[0] = 1
+    powers[1] = sums
+    for k in range(2, photons + 1):
+        np.multiply(powers[k - 1], sums, out=powers[k])
+    products = powers[occupations[:, 0], 0]
+    for mode in range(1, modes):
+        products *= powers[occupations[:, mode], mode]
+    return (products @ weights) * 2.0 ** (1 - photons)
 
 
 def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
-    """Lift S entry by entry through permanents of repeated submatrices.
+    """Lift S column by column through permanents of repeated submatrices.
 
     Entry (p, q) is per(S[p|q]) / sqrt(prod_k p_k! prod_k q_k!) where
-    S[p|q] repeats row j of S p_j times and column l q_l times. Must agree
-    with the expansion construction; the two serve as cross-checks.
+    S[p|q] repeats row j of S p_j times and column l q_l times. Each column
+    q takes one pass of Glynn's formula with repeated columns (see
+    ``_glynn_column``) over its K_q = prod_j (f_j + 1) sign-count vectors,
+    f = q minus its first photon, so the whole lift costs
+    O(m * M * sum_q K_q) instead of M^2 permanents of 2^n subsets each.
+    Glynn's signed sums cancel better than Ryser's subset sums. This
+    construction shares no code with the expansion lift: it enumerates its
+    own basis and uses no ladder table, and the two serve as cross-checks.
+    More than PERMANENT_SIZE_LIMIT photons raise ValueError up front.
     """
     matrix = _as_square(scattering)
-    modes = matrix.shape[0]
-    basis = enumerate_basis(modes, photons)
-    size = len(basis)
-    rows = [_photon_mode_indices(state) for state in basis.states]
-    norms = [_occupation_norm(state) for state in basis.states]
-    lifted = np.zeros((size, size), dtype=complex)
-    for column in range(size):
-        for row in range(size):
-            block = matrix[np.ix_(rows[row], rows[column])]
-            lifted[row, column] = permanent(block) / (norms[row] * norms[column])
-    return LiftedUnitary(basis, lifted)
+    if photons > PERMANENT_SIZE_LIMIT:
+        raise ValueError(
+            f"permanent lift limited to {PERMANENT_SIZE_LIMIT} photons, got {photons}"
+        )
+    basis = enumerate_basis(matrix.shape[0], photons)
+    if photons == 0:
+        return LiftedUnitary(basis, np.ones((1, 1), dtype=complex))
+    occupations = np.array(basis.states)
+    signed_binomials = np.array(
+        [
+            [(-1) ** k * math.comb(top, k) for k in range(photons)]
+            for top in range(photons)
+        ],
+        dtype=float,
+    )
+    lifted = np.empty((len(basis), len(basis)), dtype=complex)
+    for column, state in enumerate(basis.states):
+        lifted[:, column] = _glynn_column(matrix, occupations, signed_binomials, state)
+    factorials = np.array(
+        [math.prod(math.factorial(count) for count in state) for state in basis],
+        dtype=float,
+    )
+    # One square root per entry keeps lifts of permutations exact.
+    return LiftedUnitary(basis, lifted / np.sqrt(np.outer(factorials, factorials)))
 
 
 def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHamiltonian:

@@ -127,7 +127,10 @@ def permanent(matrix) -> complex:
 
     Runs in O(2^k * k) for a k x k input and refuses k above
     PERMANENT_SIZE_LIMIT. Subset sums are accumulated in a fixed sequential
-    order, so the result is reproducible bit for bit.
+    order, so the result is reproducible bit for bit. This is the scalar
+    reference: the tests compare every entry of
+    ``lift.lift_unitary_permanent``, which sums over repeated columns by
+    Glynn's formula instead, against it.
     """
     out = _as_square(matrix)
     size = out.shape[0]

@@ -214,6 +214,16 @@ class TestLiftUnitaryCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_permanent_beyond_size_limit_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "one.json"
+        write_matrix(np.eye(1), source)
+        code = main(
+            ["lift-u", "--photons", "31", "--method", "permanent", "--input",
+             str(source), "--output", str(tmp_path / "out.json")]
+        )
+        assert code == 1
+        assert "limited to 30 photons" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(
             ["lift-u", "--photons", "2", "--input", str(tmp_path / "nope.json"),

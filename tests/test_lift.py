@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonlift.fock import MoveKind, photon_move_relation
 from photonlift.lift import (
@@ -15,10 +17,12 @@ from photonlift.lift import (
     transition_distribution,
 )
 from photonlift.matfuncs import (
+    PERMANENT_SIZE_LIMIT,
     NotHermitianError,
     frobenius_norm,
     is_unitary,
     matrix_exponential,
+    permanent,
     unitary_logarithm,
 )
 from photonlift.verify import random_hermitian, random_unitary
@@ -139,7 +143,8 @@ class TestLiftUnitaryPermanent:
         assert np.allclose(lifted.matrix, np.eye(4), atol=1e-15)
 
     @pytest.mark.parametrize(
-        "modes,photons", [(3, 2), (2, 10), (3, 6), (4, 4), (5, 3), (6, 3)]
+        "modes,photons",
+        [(3, 2), (2, 10), (3, 6), (4, 4), (5, 3), (6, 3), (2, 15), (2, 20), (3, 10)],
     )
     def test_agrees_with_expansion_on_random_unitary(self, modes, photons):
         rng = np.random.default_rng(31)
@@ -151,6 +156,52 @@ class TestLiftUnitaryPermanent:
     def test_zero_photons(self):
         lifted = lift_unitary_permanent(np.eye(3), 0)
         assert np.array_equal(lifted.matrix, np.eye(1))
+
+    @pytest.mark.parametrize("modes,photons", [(3, 4), (2, 6), (4, 3)])
+    def test_entries_are_scalar_permanents_of_any_matrix(self, modes, photons):
+        # A non-unitary S: agreement with the expansion lift on unitaries
+        # alone would not show that the entries are permanents.
+        rng = np.random.default_rng(32)
+        shape = (modes, modes)
+        scattering = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        lifted = lift_unitary_permanent(scattering, photons)
+        states = lifted.basis.states
+        for row, p in enumerate(states):
+            for column, q in enumerate(states):
+                block = scattering[
+                    np.ix_(
+                        np.repeat(np.arange(modes), p), np.repeat(np.arange(modes), q)
+                    )
+                ]
+                norm = math.sqrt(math.prod(math.factorial(count) for count in p + q))
+                assert lifted.matrix[row, column] * norm == pytest.approx(
+                    permanent(block), rel=1e-12, abs=0
+                )
+
+    @pytest.mark.parametrize("modes,photons", [(2, 4), (3, 4), (4, 3), (5, 2)])
+    def test_permutation_and_diagonal_agree_with_expansion(self, modes, photons):
+        # Permutation lifts are exact on both routes. A diagonal lift entry is
+        # a product of n unit phases, rounded differently on each route, so
+        # the gap grows with n (2.4e-15 at n = 8); 1e-15 holds for n <= 4.
+        rng = np.random.default_rng(33)
+        permutation = np.eye(modes)[rng.permutation(modes)]
+        phases = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, modes)))
+        for scattering in (permutation, phases):
+            direct = lift_unitary_expansion(scattering, photons)
+            viaper = lift_unitary_permanent(scattering, photons)
+            assert np.max(np.abs(direct.matrix - viaper.matrix)) <= 1e-15
+
+    @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_expansion_property(self, modes, photons, seed):
+        scattering = random_unitary(modes, np.random.default_rng(seed))
+        direct = lift_unitary_expansion(scattering, photons)
+        viaper = lift_unitary_permanent(scattering, photons)
+        assert frobenius_norm(direct.matrix - viaper.matrix) <= 1e-10
+
+    def test_refuses_more_photons_than_the_size_limit(self):
+        with pytest.raises(ValueError, match=f"{PERMANENT_SIZE_LIMIT} photons"):
+            lift_unitary_permanent(np.eye(1), PERMANENT_SIZE_LIMIT + 1)
 
 
 class TestLiftHamiltonian:
