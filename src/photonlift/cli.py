@@ -1,12 +1,15 @@
 """Command-line front end: lift matrices, take logs, run checks, print demos.
 
-Exit codes: 0 on success, 1 when a validation or consistency check fails,
-2 on I/O or parse problems. Reports are line-oriented key=value records so
-they stay easy to grep and to consume from other tools.
+Exit codes: 0 on success, 1 when a validation or consistency check fails
+or a lift does not fit in memory, 2 on I/O or parse problems. Reports are
+line-oriented key=value records so they stay easy to grep and to consume
+from other tools.
 """
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -41,6 +44,20 @@ def _print_record(kind: str, fields: dict, **extra) -> None:
     print(" ".join(parts))
 
 
+@contextmanager
+def _lift_memory(modes: int, photons: int):
+    """Turn a MemoryError inside the block into one that names the lift size."""
+    try:
+        yield
+    except MemoryError as exc:
+        dimension = math.comb(modes + photons - 1, photons)
+        raise MemoryError(
+            f"out of memory for {photons} photons in {modes} modes: dimension "
+            f"{dimension}, one dense complex matrix takes "
+            f"{16 * dimension**2} bytes"
+        ) from exc
+
+
 def _basis_order(basis, order: str) -> tuple[int, ...]:
     if order == "bunched":
         return bunched_first_order(basis)
@@ -66,12 +83,13 @@ def _cmd_lift_u(args) -> int:
         raise NotUnitaryError(
             f"{args.input}: matrix is not unitary within tolerance {args.tol}"
         )
-    if args.method == "permanent":
-        lifted = lift_unitary_permanent(scattering, args.photons)
-    else:
-        lifted = lift_unitary_expansion(scattering, args.photons)
-    order = _basis_order(lifted.basis, args.order)
-    reordered = lifted.matrix[np.ix_(order, order)]
+    with _lift_memory(scattering.shape[0], args.photons):
+        if args.method == "permanent":
+            lifted = lift_unitary_permanent(scattering, args.photons)
+        else:
+            lifted = lift_unitary_expansion(scattering, args.photons)
+        order = _basis_order(lifted.basis, args.order)
+        reordered = lifted.matrix[np.ix_(order, order)]
     write_matrix(
         reordered,
         args.output,
@@ -92,9 +110,10 @@ def _cmd_lift_u(args) -> int:
 
 def _cmd_lift_h(args) -> int:
     h_single = read_matrix(args.input)
-    lifted = lift_hamiltonian(h_single, args.photons, tol=args.tol)
-    order = _basis_order(lifted.basis, args.order)
-    reordered = lifted.matrix[np.ix_(order, order)]
+    with _lift_memory(h_single.shape[0], args.photons):
+        lifted = lift_hamiltonian(h_single, args.photons, tol=args.tol)
+        order = _basis_order(lifted.basis, args.order)
+        reordered = lifted.matrix[np.ix_(order, order)]
     write_matrix(
         reordered,
         args.output,
@@ -123,15 +142,17 @@ def _cmd_log(args) -> int:
 def _cmd_verify(args) -> int:
     if args.input is not None:
         h_single = read_matrix(args.input)
-        report = check_diagram(h_single, args.photons, args.tol)
+        with _lift_memory(h_single.shape[0], args.photons):
+            report = check_diagram(h_single, args.photons, args.tol)
         _print_record("diagram", asdict(report))
         failed = 0 if report.passed else 1
         print(f"summary checks=1 failed={failed}")
         return 0 if report.passed else 1
 
-    results = run_sweep(
-        args.modes, args.photons, args.trials, seed=args.seed, tol=args.tol
-    )
+    with _lift_memory(args.modes, args.photons):
+        results = run_sweep(
+            args.modes, args.photons, args.trials, seed=args.seed, tol=args.tol
+        )
     failed = 0
     for kind, trial, report in results:
         _print_record(kind, asdict(report), seed=args.seed, trial=trial)
@@ -238,7 +259,7 @@ def main(argv=None) -> int:
     except (MatrixFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

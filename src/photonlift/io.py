@@ -14,11 +14,13 @@ The on-disk layout is a single JSON object::
 
 ``data`` is row-major with one [real, imaginary] pair per entry. Floats are
 written with repr precision, so a write/read round trip reproduces every
-entry bit for bit. Non-finite numbers are rejected in both directions.
+entry bit for bit, and the same matrix and metadata always give the same
+bytes. Non-finite numbers are rejected in both directions, and integers too
+large for a float64 on reading.
 """
 
+import cmath
 import json
-import math
 import os
 
 import numpy as np
@@ -92,12 +94,14 @@ def read_matrix(path) -> np.ndarray:
             path,
             f"data[{position}] must hold two numbers",
         )
-        _require(
-            math.isfinite(real) and math.isfinite(imaginary),
-            path,
-            f"data[{position}] must be finite",
-        )
-        entries[position] = complex(real, imaginary)
+        try:
+            entry = complex(real, imaginary)
+        except OverflowError:
+            raise MatrixFileError(
+                f"{path}: data[{position}] holds an integer beyond float64 range"
+            ) from None
+        _require(cmath.isfinite(entry), path, f"data[{position}] must be finite")
+        entries[position] = entry
     return entries.reshape(rows, cols)
 
 
@@ -117,14 +121,12 @@ def write_matrix(matrix, path, metadata: dict[str, str] | None = None) -> None:
     ):
         raise ValueError("metadata must map strings to strings")
 
-    # json.dumps writes floats with repr, the shortest exact representation.
-    pairs = [
-        json.dumps([float(entry.real), float(entry.imag)])
-        for entry in out.ravel(order="C")
-    ]
-    lines = ["{", f' "rows": {rows},', f' "cols": {cols},', ' "data": [']
-    lines += [f"  {pair}," for pair in pairs[:-1]]
-    lines.append(f"  {pairs[-1]}")
+    # Row-major [re, im, re, im, ...] as Python floats, formatted in one
+    # pass: %r writes float.__repr__, the shortest string that reads back
+    # to the same double, which is also what json.dumps writes.
+    values = np.ascontiguousarray(out).view(np.float64).ravel().tolist()
+    data = ",\n".join(["  [%r, %r]"] * (rows * cols)) % tuple(values)
+    lines = ["{", f' "rows": {rows},', f' "cols": {cols},', ' "data": [', data]
     if metadata:
         lines.append(" ],")
         lines.append(f' "metadata": {json.dumps(metadata, sort_keys=True)}')

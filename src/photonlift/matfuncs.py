@@ -8,10 +8,14 @@ Conventions used throughout the package:
   (-pi, pi], with the eigenvalue -1 mapped to +pi.
 
 All functions are pure; no input is mutated.
+
+``scipy.linalg`` is imported inside the two functions that need it, the
+Schur form in ``unitary_logarithm`` and ``expm`` for non-normal input to
+``matrix_exponential``, because loading it costs more than the rest of
+the package together and most callers never reach either.
 """
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "PERMANENT_SIZE_LIMIT",
@@ -98,6 +102,8 @@ def matrix_exponential(matrix) -> np.ndarray:
         symmetric = (out + adjoint) / 2
         values, vectors = np.linalg.eigh(symmetric)
         return (vectors * np.exp(values)) @ vectors.conj().T
+    import scipy.linalg
+
     return scipy.linalg.expm(out)
 
 
@@ -115,6 +121,8 @@ def unitary_logarithm(matrix, tol: float = 1e-9) -> np.ndarray:
         raise NotUnitaryError(
             f"matrix is not unitary within tolerance {tol}"
         )
+    import scipy.linalg
+
     triangular, vectors = scipy.linalg.schur(out, output="complex")
     phases = np.angle(np.diagonal(triangular))
     phases = np.where(phases <= -np.pi + _BRANCH_SNAP, phases + 2 * np.pi, phases)

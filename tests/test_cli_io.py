@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import photonlift
+from photonlift import cli
 from photonlift.cli import main
 from photonlift.io import MatrixFileError, read_matrix, write_matrix
 from photonlift.lift import balanced_beam_splitter
@@ -17,6 +23,19 @@ GOLDEN_TWO_PHOTON_LOG = np.array(
     ],
     dtype=complex,
 )
+
+
+# Edge-case floats for the exact-text tests: signed zero, the smallest
+# subnormal, exponent forms on both sides, and negative imaginary parts.
+EDGE_MATRIX = np.array(
+    [
+        [complex(0.0, 0.1), complex(-0.0, -1e-05)],
+        [complex(5e-324, 1e16), complex(1e16, -0.1)],
+    ]
+)
+
+# One decimal integer with 401 digits: valid JSON, beyond float64 range.
+HUGE_INTEGER = "1" + "0" * 400
 
 
 def dump_raw(path, payload):
@@ -122,6 +141,66 @@ class TestMatrixFiles:
     def test_write_rejects_non_finite(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(np.array([[np.inf]]), tmp_path / "inf.json")
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            f'{{"rows": 1, "cols": 2, "data": [[0, 0], [{HUGE_INTEGER}, 0]]}}'
+        )
+        with pytest.raises(MatrixFileError, match=r"data\[1\]"):
+            read_matrix(path)
+
+
+class TestMatrixFileText:
+    """The exact bytes write_matrix produces, not just the round trip."""
+
+    def test_edge_floats(self, tmp_path):
+        target = tmp_path / "edge.json"
+        write_matrix(EDGE_MATRIX, target)
+        assert target.read_text() == (
+            "{\n"
+            ' "rows": 2,\n'
+            ' "cols": 2,\n'
+            ' "data": [\n'
+            "  [0.0, 0.1],\n"
+            "  [-0.0, -1e-05],\n"
+            "  [5e-324, 1e+16],\n"
+            "  [1e+16, -0.1]\n"
+            " ]\n"
+            "}\n"
+        )
+
+    def test_transposed_view_with_metadata(self, tmp_path):
+        target = tmp_path / "edge_t.json"
+        write_matrix(EDGE_MATRIX.T, target, metadata={"b": "two", "a": "one"})
+        assert target.read_text() == (
+            "{\n"
+            ' "rows": 2,\n'
+            ' "cols": 2,\n'
+            ' "data": [\n'
+            "  [0.0, 0.1],\n"
+            "  [5e-324, 1e+16],\n"
+            "  [-0.0, -1e-05],\n"
+            "  [1e+16, -0.1]\n"
+            " ],\n"
+            ' "metadata": {"a": "one", "b": "two"}\n'
+            "}\n"
+        )
+
+    def test_real_input(self, tmp_path):
+        target = tmp_path / "real.json"
+        write_matrix(np.array([[-0.0, 1e16, 5e-324]]), target)
+        assert target.read_text() == (
+            "{\n"
+            ' "rows": 1,\n'
+            ' "cols": 3,\n'
+            ' "data": [\n'
+            "  [-0.0, 0.0],\n"
+            "  [1e+16, 0.0],\n"
+            "  [5e-324, 0.0]\n"
+            " ]\n"
+            "}\n"
+        )
 
 
 class TestBasisCommand:
@@ -242,6 +321,25 @@ class TestLiftUnitaryCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_1_and_names_the_size(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def exhausted(matrix, photons):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "lift_unitary_expansion", exhausted)
+        source = write_beam_splitter(tmp_path / "bs.json")
+        code = main(
+            ["lift-u", "--photons", "40", "--input", source, "--output",
+             str(tmp_path / "out.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        # Two modes and 40 photons span 41 states: 41 * 41 * 16 bytes.
+        assert "dimension 41" in err
+        assert "26896 bytes" in err
+
 
 class TestLiftHamiltonianCommand:
     def test_golden_two_photon_hamiltonian(self, tmp_path):
@@ -288,6 +386,25 @@ class TestLiftHamiltonianCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_1_and_names_the_size(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def exhausted(matrix, photons, tol):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(cli, "lift_hamiltonian", exhausted)
+        source = tmp_path / "h.json"
+        write_matrix(np.eye(3), source)
+        code = main(
+            ["lift-h", "--photons", "3", "--input", str(source), "--output",
+             str(tmp_path / "out.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "3 modes" in err and "3 photons" in err
+        assert "dimension 10" in err
+
 
 class TestLogCommand:
     def test_beam_splitter_golden(self, tmp_path):
@@ -317,6 +434,17 @@ class TestLogCommand:
         code = main(["log", "--input", str(source), "--output", str(tmp_path / "o.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "big.json"
+        source.write_text(
+            f'{{"rows": 1, "cols": 1, "data": [[{HUGE_INTEGER}, 0]]}}'
+        )
+        code = main(["log", "--input", str(source), "--output", str(tmp_path / "o.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "data[0]" in err
 
 
 class TestVerifyCommand:
@@ -366,3 +494,67 @@ class TestDemoCommand:
         assert abs(records["2,0"] - 0.5) <= 1e-12
         assert abs(records["0,2"] - 0.5) <= 1e-12
         assert abs(sum(records.values()) - 1.0) <= 1e-12
+
+
+def run_fresh(code: str, *args: str) -> None:
+    """Run ``code`` in a new interpreter that imports photonlift from this tree."""
+    source_root = os.path.dirname(os.path.dirname(photonlift.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+class TestLazyScipyImport:
+    def test_commands_without_log_never_load_scipy_linalg(self, tmp_path):
+        run_fresh(
+            """
+            import sys
+            import photonlift
+            assert "scipy.linalg" not in sys.modules, "loaded by import"
+            from photonlift.cli import main
+            from photonlift.io import write_matrix
+            from photonlift.lift import balanced_beam_splitter
+
+            folder = sys.argv[1]
+            write_matrix(balanced_beam_splitter(), folder + "/s.json")
+            write_matrix([[1.0, 0.5], [0.5, -1.0]], folder + "/h.json")
+            for argv in (
+                ["basis", "--modes", "3", "--photons", "2"],
+                ["lift-u", "--photons", "2", "--input", folder + "/s.json",
+                 "--output", folder + "/u.json"],
+                ["lift-h", "--photons", "2", "--input", folder + "/h.json",
+                 "--output", folder + "/hu.json"],
+                ["verify", "--input", folder + "/h.json", "--photons", "2"],
+            ):
+                assert main(argv) == 0, argv
+                assert "scipy.linalg" not in sys.modules, argv
+            """,
+            str(tmp_path),
+        )
+
+    def test_functions_that_need_scipy_load_it_on_first_call(self):
+        run_fresh(
+            """
+            import sys
+            import numpy as np
+            from photonlift.lift import balanced_beam_splitter
+            from photonlift.matfuncs import matrix_exponential, unitary_logarithm
+
+            assert "scipy.linalg" not in sys.modules
+            coupler = balanced_beam_splitter()
+            log = unitary_logarithm(coupler)
+            assert np.allclose(matrix_exponential(1j * log), coupler, atol=1e-12)
+            assert "scipy.linalg" in sys.modules
+            shear = matrix_exponential([[0, 1], [0, 0]])
+            assert np.array_equal(shear, [[1, 1], [0, 1]]), shear
+            """
+        )
