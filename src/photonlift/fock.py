@@ -10,9 +10,13 @@ handling.
 The lifts do not apply ladder operators state by state. ``ladder_table``
 ranks every one-photon neighbour of every basis state in one vectorised
 pass and keeps the result, per (modes, photons), in a bounded cache: the
-lifts of one network size share one table. ``apply_creation``,
-``apply_annihilation`` and ``index_of`` remain the per-state reference the
-table is tested against. Everything here is immutable (table arrays are
+lifts of one network size share one table. Besides the moves themselves
+(``down`` and ``up``) it keeps what each lift level needs: the creation
+coefficients, each state's first occupied mode and the position left when
+that photon is removed. The lifts raise photons by scattering through
+``up`` and build no masks and run no searches per call; costs stay as
+before in O-terms. ``apply_creation``, ``apply_annihilation`` and
+``index_of`` remain the per-state reference the table is tested against. Everything here is immutable (table arrays are
 read-only) and safe to share across threads.
 """
 
@@ -157,16 +161,23 @@ class LadderTable:
     * ``occupations[p]`` is state p as a row of counts, shape (M, modes);
     * ``down[j, p]`` is the position of p - e_j among the n - 1 photon
       states, or -1 where p_j = 0, shape (modes, M);
-    * ``coef[j, p]`` is sqrt(p_j), the annihilation coefficient;
     * ``up[j, r]`` is the position of r + e_j among the n photon states,
-      for r an n - 1 photon state, shape (modes, M').
+      for r an n - 1 photon state, shape (modes, M');
+    * ``up_coef[j, r]`` is sqrt(r_j + 1), the creation coefficient of that
+      move, shape (modes, M');
+    * ``first[p]`` is the first occupied mode of state p (0 for the
+      vacuum), shape (M,);
+    * ``first_down[p]`` is ``down[first[p], p]``, the position of p minus
+      its first photon (-1 for the vacuum), shape (M,).
     """
 
     basis: FockBasis
     occupations: np.ndarray
     down: np.ndarray
-    coef: np.ndarray
     up: np.ndarray
+    up_coef: np.ndarray
+    first: np.ndarray
+    first_down: np.ndarray
 
 
 @functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
@@ -186,11 +197,17 @@ def ladder_table(modes: int, photons: int) -> LadderTable:
     lower_size = dimension(modes, photons - 1) if photons else 0
     up = np.empty((modes, lower_size), dtype=np.intp)
     moves, sources = np.nonzero(counts)
-    up[moves, down[moves, sources]] = sources
-    table = LadderTable(basis, occupations, down, np.sqrt(counts), up)
-    for array in (table.occupations, table.down, table.coef, table.up):
+    lowered_at = down[moves, sources]
+    up[moves, lowered_at] = sources
+    # Raising r into p = r + e_j has coefficient sqrt(r_j + 1) = sqrt(p_j).
+    up_coef = np.empty(up.shape)
+    up_coef[moves, lowered_at] = np.sqrt(counts[moves, sources])
+    first = np.argmax(counts > 0, axis=0)
+    first_down = down[first, np.arange(len(basis))]
+    arrays = (occupations, down, up, up_coef, first, first_down)
+    for array in arrays:
         array.flags.writeable = False
-    return table
+    return LadderTable(basis, *arrays)
 
 
 @dataclass(frozen=True)

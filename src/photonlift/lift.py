@@ -69,8 +69,10 @@ class LiftedHamiltonian:
     matrix: np.ndarray
 
 
-def _lift_columns(matrix: np.ndarray, photons: int, columns: np.ndarray) -> np.ndarray:
-    """Columns ``columns`` of the n-photon lift of S, one photon at a time.
+def _lift_columns(
+    matrix: np.ndarray, photons: int, columns: np.ndarray | None = None
+) -> np.ndarray:
+    """Columns ``columns`` (all when None) of the n-photon lift of S.
 
     With l the first occupied mode of input q, |q> = a_l^dag |q - e_l> /
     sqrt(q_l) and U a_l^dag U^dag = sum_j S_jl a_j^dag, so
@@ -78,27 +80,39 @@ def _lift_columns(matrix: np.ndarray, photons: int, columns: np.ndarray) -> np.n
         U[p, q] = (sum_j sqrt(p_j) S_jl U'[p - e_j, q - e_l]) / sqrt(q_l)
 
     with U' the (n-1)-photon lift. Only the columns of U' that the wanted
-    columns need are built, level by level from the vacuum. Dividing last
-    keeps lifts of the identity and of permutations exact.
+    columns need are built, level by level from the vacuum. A level is a
+    scatter through the ladder table: for each mode j, row r of U' times
+    sqrt(r_j + 1) S_jl is added to row up[j, r]. The rows up[j] are
+    distinct, so one fancy-indexed add per mode is exact. l and the
+    position of q - e_l are the table's ``first`` and ``first_down``. A full
+    lift needs every column of U' in order (each r is r + e_0 minus its
+    first photon), so only a column subset looks its sources up with
+    ``np.unique``. Modes are summed in order and the division comes last,
+    which keeps lifts of the identity and of permutations exact. Costs
+    O(m * M' * K) per level for K wanted columns.
     """
     modes = matrix.shape[0]
     levels = []
     for count in range(photons, 0, -1):
         table = ladder_table(modes, count)
-        first = np.argmax(table.occupations[columns] > 0, axis=1)
-        sources, gather = np.unique(table.down[first, columns], return_inverse=True)
-        levels.append((table, columns, first, gather))
-        columns = sources
+        if columns is None:
+            first, lowered = table.first, table.first_down
+            gather = lowered
+        else:
+            first, lowered = table.first[columns], table.first_down[columns]
+            columns, gather = np.unique(lowered, return_inverse=True)
+        levels.append((table, first, lowered, gather))
     block = np.ones((1, 1), dtype=complex)
-    for table, columns, first, gather in reversed(levels):
+    for table, first, lowered, gather in reversed(levels):
         shed = block[:, gather]
         weights = matrix[:, first]
-        lifted = np.zeros((len(table.basis), len(columns)), dtype=complex)
+        lifted = np.zeros((len(table.basis), len(first)), dtype=complex)
         for mode in range(modes):
-            rows = table.down[mode] >= 0
-            terms = table.coef[mode, rows, None] * shed[table.down[mode, rows]]
-            lifted[rows] += terms * weights[mode]
-        block = lifted / np.sqrt(table.occupations[columns, first])
+            terms = table.up_coef[mode, :, None] * shed
+            terms *= weights[mode]
+            lifted[table.up[mode]] += terms
+        # up_coef[l, q - e_l] is sqrt(q_l).
+        block = lifted / table.up_coef[first, lowered]
     return block
 
 
@@ -112,9 +126,9 @@ def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
     costs O(n * m * M^2) for M = C(m+n-1, n).
     """
     matrix = _as_square(scattering)
+    photons = _photon_number(photons)
     table = ladder_table(matrix.shape[0], photons)
-    columns = np.arange(len(table.basis))
-    return LiftedUnitary(table.basis, _lift_columns(matrix, photons, columns))
+    return LiftedUnitary(table.basis, _lift_columns(matrix, photons))
 
 
 def _glynn_column(
@@ -170,6 +184,7 @@ def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
     More than PERMANENT_SIZE_LIMIT photons raise ValueError up front.
     """
     matrix = _as_square(scattering)
+    photons = _photon_number(photons)
     if photons > PERMANENT_SIZE_LIMIT:
         raise ValueError(
             f"permanent lift limited to {PERMANENT_SIZE_LIMIT} photons, got {photons}"
@@ -205,12 +220,16 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     * one photon moved from mode l to mode j: sqrt((q_j + 1) * q_l) * H_jl,
     * anything farther: exactly zero.
 
-    The one-move entries are scattered through the cached ladder table:
-    the target of moving a photon of q from l to j is up[j, down[l, q]].
+    The one-move entries are scattered through the cached ladder table in
+    one pass over all m(m - 1) ordered mode pairs (j, l), j != l: for every
+    n - 1 photon state r, entry (up[j, r], up[l, r]) moves a photon of
+    r + e_l from l to j. That is O(m^2 * M') index work for M' states of
+    n - 1 photons, next to the O(M^2) output.
     """
     matrix = _as_square(h_single)
     if not is_hermitian(matrix, tol):
         raise NotHermitianError(f"matrix is not Hermitian within tolerance {tol}")
+    photons = _photon_number(photons)
     modes = matrix.shape[0]
     table = ladder_table(modes, photons)
     occupations = table.occupations
@@ -221,12 +240,11 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     for mode in range(modes):
         diagonal += occupations[:, mode] * matrix[mode, mode]
     np.fill_diagonal(lifted, diagonal)
-    for source in range(modes):
-        columns = np.flatnonzero(occupations[:, source])
-        targets = np.delete(np.arange(modes), source)[:, None]
-        rows = table.up[targets, table.down[source, columns]]
-        weights = np.sqrt(occupations[columns, source] * occupations[rows, targets])
-        lifted[rows, columns] = weights * matrix[targets, source]
+    targets, sources = np.nonzero(~np.eye(modes, dtype=bool))
+    rows, columns = table.up[targets], table.up[sources]
+    targets, sources = targets[:, None], sources[:, None]
+    weights = np.sqrt(occupations[columns, sources] * occupations[rows, targets])
+    lifted[rows, columns] = weights * matrix[targets, sources]
     return LiftedHamiltonian(table.basis, lifted)
 
 
@@ -267,15 +285,22 @@ def global_phase_lift(phase: float, photons: int) -> float:
     return reduced
 
 
+def _photon_number(count) -> int:
+    """``count`` as an int; booleans, fractions and negatives raise ValueError.
+
+    Runs before any ladder table is looked up, so 2.0 and 2 reach the same
+    cached table and True never becomes a key of its own.
+    """
+    whole = isinstance(count, numbers.Integral) or (
+        isinstance(count, numbers.Real) and float(count).is_integer()
+    )
+    if isinstance(count, bool) or not whole or count < 0:
+        raise ValueError(f"photon counts must be whole numbers >= 0, got {count!r}")
+    return int(count)
+
+
 def _photon_counts(input_state) -> OccupationState:
-    counts = tuple(input_state)
-    for count in counts:
-        whole = isinstance(count, numbers.Integral) or (
-            isinstance(count, numbers.Real) and float(count).is_integer()
-        )
-        if isinstance(count, bool) or not whole:
-            raise ValueError(f"photon counts must be whole numbers, got {count!r}")
-    return tuple(int(count) for count in counts)
+    return tuple(_photon_number(count) for count in input_state)
 
 
 def transition_distribution(

@@ -182,25 +182,41 @@ class TestLadderTable:
         for position, state in enumerate(basis):
             for mode in range(modes):
                 lowered = apply_annihilation(state, mode)
-                assert table.coef[mode, position] == lowered.coefficient
                 if lowered.state is None:
                     assert table.down[mode, position] == -1
                 else:
                     assert table.down[mode, position] == lower.index_of(lowered.state)
+            occupied = [mode for mode, count in enumerate(state) if count]
+            first = occupied[0] if occupied else 0
+            assert table.first[position] == first
+            lowered = apply_annihilation(state, first)
+            if lowered.state is None:
+                assert table.first_down[position] == -1
+            else:
+                assert table.first_down[position] == lower.index_of(lowered.state)
+        assert table.first.shape == table.first_down.shape == (len(basis),)
         if lower is None:
-            assert table.up.shape == (modes, 0)
+            assert table.up.shape == table.up_coef.shape == (modes, 0)
             return
         for position, state in enumerate(lower):
             for mode in range(modes):
                 raised = apply_creation(state, mode)
                 assert table.up[mode, position] == basis.index_of(raised.state)
+                assert table.up_coef[mode, position] == raised.coefficient
 
     def test_is_cached_and_read_only(self):
         table = ladder_table(3, 2)
         assert ladder_table(3, 2) is table
-        for array in (table.occupations, table.down, table.coef, table.up):
+        for array in (
+            table.occupations,
+            table.down,
+            table.up,
+            table.up_coef,
+            table.first,
+            table.first_down,
+        ):
             with pytest.raises(ValueError):
-                array[0, 0] = 0
+                array[(0,) * array.ndim] = 0
 
 
 class TestBunchedFirstOrder:

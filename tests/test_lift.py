@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlift.fock import MoveKind, photon_move_relation
+from photonlift.fock import MoveKind, ladder_table, photon_move_relation
 from photonlift.lift import (
+    _lift_columns,
     balanced_beam_splitter,
     global_phase_lift,
     hamiltonian_element,
@@ -130,6 +131,47 @@ class TestLiftUnitaryExpansion:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             lift_unitary_expansion(np.ones((2, 3)), 1)
+
+
+class TestLiftColumns:
+    @pytest.mark.parametrize("modes,photons", [(4, 3), (5, 2), (2, 6)])
+    def test_column_subsets_match_the_full_lift_exactly(self, modes, photons):
+        rng = np.random.default_rng(83)
+        scattering = random_unitary(modes, rng)
+        full = _lift_columns(scattering, photons)
+        assert np.array_equal(full, lift_unitary_expansion(scattering, photons).matrix)
+        size = full.shape[1]
+        for count in (1, 2, size // 2, size):
+            columns = rng.choice(size, size=count, replace=False)
+            assert np.array_equal(
+                _lift_columns(scattering, photons, columns), full[:, columns]
+            )
+
+
+class TestPhotonNumber:
+    LIFTS = [lift_unitary_expansion, lift_unitary_permanent, lift_hamiltonian]
+
+    @pytest.mark.parametrize("lift", LIFTS)
+    def test_whole_numbers_lift_alike_with_cold_and_warm_tables(self, lift):
+        ladder_table.cache_clear()
+        cold = lift(balanced_beam_splitter(), 2.0)
+        warm = lift(balanced_beam_splitter(), 2.0)
+        exact = lift(balanced_beam_splitter(), np.int64(2))
+        for lifted in (cold, warm, exact):
+            assert type(lifted.basis.photons) is int
+            assert lifted.basis.photons == 2
+            assert np.array_equal(lifted.matrix, exact.matrix)
+
+    @pytest.mark.parametrize("lift", LIFTS)
+    @pytest.mark.parametrize("photons", [True, np.bool_(True), 1.5, -1, "2"])
+    def test_rejects_booleans_fractions_and_negatives(self, lift, photons):
+        ladder_table.cache_clear()
+        with pytest.raises(ValueError):
+            lift(balanced_beam_splitter(), photons)
+        lift(balanced_beam_splitter(), 1)
+        with pytest.raises(ValueError):
+            lift(balanced_beam_splitter(), photons)
+        assert type(ladder_table(2, 1).basis.photons) is int
 
 
 class TestLiftUnitaryPermanent:
@@ -300,10 +342,13 @@ class TestHamiltonianElement:
         value = hamiltonian_element(GOLDEN_COUPLER_LOG, (1, 1), (1, 1))
         assert value == pytest.approx(3.14160, abs=1e-4)
 
-    def test_matches_full_matrix(self):
+    @pytest.mark.parametrize(
+        "modes,photons", [(3, 2), (1, 3), (3, 0), (2, 4), (4, 3), (5, 2)]
+    )
+    def test_matches_full_matrix(self, modes, photons):
         rng = np.random.default_rng(51)
-        h_single = random_hermitian(3, rng)
-        lifted = lift_hamiltonian(h_single, 2)
+        h_single = random_hermitian(modes, rng)
+        lifted = lift_hamiltonian(h_single, photons)
         states = lifted.basis.states
         for row, p in enumerate(states):
             for column, q in enumerate(states):
