@@ -6,14 +6,9 @@ basis, and check numerically that exponentiating and lifting commute.
 """
 
 from .fock import (
-    MAX_DIMENSION,
     FockBasis,
-    LadderResult,
     MoveKind,
-    MoveRelation,
     OccupationState,
-    apply_annihilation,
-    apply_creation,
     bunched_first_order,
     dimension,
     enumerate_basis,
@@ -59,14 +54,11 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_DIMENSION",
     "PERMANENT_SIZE_LIMIT",
     "DEFAULT_SEED",
     "OccupationState",
     "FockBasis",
-    "LadderResult",
     "MoveKind",
-    "MoveRelation",
     "LiftedUnitary",
     "LiftedHamiltonian",
     "DiagramReport",
@@ -77,8 +69,6 @@ __all__ = [
     "NotHermitianError",
     "dimension",
     "enumerate_basis",
-    "apply_creation",
-    "apply_annihilation",
     "photon_move_relation",
     "bunched_first_order",
     "frobenius_norm",

@@ -1,27 +1,31 @@
 """Occupation-number basis for n photons in m modes, with ladder operators.
 
-States are plain tuples of per-mode photon counts. The basis for a given
-(modes, photons) pair is ordered reverse-lexicographically, so all photons
-start bunched in the first mode: for two photons in two modes the order is
-(2, 0), (1, 1), (0, 2). Positions are recovered by exact combinatorial
+A basis is one read-only (M, modes) array of per-mode photon counts, one
+row per state, built by stars and bars. Rows are ordered
+reverse-lexicographically, so all photons start bunched in the first mode:
+for two photons in two modes the order is (2, 0), (1, 1), (0, 2). The same
+states as tuples of ints (``FockBasis.states``) are built on first use, for
+printing and dict keys. Positions are recovered by exact combinatorial
 ranking rather than hashing, so ``index_of`` is O(modes) with no collision
 handling.
 
 The lifts do not apply ladder operators state by state. ``ladder_table``
-ranks every one-photon neighbour of every basis state in one vectorised
-pass and keeps the result, per (modes, photons), in a bounded cache: the
-lifts of one network size share one table. Besides the moves themselves
-(``down`` and ``up``) it keeps what each lift level needs: the creation
-coefficients, each state's first occupied mode and the position left when
-that photon is removed. The lifts raise photons by scattering through
-``up`` and build no masks and run no searches per call; costs stay as
-before in O-terms. ``apply_creation``, ``apply_annihilation`` and
-``index_of`` remain the per-state reference the table is tested against. Everything here is immutable (table arrays are
-read-only) and safe to share across threads.
+ranks every one-photon neighbour of every basis state, one mode at a time,
+and keeps the result, per (modes, photons), in a bounded cache: the lifts
+of one network size share one table. Besides the moves themselves (``down``
+and ``up``) it keeps what each lift level needs: the creation coefficients,
+each state's first occupied mode and the position left when that photon is
+removed. The lifts raise photons by scattering through ``up`` and build no
+masks and run no searches per call. ``apply_creation``,
+``apply_annihilation`` and ``index_of`` remain the per-state reference the
+table is tested against. Everything here is immutable (basis and table
+arrays are read-only) and safe to share across threads.
 """
 
 import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -76,26 +80,39 @@ def dimension(modes: int, photons: int) -> int:
     return size
 
 
-def _compositions(total: int, slots: int) -> Iterator[OccupationState]:
-    # Reverse-lexicographic: the leading mode count decreases from total to 0.
-    if slots == 1:
-        yield (total,)
-        return
-    for count in range(total, -1, -1):
-        for rest in _compositions(total - count, slots - 1):
-            yield (count, *rest)
+def _photon_number(count) -> int:
+    """``count`` as an int; booleans, fractions and negatives raise ValueError.
+
+    Every basis is built through this rule, so 2.0 and 2 give the same basis
+    and True never stands in for 1.
+    """
+    whole = isinstance(count, numbers.Integral) or (
+        isinstance(count, numbers.Real) and float(count).is_integer()
+    )
+    if isinstance(count, bool) or not whole or count < 0:
+        raise ValueError(f"photon counts must be whole numbers >= 0, got {count!r}")
+    return int(count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockBasis:
-    """All occupation states for a fixed photon number, canonically ordered."""
+    """All occupation states for a fixed photon number, canonically ordered.
+
+    ``occupations[k]`` is state k as a row of per-mode counts, shape
+    (M, modes), dtype ``np.intp``, read-only. ``states`` holds the same rows
+    as tuples of ints, built on first use. Bases compare by identity.
+    """
 
     modes: int
     photons: int
-    states: tuple[OccupationState, ...]
+    occupations: np.ndarray
+
+    @functools.cached_property
+    def states(self) -> tuple[OccupationState, ...]:
+        return tuple(map(tuple, self.occupations.tolist()))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     def __iter__(self) -> Iterator[OccupationState]:
         return iter(self.states)
@@ -126,16 +143,35 @@ class FockBasis:
 
 
 def enumerate_basis(modes: int, photons: int) -> FockBasis:
-    """Build the full occupation basis for the given mode and photon counts."""
-    dimension(modes, photons)
-    return FockBasis(modes, photons, tuple(_compositions(photons, modes)))
+    """Build the full occupation basis for the given mode and photon counts.
+
+    Stars and bars: each state is a choice of modes - 1 bar positions among
+    modes + photons - 1 slots, and the gaps between consecutive bars (with
+    bars fixed at -1 and modes + photons - 1) are the counts. Bar choices in
+    lexicographic order give states in increasing order, so they are
+    written in reverse to get the canonical order. Photon counts go through
+    the same rule as the lifts: booleans, fractions and negatives raise
+    ValueError.
+    """
+    photons = _photon_number(photons)
+    size = dimension(modes, photons)
+    slots = modes + photons - 1
+    choices = itertools.combinations(range(slots), modes - 1)
+    bars = np.empty((size, modes + 1), dtype=np.intp)
+    bars[:, 0] = -1
+    bars[:, -1] = slots
+    bars[::-1, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(choices), dtype=np.intp, count=size * (modes - 1)
+    ).reshape(size, modes - 1)
+    occupations = np.diff(bars, axis=1) - 1
+    occupations.flags.writeable = False
+    return FockBasis(modes, photons, occupations)
 
 
 def _rank(occupations: np.ndarray, photons: int) -> np.ndarray:
     """Canonical positions of the rows of an occupation array: ``index_of``, vectorised.
 
-    Rows must hold ``photons`` photons in total; other rows get meaningless
-    positions, which callers mask out.
+    Every row must hold ``photons`` photons in total, all counts >= 0.
     """
     modes = occupations.shape[-1]
     # binomials[left, s] = C(left - 1 + s, s): states ranked before a prefix
@@ -143,22 +179,22 @@ def _rank(occupations: np.ndarray, photons: int) -> np.ndarray:
     binomials = np.array(
         [
             [math.comb(left - 1 + s, s) if left else 0 for s in range(modes)]
-            for left in range(photons + 2)
+            for left in range(photons + 1)
         ],
         dtype=np.intp,
     )
     remaining = photons - np.cumsum(occupations[..., :-1], axis=-1)
     slots_after = np.arange(modes - 1, 0, -1)
-    return binomials[np.clip(remaining, 0, photons + 1), slots_after].sum(axis=-1)
+    return binomials[remaining, slots_after].sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class LadderTable:
     """One-photon ladder moves of every basis state, as index arrays.
 
-    With M states of ``basis`` (n photons) and M' states of n - 1 photons:
+    With M states of ``basis`` (n photons, counts in ``basis.occupations``)
+    and M' states of n - 1 photons:
 
-    * ``occupations[p]`` is state p as a row of counts, shape (M, modes);
     * ``down[j, p]`` is the position of p - e_j among the n - 1 photon
       states, or -1 where p_j = 0, shape (modes, M);
     * ``up[j, r]`` is the position of r + e_j among the n photon states,
@@ -172,7 +208,6 @@ class LadderTable:
     """
 
     basis: FockBasis
-    occupations: np.ndarray
     down: np.ndarray
     up: np.ndarray
     up_coef: np.ndarray
@@ -184,14 +219,22 @@ class LadderTable:
 def ladder_table(modes: int, photons: int) -> LadderTable:
     """The ladder table for ``photons`` photons in ``modes`` modes, cached.
 
-    Built in O(modes^2 * M) vectorised work. The same object is returned for
-    repeated (modes, photons), so its arrays are read-only.
+    Built in O(modes^2 * M) vectorised work, one mode at a time, so no
+    intermediate is larger than O(modes * M). The same object is returned
+    for repeated (modes, photons), so its arrays are read-only. Photon
+    counts are checked as in ``enumerate_basis`` before anything is cached.
     """
     basis = enumerate_basis(modes, photons)
-    occupations = np.array(basis.states, dtype=np.intp)
-    counts = np.ascontiguousarray(occupations.T)
-    lowered = occupations - np.eye(modes, dtype=np.intp)[:, None, :]
-    down = np.where(counts > 0, _rank(lowered, photons - 1), -1)
+    photons = basis.photons
+    occupations = basis.occupations
+    counts = occupations.T
+    down = np.full((modes, len(basis)), -1, dtype=np.intp)
+    # The vacuum has no photon to remove: its column stays -1.
+    for mode in range(modes if photons else 0):
+        occupied = np.flatnonzero(counts[mode])
+        lowered = occupations[occupied]
+        lowered[:, mode] -= 1
+        down[mode, occupied] = _rank(lowered, photons - 1)
     # Every n - 1 photon state r is p - e_j for exactly one p, p = r + e_j,
     # so ``up`` is ``down`` inverted.
     lower_size = dimension(modes, photons - 1) if photons else 0
@@ -204,7 +247,7 @@ def ladder_table(modes: int, photons: int) -> LadderTable:
     up_coef[moves, lowered_at] = np.sqrt(counts[moves, sources])
     first = np.argmax(counts > 0, axis=0)
     first_down = down[first, np.arange(len(basis))]
-    arrays = (occupations, down, up, up_coef, first, first_down)
+    arrays = (down, up, up_coef, first, first_down)
     for array in arrays:
         array.flags.writeable = False
     return LadderTable(basis, *arrays)
@@ -294,7 +337,5 @@ def bunched_first_order(basis: FockBasis) -> tuple[int, ...]:
     Ties keep canonical order. For two photons in two modes this yields
     (2,0), (0,2), (1,1), the ordering with fully bunched states up front.
     """
-    def occupied(position: int) -> int:
-        return sum(1 for count in basis.states[position] if count)
-
-    return tuple(sorted(range(len(basis)), key=lambda k: (occupied(k), k)))
+    occupied = np.count_nonzero(basis.occupations, axis=1)
+    return tuple(np.argsort(occupied, kind="stable").tolist())

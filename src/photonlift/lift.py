@@ -16,7 +16,6 @@ inputs and safe to call concurrently.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .fock import (
     FockBasis,
     MoveKind,
     OccupationState,
+    _photon_number,
     enumerate_basis,
     ladder_table,
     photon_move_relation,
@@ -135,9 +135,9 @@ def _glynn_column(
     matrix: np.ndarray,
     occupations: np.ndarray,
     signed_binomials: np.ndarray,
-    state: OccupationState,
+    counts: np.ndarray,
 ) -> np.ndarray:
-    """per(S[p|q]) for every row state p of ``occupations`` and one input q.
+    """per(S[p|q]) for every row p of ``occupations`` and input q = ``counts``.
 
     Glynn's formula with repeated columns: the n columns of S[p|q] carry
     signs, the first photon's fixed to +. Only the number s_l of minus
@@ -147,11 +147,10 @@ def _glynn_column(
 
         per(S[p|q]) = 2^{1-n} sum_s w_s prod_j X[j, s]^{p_j}.
 
-    ``signed_binomials[a, b]`` must hold (-1)^b C(a, b) for a, b < n.
+    ``signed_binomials`` is the n x n table of (-1)^b C(a, b), a, b < n.
     """
-    modes = len(state)
-    photons = sum(state)
-    counts = np.array(state)
+    modes = len(counts)
+    photons = len(signed_binomials)
     free = counts.copy()
     free[np.flatnonzero(free)[0]] -= 1
     signs = np.indices(tuple(free + 1)).reshape(modes, -1).T
@@ -192,7 +191,7 @@ def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
     basis = enumerate_basis(matrix.shape[0], photons)
     if photons == 0:
         return LiftedUnitary(basis, np.ones((1, 1), dtype=complex))
-    occupations = np.array(basis.states)
+    occupations = basis.occupations
     signed_binomials = np.array(
         [
             [(-1) ** k * math.comb(top, k) for k in range(photons)]
@@ -201,8 +200,8 @@ def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
         dtype=float,
     )
     lifted = np.empty((len(basis), len(basis)), dtype=complex)
-    for column, state in enumerate(basis.states):
-        lifted[:, column] = _glynn_column(matrix, occupations, signed_binomials, state)
+    for column, counts in enumerate(occupations):
+        lifted[:, column] = _glynn_column(matrix, occupations, signed_binomials, counts)
     factorials = np.array(
         [math.prod(math.factorial(count) for count in state) for state in basis],
         dtype=float,
@@ -232,7 +231,7 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     photons = _photon_number(photons)
     modes = matrix.shape[0]
     table = ladder_table(modes, photons)
-    occupations = table.occupations
+    occupations = table.basis.occupations
     size = len(table.basis)
     lifted = np.zeros((size, size), dtype=complex)
     # Summed mode by mode, as hamiltonian_element sums, so the two agree exactly.
@@ -283,20 +282,6 @@ def global_phase_lift(phase: float, photons: int) -> float:
     if reduced <= -math.pi:
         reduced += math.tau
     return reduced
-
-
-def _photon_number(count) -> int:
-    """``count`` as an int; booleans, fractions and negatives raise ValueError.
-
-    Runs before any ladder table is looked up, so 2.0 and 2 reach the same
-    cached table and True never becomes a key of its own.
-    """
-    whole = isinstance(count, numbers.Integral) or (
-        isinstance(count, numbers.Real) and float(count).is_integer()
-    )
-    if isinstance(count, bool) or not whole or count < 0:
-        raise ValueError(f"photon counts must be whole numbers >= 0, got {count!r}")
-    return int(count)
 
 
 def _photon_counts(input_state) -> OccupationState:

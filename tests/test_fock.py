@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,15 +86,28 @@ class TestEnumerateBasis:
     @pytest.mark.parametrize(
         "modes,photons",
         [(m, n) for m in range(1, 7) for n in range(0, 7) if dimension(m, n) <= 10_000]
-        + [(2, 50), (12, 4)],
+        + [(2, 50), (12, 4), (2, 1000), (1, 7)],
     )
     def test_invariants_bulk(self, modes, photons):
         basis = enumerate_basis(modes, photons)
         assert len(basis) == dimension(modes, photons)
+        occupations = basis.occupations
+        assert occupations.dtype == np.intp
+        assert occupations.shape == (len(basis), modes)
+        assert not occupations.flags.writeable
+        assert occupations.tolist() == [list(state) for state in basis.states]
+        assert all(type(count) is int for count in basis[-1])
         assert len(set(basis.states)) == len(basis)
         assert all(len(state) == modes for state in basis)
         assert all(sum(state) == photons for state in basis)
         assert all(basis.index_of(state) == k for k, state in enumerate(basis))
+
+    def test_photon_count_rule(self):
+        assert enumerate_basis(2, 2.0).photons == 2
+        assert type(enumerate_basis(2, 2.0).photons) is int
+        for bad in (True, 1.5, -1):
+            with pytest.raises(ValueError):
+                enumerate_basis(2, bad)
 
     def test_index_of_rejects_foreign_states(self):
         basis = enumerate_basis(3, 2)
@@ -177,7 +191,7 @@ class TestLadderTable:
         table = ladder_table(modes, photons)
         basis = table.basis
         assert basis.states == enumerate_basis(modes, photons).states
-        assert table.occupations.tolist() == [list(state) for state in basis]
+        assert table.basis.occupations.tolist() == [list(state) for state in basis]
         lower = enumerate_basis(modes, photons - 1) if photons else None
         for position, state in enumerate(basis):
             for mode in range(modes):
@@ -208,7 +222,7 @@ class TestLadderTable:
         table = ladder_table(3, 2)
         assert ladder_table(3, 2) is table
         for array in (
-            table.occupations,
+            table.basis.occupations,
             table.down,
             table.up,
             table.up_coef,
@@ -217,6 +231,39 @@ class TestLadderTable:
         ):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
+
+    def test_cold_bool_count_raises_and_caches_nothing(self):
+        ladder_table.cache_clear()
+        with pytest.raises(ValueError):
+            ladder_table(2, True)
+        assert ladder_table.cache_info().currsize == 0
+        assert ladder_table(2, 1).basis.photons == 1
+
+    def test_cold_float_count_builds_an_int_basis(self):
+        ladder_table.cache_clear()
+        table = ladder_table(2, 2.0)
+        assert type(table.basis.photons) is int
+        assert table.basis.photons == 2
+        assert ladder_table(2, 2) is table
+
+    def test_build_peak_memory_is_linear_in_table_size(self):
+        # No intermediate of the build may grow like modes * M * modes.
+        ladder_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = ladder_table(16, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = (
+            table.basis.occupations,
+            table.down,
+            table.up,
+            table.up_coef,
+            table.first,
+            table.first_down,
+        )
+        assert peak <= 4 * sum(array.nbytes for array in arrays)
 
 
 class TestBunchedFirstOrder:
@@ -227,6 +274,18 @@ class TestBunchedFirstOrder:
         # Single-mode states (2,0,0), (0,2,0), (0,0,2) first, then the rest
         # in canonical order.
         assert bunched_first_order(enumerate_basis(3, 2)) == (0, 3, 5, 1, 2, 4)
+
+
+@given(st.integers(1, 6), st.integers(0, 5))
+def test_bunched_first_order_sorts_by_occupied_modes(modes, photons):
+    basis = enumerate_basis(modes, photons)
+
+    def occupied(position):
+        return sum(1 for count in basis.states[position] if count)
+
+    expected = tuple(sorted(range(len(basis)), key=lambda k: (occupied(k), k)))
+    assert bunched_first_order(basis) == expected
+    assert all(type(position) is int for position in bunched_first_order(basis))
 
 
 @st.composite
