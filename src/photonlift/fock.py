@@ -64,13 +64,12 @@ def dimension(modes: int, photons: int) -> int:
     """Number of ways to distribute ``photons`` photons over ``modes`` modes.
 
     Equals C(modes + photons - 1, photons), the size of the occupation
-    basis. Raises OverflowError instead of returning a count too large to
-    index with 64-bit integers.
+    basis. Both counts go through the whole-number rules of
+    ``enumerate_basis``. Raises OverflowError instead of returning a count
+    too large to index with 64-bit integers.
     """
-    if modes < 1:
-        raise ValueError(f"mode count must be >= 1, got {modes}")
-    if photons < 0:
-        raise ValueError(f"photon count must be >= 0, got {photons}")
+    modes = _mode_number(modes)
+    photons = _photon_number(photons)
     size = math.comb(modes + photons - 1, photons)
     if size > MAX_DIMENSION:
         raise OverflowError(
@@ -80,8 +79,8 @@ def dimension(modes: int, photons: int) -> int:
     return size
 
 
-def _photon_number(count) -> int:
-    """``count`` as an int; booleans, fractions and negatives raise ValueError.
+def _whole_number(count, least: int, kind: str) -> int:
+    """``count`` as an int; booleans, fractions and counts below ``least`` raise.
 
     Every basis is built through this rule, so 2.0 and 2 give the same basis
     and True never stands in for 1.
@@ -89,9 +88,19 @@ def _photon_number(count) -> int:
     whole = isinstance(count, numbers.Integral) or (
         isinstance(count, numbers.Real) and float(count).is_integer()
     )
-    if isinstance(count, bool) or not whole or count < 0:
-        raise ValueError(f"photon counts must be whole numbers >= 0, got {count!r}")
+    if isinstance(count, bool) or not whole or count < least:
+        raise ValueError(
+            f"{kind} counts must be whole numbers >= {least}, got {count!r}"
+        )
     return int(count)
+
+
+def _photon_number(count) -> int:
+    return _whole_number(count, 0, "photon")
+
+
+def _mode_number(count) -> int:
+    return _whole_number(count, 1, "mode")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +158,12 @@ def enumerate_basis(modes: int, photons: int) -> FockBasis:
     modes + photons - 1 slots, and the gaps between consecutive bars (with
     bars fixed at -1 and modes + photons - 1) are the counts. Bar choices in
     lexicographic order give states in increasing order, so they are
-    written in reverse to get the canonical order. Photon counts go through
-    the same rule as the lifts: booleans, fractions and negatives raise
-    ValueError.
+    written in reverse to get the canonical order. Mode and photon counts
+    must be whole numbers, at least 1 and 0 (photons follow the same rule as
+    the lifts): booleans and fractions raise ValueError, and 2.0 builds the
+    same basis as 2.
     """
+    modes = _mode_number(modes)
     photons = _photon_number(photons)
     size = dimension(modes, photons)
     slots = modes + photons - 1
@@ -221,11 +232,12 @@ def ladder_table(modes: int, photons: int) -> LadderTable:
 
     Built in O(modes^2 * M) vectorised work, one mode at a time, so no
     intermediate is larger than O(modes * M). The same object is returned
-    for repeated (modes, photons), so its arrays are read-only. Photon
-    counts are checked as in ``enumerate_basis`` before anything is cached.
+    for repeated (modes, photons), so its arrays are read-only. Mode and
+    photon counts are checked as in ``enumerate_basis`` before anything is
+    cached.
     """
     basis = enumerate_basis(modes, photons)
-    photons = basis.photons
+    modes, photons = basis.modes, basis.photons
     occupations = basis.occupations
     counts = occupations.T
     down = np.full((modes, len(basis)), -1, dtype=np.intp)

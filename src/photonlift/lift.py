@@ -5,13 +5,15 @@ the evolution of any number of photons. ``lift_unitary_expansion`` and
 ``lift_unitary_permanent`` are two independent constructions of the lifted
 M x M unitary (M = C(m+n-1, n)). The first is a photon-by-photon recursion
 over cached ladder tables, in O(n * m * M^2). The second is the closed form
-U[p, q] = per(S[p|q]) / sqrt(prod_j p_j! prod_l q_l!), with the permanents
-of each column q from one pass of Glynn's formula over repeated columns, in
-O(m * M * sum_q K_q) for K_q = prod_j (f_j + 1) and f = q minus its first
-photon. ``lift_hamiltonian`` is the matching map on effective
-Hamiltonians, where exp(i H) gives the evolution. Entry (p, q) of a lifted
-matrix is the amplitude from basis state q to basis state p, so columns are
-images of input states. Everything here is a pure function over immutable
+U[p, q] = per(S[p|q]) / sqrt(prod_j p_j! prod_l q_l!), from Glynn's formula
+over repeated columns. One vectorised plan holds the K_q = prod_j (f_j + 1)
+sign-count vectors of every column q (f = q minus its first photon), and the
+products are evaluated in passes over runs of whole columns, each bounded to
+about 2^16 complex entries. That costs O(m * M * sum_q K_q) time and the
+O(M^2) lift plus one pass of memory. ``lift_hamiltonian`` is the matching
+map on effective Hamiltonians, where exp(i H) gives the evolution. Entry
+(p, q) of a lifted matrix is the amplitude from basis state q to basis state
+p, so columns are images of input states. Everything here is a pure function over immutable
 inputs and safe to call concurrently.
 """
 
@@ -47,6 +49,11 @@ __all__ = [
     "transition_distribution",
     "balanced_beam_splitter",
 ]
+
+# Complex entries held per pass of the permanent lift, in its M x T
+# products and its (n + 1) x m x T power table; a pass that must hold one
+# whole column may exceed it.
+_GLYNN_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -131,53 +138,63 @@ def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
     return LiftedUnitary(table.basis, _lift_columns(matrix, photons))
 
 
-def _glynn_column(
-    matrix: np.ndarray,
-    occupations: np.ndarray,
-    signed_binomials: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """per(S[p|q]) for every row p of ``occupations`` and input q = ``counts``.
+def _glynn_plan(occupations: np.ndarray, photons: int):
+    """Every Glynn sign-count vector of every column, in column order.
 
-    Glynn's formula with repeated columns: the n columns of S[p|q] carry
-    signs, the first photon's fixed to +. Only the number s_l of minus
-    signs among the q_l copies of column l matters, so the sum runs over
-    0 <= s <= f with f = q - e_l (l the first occupied mode), weighted by
-    w_s = prod_j (-1)^{s_j} C(f_j, s_j). With X = S (q - 2s)^T,
-
-        per(S[p|q]) = 2^{1-n} sum_s w_s prod_j X[j, s]^{p_j}.
-
-    ``signed_binomials`` is the n x n table of (-1)^b C(a, b), a, b < n.
+    For input q (a row of ``occupations``) with first occupied mode l, the
+    photon of q in mode l keeps sign +, and only the number s_j of minus
+    signs among the other f_j copies of column j matters, f = q - e_l. So
+    column q sums over the K_q = prod_j (f_j + 1) vectors 0 <= s <= f,
+    weighted by w_s = prod_j (-1)^{s_j} C(f_j, s_j). The vectors of all
+    columns are decoded from one ``arange(sum_q K_q)`` in mixed radix f + 1,
+    last mode fastest. Returns the start of each column's vectors (M + 1
+    offsets) and, per vector, its count row q - 2s and its weight with the
+    2^{1-n} of Glynn's formula folded in.
     """
-    modes = len(counts)
-    photons = len(signed_binomials)
-    free = counts.copy()
-    free[np.flatnonzero(free)[0]] -= 1
-    signs = np.indices(tuple(free + 1)).reshape(modes, -1).T
-    weights = signed_binomials[free, signs].prod(axis=1)
-    sums = matrix @ (counts - 2 * signs).T
-    # powers[k, j] = X[j]^k with X = sums, by repeated multiplication.
-    powers = np.empty((photons + 1, modes, len(weights)), dtype=complex)
-    powers[0] = 1
-    powers[1] = sums
-    for k in range(2, photons + 1):
-        np.multiply(powers[k - 1], sums, out=powers[k])
-    products = powers[occupations[:, 0], 0]
-    for mode in range(1, modes):
-        products *= powers[occupations[:, mode], mode]
-    return (products @ weights) * 2.0 ** (1 - photons)
+    size, modes = occupations.shape
+    free = occupations.copy()
+    free[np.arange(size), np.argmax(occupations > 0, axis=1)] -= 1
+    radix = free + 1
+    lengths = radix.prod(axis=1)
+    offsets = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    owner = np.repeat(np.arange(size), lengths)
+    rest = np.arange(offsets[-1]) - offsets[owner]
+    # signed_binomials[a, b] = (-1)^b C(a, b), by Pascal's rule.
+    signed_binomials = np.zeros((photons, photons))
+    signed_binomials[:, 0] = 1
+    for top in range(1, photons):
+        above = signed_binomials[top - 1]
+        signed_binomials[top, 1:] = above[1:] - above[:-1]
+    counts = occupations[owner]
+    weights = np.full(len(owner), 2.0 ** (1 - photons))
+    for mode in reversed(range(modes)):
+        rest, signs = np.divmod(rest, radix[owner, mode])
+        counts[:, mode] -= 2 * signs
+        weights *= signed_binomials[free[owner, mode], signs]
+    return offsets, counts, weights
 
 
 def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
-    """Lift S column by column through permanents of repeated submatrices.
+    """Lift S through permanents of repeated submatrices, all columns at once.
 
     Entry (p, q) is per(S[p|q]) / sqrt(prod_k p_k! prod_k q_k!) where
-    S[p|q] repeats row j of S p_j times and column l q_l times. Each column
-    q takes one pass of Glynn's formula with repeated columns (see
-    ``_glynn_column``) over its K_q = prod_j (f_j + 1) sign-count vectors,
-    f = q minus its first photon, so the whole lift costs
-    O(m * M * sum_q K_q) instead of M^2 permanents of 2^n subsets each.
-    Glynn's signed sums cancel better than Ryser's subset sums. This
+    S[p|q] repeats row j of S p_j times and column l q_l times. Glynn's
+    formula with repeated columns gives, with X = S (q - 2s)^T,
+
+        per(S[p|q]) = 2^{1-n} sum_s w_s prod_j X[j, s]^{p_j}
+
+    over the K_q = prod_j (f_j + 1) sign-count vectors s of column q,
+    f = q minus its first photon (see ``_glynn_plan``). The sign vectors,
+    weights and X of every column are built in one vectorised plan. The
+    products are then evaluated for runs of whole columns in canonical
+    order, each pass holding at most about _GLYNN_BLOCK complex products
+    and powers (or one column, if that is more): a power table by repeated
+    multiplication, a gather by occupation and one ``np.add.reduceat`` per
+    pass into the columns of the lift. The work stays
+    O(m * M * sum_q K_q), instead of M^2 permanents of 2^n subsets each,
+    and the memory is the O(M^2) lift plus one pass and the O(m * sum_q K_q)
+    plan. Glynn's signed sums cancel better than Ryser's subset sums. This
     construction shares no code with the expansion lift: it enumerates its
     own basis and uses no ladder table, and the two serve as cross-checks.
     More than PERMANENT_SIZE_LIMIT photons raise ValueError up front.
@@ -192,22 +209,40 @@ def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
     if photons == 0:
         return LiftedUnitary(basis, np.ones((1, 1), dtype=complex))
     occupations = basis.occupations
-    signed_binomials = np.array(
-        [
-            [(-1) ** k * math.comb(top, k) for k in range(photons)]
-            for top in range(photons)
-        ],
-        dtype=float,
-    )
-    lifted = np.empty((len(basis), len(basis)), dtype=complex)
-    for column, counts in enumerate(occupations):
-        lifted[:, column] = _glynn_column(matrix, occupations, signed_binomials, counts)
+    modes, size = basis.modes, len(basis)
+    offsets, counts, weights = _glynn_plan(occupations, photons)
+    sums = matrix @ counts.T
+    width = _GLYNN_BLOCK // max(size, (photons + 1) * modes)
+    lifted = np.empty((size, size), dtype=complex)
+    start = 0
+    while start < size:
+        # The most whole columns whose sign vectors fit in ``width``.
+        stop = np.searchsorted(offsets, offsets[start] + width, side="right") - 1
+        stop = max(stop, start + 1)
+        low, high = offsets[start], offsets[stop]
+        # powers[j, k] = X[j]^k for the sign vectors of this pass.
+        powers = np.empty((modes, photons + 1, high - low), dtype=complex)
+        powers[:, 0] = 1
+        powers[:, 1] = sums[:, low:high]
+        for k in range(2, photons + 1):
+            np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
+        products = powers[0, occupations[:, 0]]
+        for mode in range(1, modes):
+            products *= powers[mode, occupations[:, mode]]
+        products *= weights[low:high]
+        np.add.reduceat(
+            products, offsets[start:stop] - low, axis=1, out=lifted[:, start:stop]
+        )
+        start = stop
     factorials = np.array(
-        [math.prod(math.factorial(count) for count in state) for state in basis],
+        [math.prod(map(math.factorial, row)) for row in occupations.tolist()],
         dtype=float,
     )
     # One square root per entry keeps lifts of permutations exact.
-    return LiftedUnitary(basis, lifted / np.sqrt(np.outer(factorials, factorials)))
+    norms = np.outer(factorials, factorials)
+    np.sqrt(norms, out=norms)
+    lifted /= norms
+    return LiftedUnitary(basis, lifted)
 
 
 def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHamiltonian:

@@ -109,6 +109,18 @@ class TestEnumerateBasis:
             with pytest.raises(ValueError):
                 enumerate_basis(2, bad)
 
+    def test_mode_count_rule(self):
+        basis = enumerate_basis(2.0, 1)
+        assert type(basis.modes) is int
+        assert basis.modes == 2
+        assert basis.occupations.shape == (2, 2)
+        for bad in (True, np.bool_(True), 2.5, 0, -1, "2"):
+            with pytest.raises(ValueError):
+                enumerate_basis(bad, 1)
+            with pytest.raises(ValueError):
+                dimension(bad, 1)
+        assert dimension(2.0, 2) == 3
+
     def test_index_of_rejects_foreign_states(self):
         basis = enumerate_basis(3, 2)
         with pytest.raises(ValueError):
@@ -245,6 +257,22 @@ class TestLadderTable:
         assert type(table.basis.photons) is int
         assert table.basis.photons == 2
         assert ladder_table(2, 2) is table
+
+    def test_cold_bool_mode_count_raises_and_caches_nothing(self):
+        ladder_table.cache_clear()
+        with pytest.raises(ValueError):
+            ladder_table(True, 2)
+        assert ladder_table.cache_info().currsize == 0
+        assert ladder_table(1, 2).basis.modes == 1
+
+    def test_cold_float_mode_count_builds_an_int_basis(self):
+        ladder_table.cache_clear()
+        table = ladder_table(2.0, 1)
+        assert type(table.basis.modes) is int
+        assert table.basis.modes == 2
+        assert table.up.shape == (2, 1)
+        with pytest.raises(ValueError):
+            ladder_table(2.5, 1)
 
     def test_build_peak_memory_is_linear_in_table_size(self):
         # No intermediate of the build may grow like modes * M * modes.

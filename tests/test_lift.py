@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +187,19 @@ class TestLiftUnitaryPermanent:
 
     @pytest.mark.parametrize(
         "modes,photons",
-        [(3, 2), (2, 10), (3, 6), (4, 4), (5, 3), (6, 3), (2, 15), (2, 20), (3, 10)],
+        [
+            (3, 2),
+            (2, 10),
+            (3, 6),
+            (4, 4),
+            (5, 3),
+            (6, 3),
+            (2, 15),
+            (2, 20),
+            (3, 10),
+            (6, 5),
+            (8, 4),
+        ],
     )
     def test_agrees_with_expansion_on_random_unitary(self, modes, photons):
         rng = np.random.default_rng(31)
@@ -232,6 +245,28 @@ class TestLiftUnitaryPermanent:
             direct = lift_unitary_expansion(scattering, photons)
             viaper = lift_unitary_permanent(scattering, photons)
             assert np.max(np.abs(direct.matrix - viaper.matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("modes,photons", [(5, 5), (3, 6)])
+    def test_permutation_lifts_are_bit_equal_on_both_routes(self, modes, photons):
+        # (5, 5) takes several passes of the blocked evaluation, (3, 6) one.
+        rng = np.random.default_rng(33)
+        permutation = np.eye(modes)[rng.permutation(modes)]
+        direct = lift_unitary_expansion(permutation, photons)
+        viaper = lift_unitary_permanent(permutation, photons)
+        assert np.array_equal(direct.matrix, viaper.matrix)
+
+    def test_peak_memory_is_one_matrix_plus_a_block(self):
+        # An unblocked pass over all columns would hold 7e6 complex products
+        # here, about 11 times the M x M lift.
+        scattering = random_unitary(8, np.random.default_rng(34))
+        tracemalloc.start()
+        try:
+            lifted = lift_unitary_permanent(scattering, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lifted.basis) == 792
+        assert peak <= 3 * lifted.matrix.nbytes
 
     @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
