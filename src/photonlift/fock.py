@@ -85,6 +85,8 @@ def _whole_number(count, least: int, kind: str) -> int:
     Every basis is built through this rule, so 2.0 and 2 give the same basis
     and True never stands in for 1.
     """
+    if type(count) is int and count >= least:
+        return count
     whole = isinstance(count, numbers.Integral) or (
         isinstance(count, numbers.Real) and float(count).is_integer()
     )
@@ -226,18 +228,23 @@ class LadderTable:
     first_down: np.ndarray
 
 
-@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def ladder_table(modes: int, photons: int) -> LadderTable:
     """The ladder table for ``photons`` photons in ``modes`` modes, cached.
 
     Built in O(modes^2 * M) vectorised work, one mode at a time, so no
     intermediate is larger than O(modes * M). The same object is returned
     for repeated (modes, photons), so its arrays are read-only. Mode and
-    photon counts are checked as in ``enumerate_basis`` before anything is
-    cached.
+    photon counts are checked as in ``enumerate_basis`` before the cache is
+    looked up, since the cache treats True as 1 and 2.0 as 2: booleans and
+    fractions raise whether or not the table is cached, and 2.0 gets the
+    table of 2. ``cache_clear`` and ``cache_info`` reach the cache.
     """
+    return _ladder_table(_mode_number(modes), _photon_number(photons))
+
+
+@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _ladder_table(modes: int, photons: int) -> LadderTable:
     basis = enumerate_basis(modes, photons)
-    modes, photons = basis.modes, basis.photons
     occupations = basis.occupations
     counts = occupations.T
     down = np.full((modes, len(basis)), -1, dtype=np.intp)
@@ -263,6 +270,10 @@ def ladder_table(modes: int, photons: int) -> LadderTable:
     for array in arrays:
         array.flags.writeable = False
     return LadderTable(basis, *arrays)
+
+
+ladder_table.cache_clear = _ladder_table.cache_clear
+ladder_table.cache_info = _ladder_table.cache_info
 
 
 @dataclass(frozen=True)

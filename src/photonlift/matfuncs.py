@@ -7,12 +7,15 @@ Conventions used throughout the package:
 * The logarithm of a unitary takes eigenphases in the principal branch
   (-pi, pi], with the eigenvalue -1 mapped to +pi.
 
-All functions are pure; no input is mutated.
+All functions are pure; no input is mutated. Public functions check each
+matrix argument once with ``_as_square``; the private helpers that take an
+``out`` array (``_exponential``, ``_unitary_defect``, ``_hermitian_defect``)
+trust that check, so internal callers do not repeat it.
 
-``scipy.linalg`` is imported inside the two functions that need it, the
-Schur form in ``unitary_logarithm`` and ``expm`` for non-normal input to
-``matrix_exponential``, because loading it costs more than the rest of
-the package together and most callers never reach either.
+``unitary_logarithm`` uses numpy alone. ``scipy.linalg`` is imported only
+by ``matrix_exponential`` on non-normal input, for ``expm``, because
+loading it costs more than the rest of the package together and no CLI
+command reaches that branch.
 """
 
 import numpy as np
@@ -67,19 +70,25 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
 
 
+def _unitary_defect(out: np.ndarray) -> float:
+    eye = np.eye(out.shape[0], dtype=complex)
+    return frobenius_norm(out.conj().T @ out - eye)
+
+
+def _hermitian_defect(out: np.ndarray) -> float:
+    return frobenius_norm(out - out.conj().T)
+
+
 def is_unitary(matrix, tol: float) -> bool:
     """True when A^dag A is the identity to within ``tol`` (Frobenius)."""
     _check_tol(tol)
-    out = _as_square(matrix)
-    eye = np.eye(out.shape[0], dtype=complex)
-    return frobenius_norm(out.conj().T @ out - eye) <= tol
+    return _unitary_defect(_as_square(matrix)) <= tol
 
 
 def is_hermitian(matrix, tol: float) -> bool:
     """True when A equals its conjugate transpose to within ``tol``."""
     _check_tol(tol)
-    out = _as_square(matrix)
-    return frobenius_norm(out - out.conj().T) <= tol
+    return _hermitian_defect(_as_square(matrix)) <= tol
 
 
 def matrix_exponential(matrix) -> np.ndarray:
@@ -90,7 +99,11 @@ def matrix_exponential(matrix) -> np.ndarray:
     exp(i H) unitary to rounding for Hermitian H. Anything else falls back
     to scaling-and-squaring.
     """
-    out = _as_square(matrix)
+    return _exponential(_as_square(matrix))
+
+
+def _exponential(out: np.ndarray) -> np.ndarray:
+    """``matrix_exponential`` of an array already checked by ``_as_square``."""
     scale = max(1.0, frobenius_norm(out))
     adjoint = out.conj().T
     if frobenius_norm(out + adjoint) <= _STRUCTURE_GUARD * scale:
@@ -110,21 +123,46 @@ def matrix_exponential(matrix) -> np.ndarray:
 def unitary_logarithm(matrix, tol: float = 1e-9) -> np.ndarray:
     """Hermitian H with e^{iH} equal to the given unitary.
 
-    Eigenphases are taken in (-pi, pi] with -1 mapped to +pi. A unitary
-    matrix is normal, so its complex Schur form is diagonal and the Schur
-    vectors give an orthonormal eigenbasis; degenerate eigenphases need no
-    special handling because any orthonormal basis of the eigenspace
-    reassembles to the same H.
+    Eigenphases are taken in (-pi, pi] with -1 mapped to +pi. The
+    eigenbasis comes from a Hermitian function of U, with numpy alone. A
+    unitary is normal, so every function of it shares its eigenvectors.
+    First U is rotated to W = e^{-i alpha} U so that the middle of the
+    widest gap between its eigenphases (at least 2 pi / m wide) lands on
+    -1. Every eigenvalue of W then stays at least pi / m from -1, so I + W
+    is invertible with norm of its inverse at most about m / pi, and the
+    half-angle Cayley transform K = i (I + W)^{-1} (I - W) is Hermitian,
+    with eigenvalue tan((phi - alpha) / 2) for each eigenphase phi of U.
+    That map is strictly increasing on the circle minus the cut, so
+    distinct eigenphases stay distinct eigenvalues of K and ``eigh(K)``
+    returns an orthonormal eigenbasis V of U. Each phase is then read off
+    U itself as the Rayleigh quotient angle(v^dag U v). Degenerate
+    eigenphases need no special handling because any orthonormal basis of
+    the eigenspace reassembles to the same H.
+
+    The log of a lift is the lift of the log, ``unitary_logarithm(
+    lift_U(S)) == lift_H(unitary_logarithm(S))``, exactly when every
+    lifted eigenphase, a sum of n eigenphases of S, stays in (-pi, pi];
+    n * max|phi| < pi is enough. Past that the lifted phases wrap around
+    and the two differ.
     """
     out = _as_square(matrix)
-    if not is_unitary(out, tol):
+    _check_tol(tol)
+    if _unitary_defect(out) > tol:
         raise NotUnitaryError(
             f"matrix is not unitary within tolerance {tol}"
         )
-    import scipy.linalg
-
-    triangular, vectors = scipy.linalg.schur(out, output="complex")
-    phases = np.angle(np.diagonal(triangular))
+    size = out.shape[0]
+    if size == 0:
+        return np.zeros((0, 0), dtype=complex)
+    ordered = np.sort(np.angle(np.linalg.eigvals(out)))
+    gaps = np.diff(ordered, append=ordered[0] + 2 * np.pi)
+    widest = np.argmax(gaps)
+    alpha = ordered[widest] + gaps[widest] / 2 - np.pi
+    rotated = np.exp(-1j * alpha) * out
+    eye = np.eye(size, dtype=complex)
+    cayley = 1j * np.linalg.solve(eye + rotated, eye - rotated)
+    _, vectors = np.linalg.eigh((cayley + cayley.conj().T) / 2)
+    phases = np.angle(np.einsum("ij,ij->j", vectors.conj(), out @ vectors))
     phases = np.where(phases <= -np.pi + _BRANCH_SNAP, phases + 2 * np.pi, phases)
     log = (vectors * phases) @ vectors.conj().T
     return (log + log.conj().T) / 2

@@ -514,7 +514,7 @@ def run_fresh(code: str, *args: str) -> None:
 
 
 class TestLazyScipyImport:
-    def test_commands_without_log_never_load_scipy_linalg(self, tmp_path):
+    def test_cli_commands_never_load_scipy_linalg(self, tmp_path):
         run_fresh(
             """
             import sys
@@ -534,6 +534,9 @@ class TestLazyScipyImport:
                 ["lift-h", "--photons", "2", "--input", folder + "/h.json",
                  "--output", folder + "/hu.json"],
                 ["verify", "--input", folder + "/h.json", "--photons", "2"],
+                ["verify", "--photons", "2", "--trials", "1"],
+                ["log", "--input", folder + "/s.json", "--output", folder + "/l.json"],
+                ["demo-hom"],
             ):
                 assert main(argv) == 0, argv
                 assert "scipy.linalg" not in sys.modules, argv
@@ -553,8 +556,9 @@ class TestLazyScipyImport:
             coupler = balanced_beam_splitter()
             log = unitary_logarithm(coupler)
             assert np.allclose(matrix_exponential(1j * log), coupler, atol=1e-12)
-            assert "scipy.linalg" in sys.modules
+            assert "scipy.linalg" not in sys.modules, "loaded by the log"
             shear = matrix_exponential([[0, 1], [0, 0]])
             assert np.array_equal(shear, [[1, 1], [0, 1]]), shear
+            assert "scipy.linalg" in sys.modules, "not loaded by expm"
             """
         )

@@ -274,6 +274,29 @@ class TestLadderTable:
         with pytest.raises(ValueError):
             ladder_table(2.5, 1)
 
+    def test_warm_bool_mode_count_raises(self):
+        ladder_table.cache_clear()
+        ladder_table(1, 2)
+        with pytest.raises(ValueError):
+            ladder_table(True, 2)
+        assert ladder_table.cache_info().currsize == 1
+
+    def test_warm_bool_photon_count_raises(self):
+        ladder_table.cache_clear()
+        ladder_table(2, 1)
+        with pytest.raises(ValueError):
+            ladder_table(2, True)
+        assert ladder_table.cache_info().currsize == 1
+
+    def test_warm_float_count_hits_the_int_entry(self):
+        ladder_table.cache_clear()
+        table = ladder_table(2, 2)
+        assert ladder_table(2, 2.0) is table
+        assert ladder_table(2.0, 2) is table
+        assert ladder_table.cache_info().currsize == 1
+        with pytest.raises(ValueError):
+            ladder_table(2, 2.5)
+
     def test_build_peak_memory_is_linear_in_table_size(self):
         # No intermediate of the build may grow like modes * M * modes.
         ladder_table.cache_clear()

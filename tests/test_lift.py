@@ -364,6 +364,32 @@ class TestLiftHamiltonian:
             lift_hamiltonian([[0, 1], [0, 0]], 2)
 
 
+def network_with_phase_reach(modes, photons, reach, seed):
+    """A scattering matrix whose eigenphases reach n * max|phi| = reach * pi."""
+    rng = np.random.default_rng(seed)
+    _, basis = np.linalg.eigh(random_hermitian(modes, rng))
+    phases = rng.uniform(-1, 1, modes)
+    phases *= reach * math.pi / (photons * np.abs(phases).max())
+    return matrix_exponential(1j * (basis * phases) @ basis.conj().T)
+
+
+class TestLogOfLift:
+    @pytest.mark.parametrize("modes,photons", [(3, 2), (4, 3), (5, 2)])
+    def test_log_of_lift_is_lift_of_log_inside_the_branch(self, modes, photons):
+        scattering = network_with_phase_reach(modes, photons, 0.9, 10 * modes + photons)
+        lifted = lift_unitary_expansion(scattering, photons).matrix
+        log_of_lift = unitary_logarithm(lifted)
+        lift_of_log = lift_hamiltonian(unitary_logarithm(scattering), photons).matrix
+        assert frobenius_norm(log_of_lift - lift_of_log) <= 1e-12
+
+    @pytest.mark.parametrize("reach", [1.1, 3.3])
+    def test_they_differ_once_lifted_phases_wrap(self, reach):
+        scattering = network_with_phase_reach(3, 4, reach, 34)
+        log_of_lift = unitary_logarithm(lift_unitary_expansion(scattering, 4).matrix)
+        lift_of_log = lift_hamiltonian(unitary_logarithm(scattering), 4).matrix
+        assert frobenius_norm(log_of_lift - lift_of_log) > 1
+
+
 class TestHamiltonianElement:
     def test_one_move_golden(self):
         value = hamiltonian_element(GOLDEN_COUPLER_LOG, (2, 0), (1, 1))

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonlift.lift import balanced_beam_splitter
 from photonlift.matfuncs import (
@@ -43,6 +46,29 @@ def random_complex(rng, size):
 def random_skew_hermitian(rng, size):
     raw = random_complex(rng, size)
     return (raw - raw.conj().T) / 2
+
+
+def schur_logarithm(unitary):
+    """Reference: principal log from the complex Schur form, same branch rule."""
+    triangular, vectors = scipy.linalg.schur(
+        np.asarray(unitary, complex), output="complex"
+    )
+    phases = np.angle(np.diagonal(triangular))
+    phases = np.where(phases <= -np.pi + 1e-12, phases + 2 * np.pi, phases)
+    log = (vectors * phases) @ vectors.conj().T
+    return (log + log.conj().T) / 2
+
+
+def haar_unitary(rng, size):
+    raw = random_complex(rng, size)
+    q, r = np.linalg.qr(raw)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def with_eigenphases(rng, phases):
+    """A unitary with the given eigenphases in a random eigenbasis."""
+    basis = haar_unitary(rng, len(phases))
+    return (basis * np.exp(1j * np.asarray(phases))) @ basis.conj().T
 
 
 class TestPredicates:
@@ -151,6 +177,83 @@ class TestUnitaryLogarithm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             unitary_logarithm(np.ones((1, 2)))
+
+    def test_empty_matrix_gives_empty_log(self):
+        assert unitary_logarithm(np.zeros((0, 0))).shape == (0, 0)
+
+
+def adversarial_unitaries():
+    rng = np.random.default_rng(1300)
+    cases = {
+        f"haar-{size}": haar_unitary(rng, size) for size in (1, 2, 8, 64, 200)
+    }
+    cases["degenerate"] = with_eigenphases(rng, [0.3, 0.3, 0.3, -1.2, -1.2, 2.0])
+    cases["minus-one-thrice"] = with_eigenphases(rng, [np.pi] * 3 + [0.5, -0.7])
+    cases["pair-at-the-cut"] = with_eigenphases(
+        rng, [np.pi - 1e-13, -(np.pi - 1e-13), 0.1]
+    )
+    cases["cluster"] = with_eigenphases(rng, [1.0, 1.0 + 1e-9, 1.0 + 2e-9, -2.0, 0.2])
+    cases["permutation-7"] = np.eye(7)[rng.permutation(7)]
+    cases["permutation-40"] = np.eye(40)[rng.permutation(40)]
+    cases["identity"] = np.eye(5)
+    cases["diagonal"] = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 6)))
+    # Evenly spaced phases tie every gap for widest.
+    cases["even-spacing"] = with_eigenphases(rng, np.arange(9) * 2 * np.pi / 9 + 0.1)
+    cases["even-diagonal"] = np.diag(np.exp(2j * np.pi * np.arange(8) / 8))
+    cases["minus-one"] = np.array([[-1 - 0j]])
+    return cases
+
+
+ADVERSARIAL = adversarial_unitaries()
+
+
+class TestUnitaryLogarithmAgainstSchur:
+    @pytest.mark.parametrize("name", list(ADVERSARIAL))
+    def test_matches_schur_reference(self, name):
+        unitary = ADVERSARIAL[name]
+        log = unitary_logarithm(unitary)
+        assert frobenius_norm(log - schur_logarithm(unitary)) <= 1e-12
+        assert is_hermitian(log, 0.0)
+
+    @pytest.mark.parametrize("name", list(ADVERSARIAL))
+    def test_round_trip_is_no_worse_than_schur(self, name):
+        unitary = ADVERSARIAL[name]
+        log = unitary_logarithm(unitary)
+        ours = frobenius_norm(matrix_exponential(1j * log) - unitary)
+        reference = frobenius_norm(
+            matrix_exponential(1j * schur_logarithm(unitary)) - unitary
+        )
+        assert ours <= max(2 * reference, 1e-14)
+
+    def test_minus_one_lands_on_plus_pi(self):
+        log = unitary_logarithm(ADVERSARIAL["minus-one-thrice"])
+        assert np.allclose(np.linalg.eigvalsh(log)[-3:], np.pi, atol=1e-12)
+
+    def test_slightly_non_unitary_input_is_accepted(self):
+        # 2e-10 off unitary in Frobenius norm passes the default tol of 1e-9.
+        # Both routes then drop an O(2e-10) non-normal part, each its own way,
+        # so they agree only to that order, not to 1e-12.
+        rng = np.random.default_rng(1301)
+        unitary = haar_unitary(rng, 8)
+        noise = random_complex(rng, 8)
+        perturbed = unitary + 2e-10 * noise / frobenius_norm(noise)
+        assert not is_unitary(perturbed, 1e-12)
+        log = unitary_logarithm(perturbed)
+        assert is_hermitian(log, 0.0)
+        assert frobenius_norm(log - schur_logarithm(perturbed)) <= 1e-9
+        round_trip = frobenius_norm(matrix_exponential(1j * log) - perturbed)
+        assert round_trip <= 4e-10
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_log_round_trip_property(size, seed):
+    rng = np.random.default_rng(seed)
+    unitary = haar_unitary(rng, size)
+    log = unitary_logarithm(unitary)
+    assert is_hermitian(log, 0.0)
+    assert np.all(np.abs(np.linalg.eigvalsh(log)) <= np.pi + 1e-12)
+    assert frobenius_norm(matrix_exponential(1j * log) - unitary) <= 1e-12 * size
 
 
 class TestPermanent:
