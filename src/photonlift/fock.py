@@ -85,8 +85,6 @@ def _whole_number(count, least: int, kind: str) -> int:
     Every basis is built through this rule, so 2.0 and 2 give the same basis
     and True never stands in for 1.
     """
-    if type(count) is int and count >= least:
-        return count
     whole = isinstance(count, numbers.Integral) or (
         isinstance(count, numbers.Real) and float(count).is_integer()
     )

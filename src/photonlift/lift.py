@@ -35,8 +35,7 @@ from .matfuncs import (
     PERMANENT_SIZE_LIMIT,
     NotHermitianError,
     _as_square,
-    _check_tol,
-    _hermitian_defect,
+    is_hermitian,
 )
 
 __all__ = [
@@ -133,11 +132,7 @@ def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
     from the cached ladder tables of ``fock.ladder_table``, so the full lift
     costs O(n * m * M^2) for M = C(m+n-1, n).
     """
-    return _expansion_lift(_as_square(scattering), photons)
-
-
-def _expansion_lift(matrix: np.ndarray, photons) -> LiftedUnitary:
-    """``lift_unitary_expansion`` of a matrix already checked by ``_as_square``."""
+    matrix = _as_square(scattering)
     photons = _photon_number(photons)
     table = ladder_table(matrix.shape[0], photons)
     return LiftedUnitary(table.basis, _lift_columns(matrix, photons))
@@ -266,8 +261,7 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     n - 1 photons, next to the O(M^2) output.
     """
     matrix = _as_square(h_single)
-    _check_tol(tol)
-    if _hermitian_defect(matrix) > tol:
+    if not is_hermitian(matrix, tol):
         raise NotHermitianError(f"matrix is not Hermitian within tolerance {tol}")
     photons = _photon_number(photons)
     modes = matrix.shape[0]

@@ -7,10 +7,7 @@ Conventions used throughout the package:
 * The logarithm of a unitary takes eigenphases in the principal branch
   (-pi, pi], with the eigenvalue -1 mapped to +pi.
 
-All functions are pure; no input is mutated. Public functions check each
-matrix argument once with ``_as_square``; the private helpers that take an
-``out`` array (``_exponential``, ``_unitary_defect``, ``_hermitian_defect``)
-trust that check, so internal callers do not repeat it.
+All functions are pure; no input is mutated.
 
 ``unitary_logarithm`` uses numpy alone. ``scipy.linalg`` is imported only
 by ``matrix_exponential`` on non-normal input, for ``expm``, because
@@ -70,25 +67,19 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
 
 
-def _unitary_defect(out: np.ndarray) -> float:
-    eye = np.eye(out.shape[0], dtype=complex)
-    return frobenius_norm(out.conj().T @ out - eye)
-
-
-def _hermitian_defect(out: np.ndarray) -> float:
-    return frobenius_norm(out - out.conj().T)
-
-
 def is_unitary(matrix, tol: float) -> bool:
     """True when A^dag A is the identity to within ``tol`` (Frobenius)."""
     _check_tol(tol)
-    return _unitary_defect(_as_square(matrix)) <= tol
+    out = _as_square(matrix)
+    eye = np.eye(out.shape[0], dtype=complex)
+    return frobenius_norm(out.conj().T @ out - eye) <= tol
 
 
 def is_hermitian(matrix, tol: float) -> bool:
     """True when A equals its conjugate transpose to within ``tol``."""
     _check_tol(tol)
-    return _hermitian_defect(_as_square(matrix)) <= tol
+    out = _as_square(matrix)
+    return frobenius_norm(out - out.conj().T) <= tol
 
 
 def matrix_exponential(matrix) -> np.ndarray:
@@ -99,11 +90,7 @@ def matrix_exponential(matrix) -> np.ndarray:
     exp(i H) unitary to rounding for Hermitian H. Anything else falls back
     to scaling-and-squaring.
     """
-    return _exponential(_as_square(matrix))
-
-
-def _exponential(out: np.ndarray) -> np.ndarray:
-    """``matrix_exponential`` of an array already checked by ``_as_square``."""
+    out = _as_square(matrix)
     scale = max(1.0, frobenius_norm(out))
     adjoint = out.conj().T
     if frobenius_norm(out + adjoint) <= _STRUCTURE_GUARD * scale:
@@ -146,8 +133,7 @@ def unitary_logarithm(matrix, tol: float = 1e-9) -> np.ndarray:
     and the two differ.
     """
     out = _as_square(matrix)
-    _check_tol(tol)
-    if _unitary_defect(out) > tol:
+    if not is_unitary(out, tol):
         raise NotUnitaryError(
             f"matrix is not unitary within tolerance {tol}"
         )

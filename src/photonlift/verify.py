@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lift import _expansion_lift, lift_hamiltonian, lift_unitary_expansion
-from .matfuncs import _as_square, _exponential, frobenius_norm, matrix_exponential
+from .lift import lift_hamiltonian, lift_unitary_expansion
+from .matfuncs import _as_square, frobenius_norm, matrix_exponential
 
 __all__ = [
     "DEFAULT_SEED",
@@ -91,15 +91,11 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     two lifts the Hamiltonian and exponentiates. Also records how unitary the
     lifted matrix is, how Hermitian the lifted Hamiltonian is, and whether any
     far-apart state pair picked up a non-zero coupling.
-
-    The input is checked once, by ``lift_hamiltonian``. Matrices derived
-    from it (exp(iH) and the lifted H, either of which can overflow) are
-    checked as they enter the public lift and exponential.
     """
-    lifted_h = lift_hamiltonian(h_single, photons, tol=tol)
-    matrix = np.asarray(h_single, dtype=complex)
+    matrix = _as_square(h_single)
     modes = matrix.shape[0]
-    group_route = lift_unitary_expansion(_exponential(1j * matrix), photons)
+    lifted_h = lift_hamiltonian(matrix, photons, tol=tol)
+    group_route = lift_unitary_expansion(matrix_exponential(1j * matrix), photons)
     algebra_route = matrix_exponential(1j * lifted_h.matrix)
 
     unitary = group_route.matrix
@@ -130,14 +126,16 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
     """Check that lifting second @ first equals the product of the lifts.
 
     ``first`` acts first, ``second`` after it, matching operator order.
-    The product, which can overflow, is checked as it enters the lift.
     """
     a = _as_square(first)
     b = _as_square(second)
     if a.shape != b.shape:
         raise ValueError(f"matrix sizes differ: {a.shape} vs {b.shape}")
     combined = lift_unitary_expansion(b @ a, photons).matrix
-    separate = _expansion_lift(b, photons).matrix @ _expansion_lift(a, photons).matrix
+    separate = (
+        lift_unitary_expansion(b, photons).matrix
+        @ lift_unitary_expansion(a, photons).matrix
+    )
     residual = frobenius_norm(combined - separate)
     return HomomorphismReport(
         modes=a.shape[0],
@@ -151,13 +149,9 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
 def check_global_phase(
     scattering, phase: float, photons: int, tol: float = 1e-10
 ) -> GlobalPhaseReport:
-    """Check that a global phase on S surfaces as n times the phase on the lift.
-
-    The rephased matrix, not finite for a non-finite phase, is checked as
-    it enters the lift.
-    """
+    """Check that a global phase on S surfaces as n times the phase on the lift."""
     matrix = _as_square(scattering)
-    plain = _expansion_lift(matrix, photons).matrix
+    plain = lift_unitary_expansion(matrix, photons).matrix
     shifted = lift_unitary_expansion(np.exp(1j * phase) * matrix, photons).matrix
     residual = frobenius_norm(shifted - np.exp(1j * photons * phase) * plain)
     return GlobalPhaseReport(
@@ -196,7 +190,7 @@ def random_hermitian(modes: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(modes: int, rng: np.random.Generator) -> np.ndarray:
     """Unitary matrix obtained by exponentiating i times a random Hermitian."""
-    return _exponential(1j * random_hermitian(modes, rng))
+    return matrix_exponential(1j * random_hermitian(modes, rng))
 
 
 def run_sweep(

@@ -321,6 +321,16 @@ class TestLiftUnitaryCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_tol_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "swap.json"
+        write_matrix(np.eye(2)[::-1], source)
+        code = main(
+            ["lift-u", "--photons", "2", "--input", str(source), "--output",
+             str(tmp_path / "out.json"), "--tol", "nan"]
+        )
+        assert code == 1
+        assert "not unitary" in capsys.readouterr().err
+
     def test_out_of_memory_exits_1_and_names_the_size(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -386,6 +396,16 @@ class TestLiftHamiltonianCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_tol_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "bad.json"
+        write_matrix(np.array([[0, 1], [0, 0]]), source)
+        code = main(
+            ["lift-h", "--photons", "2", "--input", str(source), "--output",
+             str(tmp_path / "out.json"), "--tol", "nan"]
+        )
+        assert code == 1
+        assert "not Hermitian" in capsys.readouterr().err
+
     def test_out_of_memory_exits_1_and_names_the_size(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -435,6 +455,26 @@ class TestLogCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_tol_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "swap.json"
+        write_matrix(np.eye(2)[::-1], source)
+        code = main(["log", "--input", str(source), "--output", str(tmp_path / "o.json"),
+                     "--tol", "nan"])
+        assert code == 1
+        assert "not unitary" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_overflowing_gram_matrix_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "huge.json"
+        write_matrix(np.array([[1e200, 1e200], [1e200, -1e200]]), source)
+        with np.errstate(all="ignore"):
+            code = main(
+                ["log", "--input", str(source), "--output", str(tmp_path / "o.json")]
+            )
+        assert code == 1
+        assert "not unitary" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
         source = tmp_path / "big.json"
         source.write_text(
@@ -462,6 +502,13 @@ class TestVerifyCommand:
         source = tmp_path / "broken.json"
         write_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), source)
         code = main(["verify", "--input", str(source), "--photons", "2"])
+        assert code == 1
+        assert "not Hermitian" in capsys.readouterr().err
+
+    def test_nan_tol_rejects_non_hermitian_input(self, tmp_path, capsys):
+        source = tmp_path / "broken.json"
+        write_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), source)
+        code = main(["verify", "--input", str(source), "--photons", "2", "--tol", "nan"])
         assert code == 1
         assert "not Hermitian" in capsys.readouterr().err
 

@@ -363,6 +363,10 @@ class TestLiftHamiltonian:
         with pytest.raises(NotHermitianError):
             lift_hamiltonian([[0, 1], [0, 0]], 2)
 
+    def test_nan_tol_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            lift_hamiltonian([[0, 1], [0, 0]], 2, tol=math.nan)
+
 
 def network_with_phase_reach(modes, photons, reach, seed):
     """A scattering matrix whose eigenphases reach n * max|phi| = reach * pi."""

@@ -181,6 +181,15 @@ class TestUnitaryLogarithm:
     def test_empty_matrix_gives_empty_log(self):
         assert unitary_logarithm(np.zeros((0, 0))).shape == (0, 0)
 
+    def test_nan_tol_rejects(self):
+        with pytest.raises(NotUnitaryError):
+            unitary_logarithm(np.eye(2)[::-1], tol=math.nan)
+
+    def test_overflowing_gram_matrix_rejects(self):
+        # U^dag U overflows to inf - inf = nan off the diagonal.
+        with np.errstate(all="ignore"), pytest.raises(NotUnitaryError):
+            unitary_logarithm([[1e200, 1e200], [1e200, -1e200]])
+
 
 def adversarial_unitaries():
     rng = np.random.default_rng(1300)
