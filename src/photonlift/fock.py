@@ -215,7 +215,10 @@ class LadderTable:
     * ``first[p]`` is the first occupied mode of state p (0 for the
       vacuum), shape (M,);
     * ``first_down[p]`` is ``down[first[p], p]``, the position of p minus
-      its first photon (-1 for the vacuum), shape (M,).
+      its first photon (-1 for the vacuum), shape (M,);
+    * ``first_coef[p]`` is sqrt(p_l) for l = ``first[p]``, the annihilation
+      coefficient of that photon and so ``up_coef[l, first_down[p]]`` (0 for
+      the vacuum), shape (M,).
     """
 
     basis: FockBasis
@@ -224,6 +227,7 @@ class LadderTable:
     up_coef: np.ndarray
     first: np.ndarray
     first_down: np.ndarray
+    first_coef: np.ndarray
 
 
 def ladder_table(modes: int, photons: int) -> LadderTable:
@@ -264,7 +268,8 @@ def _ladder_table(modes: int, photons: int) -> LadderTable:
     up_coef[moves, lowered_at] = np.sqrt(counts[moves, sources])
     first = np.argmax(counts > 0, axis=0)
     first_down = down[first, np.arange(len(basis))]
-    arrays = (down, up, up_coef, first, first_down)
+    first_coef = np.sqrt(counts[first, np.arange(len(basis))])
+    arrays = (down, up, up_coef, first, first_down, first_coef)
     for array in arrays:
         array.flags.writeable = False
     return LadderTable(basis, *arrays)

@@ -4,7 +4,12 @@ The m x m scattering matrix S of a photon-conserving linear network fixes
 the evolution of any number of photons. ``lift_unitary_expansion`` and
 ``lift_unitary_permanent`` are two independent constructions of the lifted
 M x M unitary (M = C(m+n-1, n)). The first is a photon-by-photon recursion
-over cached ladder tables, in O(n * m * M^2). The second is the closed form
+over cached ladder tables, in O(n * m * M^2). It can also lift a stack of
+same-size matrices in one walk of the levels, with their columns side by
+side, so small lifts share the per-call overhead; the consistency checks
+lift their two or three matrices that way, in passes of whole matrices
+bounded to about 2^13 complex entries, so from M of about 64 on each pass
+holds one matrix. The second is the closed form
 U[p, q] = per(S[p|q]) / sqrt(prod_j p_j! prod_l q_l!), from Glynn's formula
 over repeated columns. One vectorised plan holds the K_q = prod_j (f_j + 1)
 sign-count vectors of every column q (f = q minus its first photon), and the
@@ -13,8 +18,8 @@ about 2^16 complex entries. That costs O(m * M * sum_q K_q) time and the
 O(M^2) lift plus one pass of memory. ``lift_hamiltonian`` is the matching
 map on effective Hamiltonians, where exp(i H) gives the evolution. Entry
 (p, q) of a lifted matrix is the amplitude from basis state q to basis state
-p, so columns are images of input states. Everything here is a pure function over immutable
-inputs and safe to call concurrently.
+p, so columns are images of input states. Everything here is a pure
+function over immutable inputs and safe to call concurrently.
 """
 
 import math
@@ -26,6 +31,7 @@ from .fock import (
     FockBasis,
     MoveKind,
     OccupationState,
+    _ladder_table,
     _photon_number,
     enumerate_basis,
     ladder_table,
@@ -55,6 +61,12 @@ __all__ = [
 # whole column may exceed it.
 _GLYNN_BLOCK = 2**16
 
+# Complex entries in the last-level block of one stacked expansion-lift
+# pass. Below this, lifting several matrices in one walk of the levels
+# saves per-call overhead; above it, the wider blocks cost more in memory
+# traffic than they save, so each pass holds one matrix.
+_STACK_BLOCK = 2**13
+
 
 @dataclass(frozen=True)
 class LiftedUnitary:
@@ -77,50 +89,83 @@ class LiftedHamiltonian:
 
 
 def _lift_columns(
-    matrix: np.ndarray, photons: int, columns: np.ndarray | None = None
+    matrices: np.ndarray, photons: int, columns: np.ndarray | None = None
 ) -> np.ndarray:
-    """Columns ``columns`` (all when None) of the n-photon lift of S.
+    """Columns ``columns`` (all when None) of the n-photon lifts of a stack of S.
 
-    With l the first occupied mode of input q, |q> = a_l^dag |q - e_l> /
-    sqrt(q_l) and U a_l^dag U^dag = sum_j S_jl a_j^dag, so
+    ``matrices`` is one m x m matrix or a stack of k of them, shape
+    (k, m, m). With l the first occupied mode of input q,
+    |q> = a_l^dag |q - e_l> / sqrt(q_l) and U a_l^dag U^dag =
+    sum_j S_jl a_j^dag, so
 
         U[p, q] = (sum_j sqrt(p_j) S_jl U'[p - e_j, q - e_l]) / sqrt(q_l)
 
     with U' the (n-1)-photon lift. Only the columns of U' that the wanted
-    columns need are built, level by level from the vacuum. A level is a
-    scatter through the ladder table: for each mode j, row r of U' times
-    sqrt(r_j + 1) S_jl is added to row up[j, r]. The rows up[j] are
-    distinct, so one fancy-indexed add per mode is exact. l and the
-    position of q - e_l are the table's ``first`` and ``first_down``. A full
-    lift needs every column of U' in order (each r is r + e_0 minus its
-    first photon), so only a column subset looks its sources up with
-    ``np.unique``. Modes are summed in order and the division comes last,
-    which keeps lifts of the identity and of permutations exact. Costs
-    O(m * M' * K) per level for K wanted columns.
+    columns need are built, level by level from the vacuum. Each level is
+    one block in which the k matrices' columns sit side by side: with W
+    wanted columns, column i * W + c of the 2-D (M, k * W) block, held as
+    (M, k, W), is wanted column c of matrix i. The last level's block is
+    the result. A level is a scatter through the ladder table: for each
+    mode j, row r of U' times sqrt(r_j + 1) S_jl is added to row up[j, r].
+    The rows up[j] are distinct, so one fancy-indexed add per mode is
+    exact, and a whole stack pays the per-call overhead of one lift. l, the
+    position of q - e_l and sqrt(q_l) are the table's ``first``,
+    ``first_down`` and ``first_coef``. A full lift needs every column of U'
+    in order (each r is r + e_0 minus its first photon), so only a column
+    subset looks its sources up with ``np.unique``. The caller has checked
+    the photon and mode counts, so the levels read the cache directly.
+    Modes are summed in order and the division comes last, which keeps
+    lifts of the identity and of permutations exact and makes each
+    matrix's columns the same whatever else is in its stack. Costs
+    O(m * M' * k * W) per level. Stacking only pays at small M, so
+    ``_expansion_lifts`` splits stacks into passes bounded by _STACK_BLOCK.
     """
-    modes = matrix.shape[0]
+    stack = np.reshape(matrices, (-1, *np.shape(matrices)[-2:]))
+    count, modes = stack.shape[:2]
+    # sources[j, i, l] is S_jl of matrix i.
+    sources = stack.transpose(1, 0, 2)
     levels = []
-    for count in range(photons, 0, -1):
-        table = ladder_table(modes, count)
+    for level in range(photons, 0, -1):
+        table = _ladder_table(modes, level)
         if columns is None:
-            first, lowered = table.first, table.first_down
-            gather = lowered
+            levels.append((table, table.first, table.first_down, table.first_coef))
         else:
-            first, lowered = table.first[columns], table.first_down[columns]
-            columns, gather = np.unique(lowered, return_inverse=True)
-        levels.append((table, first, lowered, gather))
-    block = np.ones((1, 1), dtype=complex)
-    for table, first, lowered, gather in reversed(levels):
-        shed = block[:, gather]
-        weights = matrix[:, first]
-        lifted = np.zeros((len(table.basis), len(first)), dtype=complex)
+            first, coef = table.first[columns], table.first_coef[columns]
+            columns, gather = np.unique(table.first_down[columns], return_inverse=True)
+            levels.append((table, first, gather, coef))
+    # block[r, i, c]: row r of wanted column c of matrix i's lift.
+    block = np.ones((1, count, 1), dtype=complex)
+    for table, first, gather, coef in reversed(levels):
+        shed = block[:, :, gather]
+        weights = sources[:, :, first]
+        block = np.zeros((len(table.basis), *shed.shape[1:]), dtype=complex)
         for mode in range(modes):
-            terms = table.up_coef[mode, :, None] * shed
+            terms = table.up_coef[mode, :, None, None] * shed
             terms *= weights[mode]
-            lifted[table.up[mode]] += terms
-        # up_coef[l, q - e_l] is sqrt(q_l).
-        block = lifted / table.up_coef[first, lowered]
-    return block
+            block[table.up[mode]] += terms
+        # Into a new array: dividing in place left the large-M checks 8-10%
+        # slower, through fresh pages from the allocator.
+        block = block / coef
+    return block.reshape(len(block), -1)
+
+
+def _expansion_lifts(matrices, photons: int) -> list[np.ndarray]:
+    """Full expansion lifts of same-size square complex matrices, in stacked passes.
+
+    ``matrices`` have already been through ``_as_square``; the photon and
+    mode counts are checked here, once, before any work. A pass lifts as
+    many whole matrices as fit in _STACK_BLOCK entries of its last block
+    (at least one) through one ``_lift_columns`` walk, and each lift comes
+    back as an (M, M) view of its pass's block. A lift is the same array
+    whether it shares its pass or not.
+    """
+    size = len(ladder_table(matrices[0].shape[0], photons).basis)
+    per_pass = max(1, _STACK_BLOCK // size**2)
+    lifts = []
+    for start in range(0, len(matrices), per_pass):
+        block = _lift_columns(np.stack(matrices[start : start + per_pass]), photons)
+        lifts += [block[:, low : low + size] for low in range(0, block.shape[1], size)]
+    return lifts
 
 
 def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:

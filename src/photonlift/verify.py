@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lift import lift_hamiltonian, lift_unitary_expansion
-from .matfuncs import _as_square, frobenius_norm, matrix_exponential
+from .fock import _photon_number, _whole_number
+from .lift import _expansion_lifts, lift_hamiltonian, lift_unitary_expansion
+from .matfuncs import _as_square, _exp_i_hermitian, frobenius_norm
 
 __all__ = [
     "DEFAULT_SEED",
@@ -91,12 +92,19 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     two lifts the Hamiltonian and exponentiates. Also records how unitary the
     lifted matrix is, how Hermitian the lifted Hamiltonian is, and whether any
     far-apart state pair picked up a non-zero coupling.
+
+    The input must be Hermitian within ``tol``. Both routes exponentiate the
+    Hermitian part of their generator, (H + H^dag) / 2, by ``eigh``, so a
+    matrix that is Hermitian only within ``tol`` still gives unitaries to
+    rounding; its anti-Hermitian part shows in ``residual_hermiticity``,
+    which is taken from the lifted H itself.
     """
     matrix = _as_square(h_single)
     modes = matrix.shape[0]
     lifted_h = lift_hamiltonian(matrix, photons, tol=tol)
-    group_route = lift_unitary_expansion(matrix_exponential(1j * matrix), photons)
-    algebra_route = matrix_exponential(1j * lifted_h.matrix)
+    photons = _photon_number(photons)
+    group_route = lift_unitary_expansion(_exp_i_hermitian(matrix), photons)
+    algebra_route = _exp_i_hermitian(lifted_h.matrix)
 
     unitary = group_route.matrix
     eye = np.eye(unitary.shape[0], dtype=complex)
@@ -125,18 +133,20 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
 def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> HomomorphismReport:
     """Check that lifting second @ first equals the product of the lifts.
 
-    ``first`` acts first, ``second`` after it, matching operator order.
+    ``first`` acts first, ``second`` after it, matching operator order. The
+    three lifts share stacked passes (see ``lift._expansion_lifts``).
     """
     a = _as_square(first)
     b = _as_square(second)
     if a.shape != b.shape:
         raise ValueError(f"matrix sizes differ: {a.shape} vs {b.shape}")
-    combined = lift_unitary_expansion(b @ a, photons).matrix
-    separate = (
-        lift_unitary_expansion(b, photons).matrix
-        @ lift_unitary_expansion(a, photons).matrix
-    )
-    residual = frobenius_norm(combined - separate)
+    product = _as_square(b @ a)
+    photons = _photon_number(photons)
+    combined, lifted_b, lifted_a = _expansion_lifts([product, b, a], photons)
+    # separate - combined, in place: the norm is that of combined - separate.
+    difference = lifted_b @ lifted_a
+    difference -= combined
+    residual = frobenius_norm(difference)
     return HomomorphismReport(
         modes=a.shape[0],
         photons=photons,
@@ -149,10 +159,15 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
 def check_global_phase(
     scattering, phase: float, photons: int, tol: float = 1e-10
 ) -> GlobalPhaseReport:
-    """Check that a global phase on S surfaces as n times the phase on the lift."""
+    """Check that a global phase on S surfaces as n times the phase on the lift.
+
+    S and e^{i phase} S are lifted in shared stacked passes (see
+    ``lift._expansion_lifts``).
+    """
     matrix = _as_square(scattering)
-    plain = lift_unitary_expansion(matrix, photons).matrix
-    shifted = lift_unitary_expansion(np.exp(1j * phase) * matrix, photons).matrix
+    photons = _photon_number(photons)
+    rephased = _as_square(np.exp(1j * phase) * matrix)
+    plain, shifted = _expansion_lifts([matrix, rephased], photons)
     residual = frobenius_norm(shifted - np.exp(1j * photons * phase) * plain)
     return GlobalPhaseReport(
         modes=matrix.shape[0],
@@ -175,8 +190,8 @@ def check_derivative_oracle(h_single, photons: int, step: float) -> float:
     matrix = _as_square(h_single)
     if not 0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
-    forward = lift_unitary_expansion(matrix_exponential(1j * step * matrix), photons)
-    backward = lift_unitary_expansion(matrix_exponential(-1j * step * matrix), photons)
+    forward = lift_unitary_expansion(_exp_i_hermitian(step * matrix), photons)
+    backward = lift_unitary_expansion(_exp_i_hermitian(-step * matrix), photons)
     difference = (forward.matrix - backward.matrix) / (2 * step)
     direct = lift_hamiltonian(matrix, photons).matrix
     return frobenius_norm(difference - 1j * direct)
@@ -190,7 +205,7 @@ def random_hermitian(modes: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(modes: int, rng: np.random.Generator) -> np.ndarray:
     """Unitary matrix obtained by exponentiating i times a random Hermitian."""
-    return matrix_exponential(1j * random_hermitian(modes, rng))
+    return _exp_i_hermitian(random_hermitian(modes, rng))
 
 
 def run_sweep(
@@ -206,7 +221,10 @@ def run_sweep(
 
     Returns (kind, trial, report) triples in a deterministic order for the
     given seed. Aggregation (e.g. all-passed) is order-independent.
+    ``trials`` must be a whole number >= 1; anything else raises ValueError,
+    so an empty sweep never passes.
     """
+    trials = _whole_number(trials, 1, "trial")
     rng = np.random.default_rng(seed)
     results: list[tuple[str, int, object]] = []
     for trial in range(trials):

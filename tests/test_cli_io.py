@@ -525,6 +525,14 @@ class TestVerifyCommand:
         assert "check=global_phase" in first
         assert "summary checks=9 failed=0" in first
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_empty_sweep_exits_1(self, trials, capsys):
+        code = main(["verify", "--photons", "2", "--trials", trials])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "trial counts must be whole numbers >= 1" in captured.err
+        assert "summary" not in captured.out
+
 
 class TestDemoCommand:
     def test_hong_ou_mandel_distribution(self, capsys):
@@ -587,6 +595,30 @@ class TestLazyScipyImport:
             ):
                 assert main(argv) == 0, argv
                 assert "scipy.linalg" not in sys.modules, argv
+            """,
+            str(tmp_path),
+        )
+
+    def test_verify_on_nearly_hermitian_input_stays_in_numpy(self, tmp_path):
+        # One entry off by 1e-11: Hermitian within the default tol = 1e-8,
+        # but too far from it for matrix_exponential's structure probe.
+        run_fresh(
+            """
+            import sys
+            import numpy as np
+            from photonlift.cli import main
+            from photonlift.io import write_matrix
+            from photonlift.verify import check_diagram, random_hermitian
+
+            h_single = random_hermitian(8, np.random.default_rng(151))
+            h_single[0, 1] += 1e-11
+            path = sys.argv[1] + "/h.json"
+            write_matrix(h_single, path)
+            assert main(["verify", "--input", path, "--photons", "2"]) == 0
+            report = check_diagram(h_single, 2)
+            assert report.passed
+            assert report.residual_unitarity <= 1e-13, report
+            assert "scipy.linalg" not in sys.modules
             """,
             str(tmp_path),
         )

@@ -216,11 +216,13 @@ class TestLadderTable:
             first = occupied[0] if occupied else 0
             assert table.first[position] == first
             lowered = apply_annihilation(state, first)
+            assert table.first_coef[position] == lowered.coefficient
             if lowered.state is None:
                 assert table.first_down[position] == -1
             else:
                 assert table.first_down[position] == lower.index_of(lowered.state)
         assert table.first.shape == table.first_down.shape == (len(basis),)
+        assert table.first_coef.shape == (len(basis),)
         if lower is None:
             assert table.up.shape == table.up_coef.shape == (modes, 0)
             return
@@ -240,6 +242,7 @@ class TestLadderTable:
             table.up_coef,
             table.first,
             table.first_down,
+            table.first_coef,
         ):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from photonlift.fock import MoveKind, ladder_table, photon_move_relation
 from photonlift.lift import (
+    _STACK_BLOCK,
+    _expansion_lifts,
     _lift_columns,
     balanced_beam_splitter,
     global_phase_lift,
@@ -147,6 +149,66 @@ class TestLiftColumns:
             assert np.array_equal(
                 _lift_columns(scattering, photons, columns), full[:, columns]
             )
+
+
+class TestStackedLifts:
+    # (m, n) whose passes hold two or more matrices, and (m, n) whose passes
+    # hold one, with photons 0 and 1 and m = 1 among them.
+    SHARED = [(1, 0), (1, 3), (2, 0), (2, 1), (4, 0), (4, 1), (3, 2), (4, 3), (6, 3)]
+    SINGLE = [(7, 3), (5, 4), (10, 3)]
+
+    @staticmethod
+    def dimension(modes, photons):
+        return math.comb(modes + photons - 1, photons)
+
+    def test_sizes_lie_on_both_sides_of_the_pass_bound(self):
+        assert all(2 * self.dimension(*size) ** 2 <= _STACK_BLOCK for size in self.SHARED)
+        assert all(2 * self.dimension(*size) ** 2 > _STACK_BLOCK for size in self.SINGLE)
+        # (6, 3) holds two matrices per pass, so a stack of three splits.
+        assert 2 * self.dimension(6, 3) ** 2 <= _STACK_BLOCK < 3 * self.dimension(6, 3) ** 2
+
+    @pytest.mark.parametrize("modes,photons", SHARED + SINGLE)
+    def test_match_single_lifts(self, modes, photons):
+        rng = np.random.default_rng([84, modes, photons])
+        matrices = [random_unitary(modes, rng) for _ in range(3)]
+        lifts = _expansion_lifts(matrices, photons)
+        assert len(lifts) == 3
+        for matrix, lifted in zip(matrices, lifts):
+            single = lift_unitary_expansion(matrix, photons).matrix
+            assert lifted.shape == single.shape
+            assert np.abs(lifted - single).max() <= 1e-15
+
+    @pytest.mark.parametrize("modes,photons", SHARED + SINGLE)
+    def test_signed_permutations_are_exact(self, modes, photons):
+        rng = np.random.default_rng([85, modes, photons])
+        matrices = [
+            np.eye(modes)[rng.permutation(modes)] * rng.choice([-1, 1], modes)
+            for _ in range(3)
+        ]
+        lifts = _expansion_lifts([np.asarray(m, dtype=complex) for m in matrices], photons)
+        for matrix, lifted in zip(matrices, lifts):
+            assert np.array_equal(lifted, lift_unitary_expansion(matrix, photons).matrix)
+
+    def test_one_walk_lays_the_columns_side_by_side(self):
+        rng = np.random.default_rng(86)
+        matrices = np.stack([random_unitary(3, rng) for _ in range(4)])
+        size = self.dimension(3, 2)
+        block = _lift_columns(matrices, 2)
+        assert block.shape == (size, 4 * size)
+        for index, matrix in enumerate(matrices):
+            single = lift_unitary_expansion(matrix, 2).matrix
+            assert np.abs(block[:, index * size : (index + 1) * size] - single).max() <= 1e-15
+
+    @given(st.integers(1, 4), st.integers(0, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stacks_match_single_lifts_property(self, modes, photons, count, seed):
+        rng = np.random.default_rng(seed)
+        matrices = [random_unitary(modes, rng) for _ in range(count)]
+        lifts = _expansion_lifts(matrices, photons)
+        assert len(lifts) == count
+        for matrix, lifted in zip(matrices, lifts):
+            single = lift_unitary_expansion(matrix, photons).matrix
+            assert np.abs(lifted - single).max() <= 1e-15
 
 
 class TestPhotonNumber:

@@ -11,6 +11,7 @@ from photonlift.lift import balanced_beam_splitter
 from photonlift.matfuncs import (
     PERMANENT_SIZE_LIMIT,
     NotUnitaryError,
+    _exp_i_hermitian,
     frobenius_norm,
     is_hermitian,
     is_unitary,
@@ -138,6 +139,21 @@ class TestMatrixExponential:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             matrix_exponential(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 20])
+    def test_skew_hermitian_branch_is_the_hermitian_helper(self, size):
+        rng = np.random.default_rng(200 + size)
+        skew = random_skew_hermitian(rng, size)
+        assert np.array_equal(matrix_exponential(skew), _exp_i_hermitian(-1j * skew))
+
+    def test_hermitian_helper_drops_the_anti_hermitian_part(self):
+        rng = np.random.default_rng(210)
+        hermitian = -1j * random_skew_hermitian(rng, 6)
+        nearly = hermitian.copy()
+        nearly[0, 1] += 1e-11
+        assert is_unitary(_exp_i_hermitian(nearly), 1e-13)
+        part = (nearly + nearly.conj().T) / 2
+        assert np.array_equal(_exp_i_hermitian(nearly), _exp_i_hermitian(part))
 
 
 class TestUnitaryLogarithm:

@@ -106,6 +106,10 @@ class TestCheckHomomorphism:
         with pytest.raises(ValueError):
             check_homomorphism(np.eye(2), np.eye(3), 2)
 
+    def test_size_mismatch_is_reported_before_the_photon_count(self):
+        with pytest.raises(ValueError, match="matrix sizes differ"):
+            check_homomorphism(np.eye(2), np.eye(3), True)
+
 
 class TestCheckGlobalPhase:
     def test_random_instance(self):
@@ -118,6 +122,56 @@ class TestCheckGlobalPhase:
         rng = np.random.default_rng(86)
         report = check_global_phase(random_unitary(2, rng), 0.0, 2)
         assert report.residual == 0.0
+
+
+class TestCheckArguments:
+    CHECKS = {
+        "homomorphism": lambda matrix, photons: check_homomorphism(matrix, matrix, photons),
+        "global_phase": lambda matrix, photons: check_global_phase(matrix, 0.4, photons),
+        "diagram": lambda matrix, photons: check_diagram(np.zeros_like(matrix), photons),
+    }
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("photons", [True, np.bool_(True), -1, 1.5, "2"])
+    def test_rejects_bad_photon_counts(self, check, photons):
+        with pytest.raises(ValueError, match="photon counts must be whole numbers"):
+            self.CHECKS[check](np.eye(2, dtype=complex), photons)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_rejects_empty_matrices(self, check):
+        with pytest.raises(ValueError, match="mode counts must be whole numbers"):
+            self.CHECKS[check](np.zeros((0, 0), dtype=complex), 2)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_empty_matrices_with_bad_photon_counts_name_the_photons(self, check):
+        with pytest.raises(ValueError, match="photon counts must be whole numbers"):
+            self.CHECKS[check](np.zeros((0, 0), dtype=complex), -1)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("photons", [2.0, np.int64(2), np.float32(2)])
+    def test_reports_store_an_int_photon_count(self, check, photons):
+        report = self.CHECKS[check](np.eye(2, dtype=complex), photons)
+        assert type(report.photons) is int
+        assert report.photons == 2
+        assert report.passed
+
+    def test_global_phase_rejects_a_non_finite_phase(self):
+        with pytest.raises(ValueError, match="finite"):
+            check_global_phase(np.eye(2), float("nan"), 2)
+
+
+class TestNearlyHermitianInput:
+    def test_both_routes_exponentiate_the_hermitian_part(self):
+        h_single = random_hermitian(8, np.random.default_rng(151))
+        h_single[0, 1] += 1e-11
+        report = check_diagram(h_single, 2)
+        assert report.passed
+        assert report.residual_unitarity <= 1e-13
+        assert report.residual_diagram <= 1e-13
+        # The anti-Hermitian part is still reported, from the lifted H.
+        lifted = lift_hamiltonian(h_single, 2).matrix
+        assert report.residual_hermiticity == np.linalg.norm(lifted - lifted.conj().T)
+        assert report.residual_hermiticity >= 1e-11
 
 
 class TestDerivativeOracle:
@@ -174,3 +228,11 @@ class TestRunSweep:
         first = run_sweep(2, 2, trials=1, seed=1)
         second = run_sweep(2, 2, trials=1, seed=2)
         assert first != second
+
+    @pytest.mark.parametrize("trials", [0, -3, 1.5, True, None, "1"])
+    def test_rejects_trial_counts_that_are_not_whole_numbers_from_1(self, trials):
+        with pytest.raises(ValueError, match="trial counts must be whole numbers >= 1"):
+            run_sweep(2, 1, trials=trials)
+
+    def test_whole_float_trial_count_is_accepted(self):
+        assert run_sweep(2, 1, trials=2.0, seed=93) == run_sweep(2, 1, trials=2, seed=93)
