@@ -14,24 +14,31 @@ U[p, q] = per(S[p|q]) / sqrt(prod_j p_j! prod_l q_l!), from Glynn's formula
 over repeated columns. One vectorised plan holds the K_q = prod_j (f_j + 1)
 sign-count vectors of every column q (f = q minus its first photon), and the
 products are evaluated in passes over runs of whole columns, each bounded to
-about 2^16 complex entries. That costs O(m * M * sum_q K_q) time and the
-O(M^2) lift plus one pass of memory. ``lift_hamiltonian`` is the matching
-map on effective Hamiltonians, where exp(i H) gives the evolution. Entry
-(p, q) of a lifted matrix is the amplitude from basis state q to basis state
-p, so columns are images of input states. Everything here is a pure
-function over immutable inputs and safe to call concurrently.
+about 2^16 complex entries. The plan depends on (m, n) alone: it is built
+once per size, with its own basis, pass schedule and factorials, and kept
+in a bounded cache of its own, so the route still shares no table with the
+expansion lift. A call costs O(m * M * sum_q K_q) time and the O(M^2) lift
+plus one pass of memory; the cache retains O(m * sum_q K_q) per size.
+``lift_hamiltonian`` is the matching map on effective Hamiltonians, where
+exp(i H) gives the evolution. Entry (p, q) of a lifted matrix is the
+amplitude from basis state q to basis state p, so columns are images of
+input states. Everything here is a pure function over immutable inputs
+(cached plans and tables are read-only) and safe to call concurrently.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import (
+    _LADDER_CACHE_SIZE,
     FockBasis,
     MoveKind,
     OccupationState,
     _ladder_table,
+    _mode_number,
     _photon_number,
     enumerate_basis,
     ladder_table,
@@ -41,7 +48,8 @@ from .matfuncs import (
     PERMANENT_SIZE_LIMIT,
     NotHermitianError,
     _as_square,
-    is_hermitian,
+    _check_tol,
+    frobenius_norm,
 )
 
 __all__ = [
@@ -183,20 +191,49 @@ def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
     return LiftedUnitary(table.basis, _lift_columns(matrix, photons))
 
 
-def _glynn_plan(occupations: np.ndarray, photons: int):
-    """Every Glynn sign-count vector of every column, in column order.
+@dataclass(frozen=True, eq=False)
+class _GlynnPlan:
+    """Everything in a permanent lift that depends on (m, n) alone.
 
-    For input q (a row of ``occupations``) with first occupied mode l, the
-    photon of q in mode l keeps sign +, and only the number s_j of minus
-    signs among the other f_j copies of column j matters, f = q - e_l. So
-    column q sums over the K_q = prod_j (f_j + 1) vectors 0 <= s <= f,
-    weighted by w_s = prod_j (-1)^{s_j} C(f_j, s_j). The vectors of all
-    columns are decoded from one ``arange(sum_q K_q)`` in mixed radix f + 1,
-    last mode fastest. Returns the start of each column's vectors (M + 1
-    offsets) and, per vector, its count row q - 2s and its weight with the
-    2^{1-n} of Glynn's formula folded in.
+    ``counts`` holds the count rows q - 2s of every sign-count vector of every
+    column, column by column, as an (m, sum_q K_q) float array ready for
+    S @ counts; ``weights`` holds each vector's weight. ``passes`` lists, per
+    pass, the slice of columns it fills, the slice of vectors it reads and
+    the ``reduceat`` offsets of its columns' vectors within that slice.
+    ``factorials`` is prod_j p_j! per state. All arrays are read-only.
     """
-    size, modes = occupations.shape
+
+    basis: FockBasis
+    counts: np.ndarray
+    weights: np.ndarray
+    passes: tuple[tuple[slice, slice, np.ndarray], ...]
+    factorials: np.ndarray
+
+
+@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _glynn_plan(modes: int, photons: int) -> _GlynnPlan:
+    """The Glynn plan of the permanent lift of ``photons`` photons in ``modes`` modes.
+
+    For input q with first occupied mode l, the photon of q in mode l keeps
+    sign +, and only the number s_j of minus signs among the other f_j
+    copies of column j matters, f = q - e_l. So column q sums over the
+    K_q = prod_j (f_j + 1) vectors 0 <= s <= f, weighted by
+    w_s = prod_j (-1)^{s_j} C(f_j, s_j). The vectors of all columns are
+    decoded from one ``arange(sum_q K_q)`` in mixed radix f + 1, last mode
+    fastest, and each weight has the 2^{1-n} of Glynn's formula folded in.
+    Passes take the most whole columns whose vectors fit in about
+    _GLYNN_BLOCK complex products and powers (at least one column). The
+    caller has checked both counts, so equal keys are equal sizes; the plan
+    takes O(m * sum_q K_q) memory and the cache keeps as many plans as
+    ``fock`` keeps ladder tables.
+    """
+    basis = enumerate_basis(modes, photons)
+    occupations = basis.occupations
+    size = len(basis)
+    factorials = np.array(
+        [math.prod(map(math.factorial, row)) for row in occupations.tolist()],
+        dtype=float,
+    )
     free = occupations.copy()
     free[np.arange(size), np.argmax(occupations > 0, axis=1)] -= 1
     radix = free + 1
@@ -205,19 +242,35 @@ def _glynn_plan(occupations: np.ndarray, photons: int):
     np.cumsum(lengths, out=offsets[1:])
     owner = np.repeat(np.arange(size), lengths)
     rest = np.arange(offsets[-1]) - offsets[owner]
-    # signed_binomials[a, b] = (-1)^b C(a, b), by Pascal's rule.
-    signed_binomials = np.zeros((photons, photons))
+    # signed_binomials[a, b] = (-1)^b C(a, b), by Pascal's rule, for a <= n
+    # (not n - 1) so that the vacuum's empty plan builds too.
+    signed_binomials = np.zeros((photons + 1, photons + 1))
     signed_binomials[:, 0] = 1
-    for top in range(1, photons):
+    for top in range(1, photons + 1):
         above = signed_binomials[top - 1]
         signed_binomials[top, 1:] = above[1:] - above[:-1]
-    counts = occupations[owner]
+    counts = occupations.T.astype(float).take(owner, axis=1)
     weights = np.full(len(owner), 2.0 ** (1 - photons))
     for mode in reversed(range(modes)):
         rest, signs = np.divmod(rest, radix[owner, mode])
-        counts[:, mode] -= 2 * signs
+        counts[mode] -= 2 * signs
         weights *= signed_binomials[free[owner, mode], signs]
-    return offsets, counts, weights
+    width = _GLYNN_BLOCK // max(size, (photons + 1) * modes)
+    passes = []
+    start = 0
+    while start < size:
+        # The most whole columns whose sign vectors fit in ``width``.
+        stop = np.searchsorted(offsets, offsets[start] + width, side="right") - 1
+        stop = max(stop, start + 1)
+        low, high = offsets[start], offsets[stop]
+        starts = offsets[start:stop] - low
+        starts.flags.writeable = False
+        passes.append((slice(start, stop), slice(low, high), starts))
+        start = stop
+    passes = tuple(passes)
+    for array in (counts, weights, factorials):
+        array.flags.writeable = False
+    return _GlynnPlan(basis, counts, weights, passes, factorials)
 
 
 def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
@@ -230,19 +283,23 @@ def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
         per(S[p|q]) = 2^{1-n} sum_s w_s prod_j X[j, s]^{p_j}
 
     over the K_q = prod_j (f_j + 1) sign-count vectors s of column q,
-    f = q minus its first photon (see ``_glynn_plan``). The sign vectors,
-    weights and X of every column are built in one vectorised plan. The
-    products are then evaluated for runs of whole columns in canonical
-    order, each pass holding at most about _GLYNN_BLOCK complex products
-    and powers (or one column, if that is more): a power table by repeated
-    multiplication, a gather by occupation and one ``np.add.reduceat`` per
-    pass into the columns of the lift. The work stays
-    O(m * M * sum_q K_q), instead of M^2 permanents of 2^n subsets each,
-    and the memory is the O(M^2) lift plus one pass and the O(m * sum_q K_q)
-    plan. Glynn's signed sums cancel better than Ryser's subset sums. This
-    construction shares no code with the expansion lift: it enumerates its
-    own basis and uses no ladder table, and the two serve as cross-checks.
-    More than PERMANENT_SIZE_LIMIT photons raise ValueError up front.
+    f = q minus its first photon. What depends on (m, n) alone is built
+    once per size and kept in a bounded cache (see ``_glynn_plan``): the
+    basis, the count rows q - 2s and weights of every vector, the pass
+    schedule and the factorial products. It retains O(m * sum_q K_q)
+    memory, well under one lift at large M (0.7 MB at (8, 5), where a lift
+    is 10 MB). A call forms X for every vector in one product S @ counts,
+    then evaluates runs of whole columns in canonical order, each pass
+    holding at most about _GLYNN_BLOCK complex products and powers (or one
+    column, if that is more): a power table by repeated multiplication, a
+    gather by occupation and one ``np.add.reduceat`` per pass into the
+    columns of the lift. The work stays O(m * M * sum_q K_q), instead of
+    M^2 permanents of 2^n subsets each, and the memory is the O(M^2) lift
+    plus one pass. Glynn's signed sums cancel better than Ryser's subset
+    sums. This construction shares no code with the expansion lift: it
+    enumerates its own basis and uses no ladder table, and the two serve as
+    cross-checks. More than PERMANENT_SIZE_LIMIT photons raise ValueError
+    up front, before anything is built or cached.
     """
     matrix = _as_square(scattering)
     photons = _photon_number(photons)
@@ -250,41 +307,29 @@ def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
         raise ValueError(
             f"permanent lift limited to {PERMANENT_SIZE_LIMIT} photons, got {photons}"
         )
-    basis = enumerate_basis(matrix.shape[0], photons)
+    plan = _glynn_plan(_mode_number(matrix.shape[0]), photons)
+    basis = plan.basis
     if photons == 0:
         return LiftedUnitary(basis, np.ones((1, 1), dtype=complex))
     occupations = basis.occupations
     modes, size = basis.modes, len(basis)
-    offsets, counts, weights = _glynn_plan(occupations, photons)
-    sums = matrix @ counts.T
-    width = _GLYNN_BLOCK // max(size, (photons + 1) * modes)
+    sums = matrix @ plan.counts
     lifted = np.empty((size, size), dtype=complex)
-    start = 0
-    while start < size:
-        # The most whole columns whose sign vectors fit in ``width``.
-        stop = np.searchsorted(offsets, offsets[start] + width, side="right") - 1
-        stop = max(stop, start + 1)
-        low, high = offsets[start], offsets[stop]
+    for columns, vectors, starts in plan.passes:
         # powers[j, k] = X[j]^k for the sign vectors of this pass.
-        powers = np.empty((modes, photons + 1, high - low), dtype=complex)
+        width = vectors.stop - vectors.start
+        powers = np.empty((modes, photons + 1, width), dtype=complex)
         powers[:, 0] = 1
-        powers[:, 1] = sums[:, low:high]
+        powers[:, 1] = sums[:, vectors]
         for k in range(2, photons + 1):
             np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
         products = powers[0, occupations[:, 0]]
         for mode in range(1, modes):
             products *= powers[mode, occupations[:, mode]]
-        products *= weights[low:high]
-        np.add.reduceat(
-            products, offsets[start:stop] - low, axis=1, out=lifted[:, start:stop]
-        )
-        start = stop
-    factorials = np.array(
-        [math.prod(map(math.factorial, row)) for row in occupations.tolist()],
-        dtype=float,
-    )
+        products *= plan.weights[vectors]
+        np.add.reduceat(products, starts, axis=1, out=lifted[:, columns])
     # One square root per entry keeps lifts of permutations exact.
-    norms = np.outer(factorials, factorials)
+    norms = np.outer(plan.factorials, plan.factorials)
     np.sqrt(norms, out=norms)
     lifted /= norms
     return LiftedUnitary(basis, lifted)
@@ -306,7 +351,9 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     n - 1 photons, next to the O(M^2) output.
     """
     matrix = _as_square(h_single)
-    if not is_hermitian(matrix, tol):
+    _check_tol(tol)
+    # ``not ... <= tol`` rather than ``> tol``, so a NaN defect or tolerance fails.
+    if not frobenius_norm(matrix - matrix.conj().T) <= tol:
         raise NotHermitianError(f"matrix is not Hermitian within tolerance {tol}")
     photons = _photon_number(photons)
     modes = matrix.shape[0]
@@ -357,8 +404,10 @@ def global_phase_lift(phase: float, photons: int) -> float:
 
     Multiplying S by e^{i phase} multiplies the n-photon unitary by
     e^{i n phase}; the returned angle is n * phase reduced to (-pi, pi].
+    ``photons`` follows the whole-number rule of the lifts: booleans,
+    fractions and negative counts raise ValueError.
     """
-    reduced = math.remainder(photons * phase, math.tau)
+    reduced = math.remainder(_photon_number(photons) * phase, math.tau)
     if reduced <= -math.pi:
         reduced += math.tau
     return reduced

@@ -197,13 +197,13 @@ def check_derivative_oracle(h_single, photons: int, step: float) -> float:
     return frobenius_norm(difference - 1j * direct)
 
 
-def random_hermitian(modes: int, rng: np.random.Generator) -> np.ndarray:
+def random_hermitian(modes: int, rng: "np.random.Generator") -> np.ndarray:
     """Hermitian matrix with entries built from Uniform(-1, 1) draws."""
     raw = rng.uniform(-1, 1, (modes, modes)) + 1j * rng.uniform(-1, 1, (modes, modes))
     return (raw + raw.conj().T) / 2
 
 
-def random_unitary(modes: int, rng: np.random.Generator) -> np.ndarray:
+def random_unitary(modes: int, rng: "np.random.Generator") -> np.ndarray:
     """Unitary matrix obtained by exponentiating i times a random Hermitian."""
     return _exp_i_hermitian(random_hermitian(modes, rng))
 

@@ -641,3 +641,37 @@ class TestLazyScipyImport:
             assert "scipy.linalg" in sys.modules, "not loaded by expm"
             """
         )
+
+
+class TestLazyNumpyRandomImport:
+    def test_only_the_random_sweep_loads_numpy_random(self, tmp_path):
+        run_fresh(
+            """
+            import sys
+            import photonlift
+            assert "numpy.random" not in sys.modules, "loaded by import"
+            from photonlift.cli import main
+            from photonlift.io import write_matrix
+            from photonlift.lift import balanced_beam_splitter
+
+            folder = sys.argv[1]
+            write_matrix(balanced_beam_splitter(), folder + "/s.json")
+            write_matrix([[1.0, 0.5], [0.5, -1.0]], folder + "/h.json")
+            for argv in (
+                ["basis", "--modes", "3", "--photons", "2"],
+                ["lift-u", "--photons", "2", "--input", folder + "/s.json",
+                 "--output", folder + "/u.json"],
+                ["lift-u", "--photons", "2", "--input", folder + "/s.json",
+                 "--output", folder + "/p.json", "--method", "permanent"],
+                ["lift-h", "--photons", "2", "--input", folder + "/h.json",
+                 "--output", folder + "/hu.json"],
+                ["log", "--input", folder + "/s.json", "--output", folder + "/l.json"],
+                ["verify", "--input", folder + "/h.json", "--photons", "2"],
+                ["demo-hom"],
+            ):
+                assert main(argv) == 0, argv
+                assert "numpy.random" not in sys.modules, argv
+            assert main(["verify", "--photons", "2", "--trials", "1"]) == 0
+            """,
+            str(tmp_path),
+        )

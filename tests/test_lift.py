@@ -4,13 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import photonlift.lift as lift_module
+import photonlift.matfuncs as matfuncs_module
 from photonlift.fock import MoveKind, ladder_table, photon_move_relation
 from photonlift.lift import (
     _STACK_BLOCK,
     _expansion_lifts,
+    _glynn_plan,
     _lift_columns,
     balanced_beam_splitter,
     global_phase_lift,
@@ -217,6 +220,7 @@ class TestPhotonNumber:
     @pytest.mark.parametrize("lift", LIFTS)
     def test_whole_numbers_lift_alike_with_cold_and_warm_tables(self, lift):
         ladder_table.cache_clear()
+        _glynn_plan.cache_clear()
         cold = lift(balanced_beam_splitter(), 2.0)
         warm = lift(balanced_beam_splitter(), 2.0)
         exact = lift(balanced_beam_splitter(), np.int64(2))
@@ -229,12 +233,14 @@ class TestPhotonNumber:
     @pytest.mark.parametrize("photons", [True, np.bool_(True), 1.5, -1, "2"])
     def test_rejects_booleans_fractions_and_negatives(self, lift, photons):
         ladder_table.cache_clear()
+        _glynn_plan.cache_clear()
         with pytest.raises(ValueError):
             lift(balanced_beam_splitter(), photons)
         lift(balanced_beam_splitter(), 1)
         with pytest.raises(ValueError):
             lift(balanced_beam_splitter(), photons)
         assert type(ladder_table(2, 1).basis.photons) is int
+        assert type(_glynn_plan(2, 1).basis.photons) is int
 
 
 class TestLiftUnitaryPermanent:
@@ -343,6 +349,66 @@ class TestLiftUnitaryPermanent:
             lift_unitary_permanent(np.eye(1), PERMANENT_SIZE_LIMIT + 1)
 
 
+class TestGlynnPlanCache:
+    @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @example(5, 5, 35)  # several passes
+    @settings(max_examples=40, deadline=None)
+    def test_cold_and_warm_lifts_are_bit_equal(self, modes, photons, seed):
+        scattering = random_unitary(modes, np.random.default_rng(seed))
+        _glynn_plan.cache_clear()
+        cold = lift_unitary_permanent(scattering, photons)
+        warm = lift_unitary_permanent(scattering, photons)
+        assert np.array_equal(cold.matrix, warm.matrix)
+
+    def test_plan_is_read_only_and_shared_by_lifts_of_one_size(self):
+        _glynn_plan.cache_clear()
+        first = lift_unitary_permanent(random_unitary(4, np.random.default_rng(36)), 4)
+        second = lift_unitary_permanent(np.eye(4), 4)
+        assert first.basis is second.basis
+        plan = _glynn_plan(4, 4)
+        assert plan.basis is first.basis
+        arrays = [plan.counts, plan.weights, plan.factorials]
+        arrays += [starts for _, _, starts in plan.passes]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_repeated_size_hits_the_cache(self):
+        _glynn_plan.cache_clear()
+        lift_unitary_permanent(np.eye(3), 3)
+        hits = _glynn_plan.cache_info().hits
+        lift_unitary_permanent(balanced_beam_splitter() * 1j, 3)
+        lift_unitary_permanent(np.eye(3), 3)
+        assert _glynn_plan.cache_info().hits == hits + 1
+
+    def test_refused_calls_cache_nothing(self):
+        _glynn_plan.cache_clear()
+        with pytest.raises(ValueError, match=f"{PERMANENT_SIZE_LIMIT} photons"):
+            lift_unitary_permanent(np.eye(1), PERMANENT_SIZE_LIMIT + 1)
+        with pytest.raises(ValueError, match="mode counts"):
+            lift_unitary_permanent(np.zeros((0, 0)), 2)
+        assert _glynn_plan.cache_info().currsize == 0
+
+    def test_cold_peak_memory_and_retained_plan(self):
+        # The plan built by a cold call stays in the cache; it holds the
+        # 8832 sign-count vectors of (8, 5), far less than one lift.
+        scattering = random_unitary(8, np.random.default_rng(34))
+        _glynn_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            lifted = lift_unitary_permanent(scattering, 5)
+            _, peak = tracemalloc.get_traced_memory()
+            matrix_bytes = lifted.matrix.nbytes
+            del lifted
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix_bytes == 16 * 792**2
+        assert peak <= 3 * matrix_bytes
+        assert retained <= 0.1 * matrix_bytes
+
+
 class TestLiftHamiltonian:
     def test_golden_two_photon_values(self):
         log = unitary_logarithm(balanced_beam_splitter())
@@ -429,6 +495,23 @@ class TestLiftHamiltonian:
         with pytest.raises(NotHermitianError):
             lift_hamiltonian([[0, 1], [0, 0]], 2, tol=math.nan)
 
+    def test_negative_tol_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            lift_hamiltonian(np.eye(2), 2, tol=-1e-9)
+
+    def test_converts_and_checks_its_input_once(self, monkeypatch):
+        calls = []
+        as_square = matfuncs_module._as_square
+
+        def counting(matrix):
+            calls.append(1)
+            return as_square(matrix)
+
+        monkeypatch.setattr(lift_module, "_as_square", counting)
+        monkeypatch.setattr(matfuncs_module, "_as_square", counting)
+        lift_hamiltonian(random_hermitian(3, np.random.default_rng(52)), 2)
+        assert len(calls) == 1
+
 
 def network_with_phase_reach(modes, photons, reach, seed):
     """A scattering matrix whose eigenphases reach n * max|phi| = reach * pi."""
@@ -497,6 +580,15 @@ class TestGlobalPhaseLift:
 
     def test_full_turn_reduces_to_zero(self):
         assert global_phase_lift(math.pi, 2) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("photons", [2.5, True, -1])
+    def test_rejects_booleans_fractions_and_negatives(self, photons):
+        with pytest.raises(ValueError):
+            global_phase_lift(1.0, photons)
+
+    @pytest.mark.parametrize("photons", [2.0, np.int64(2)])
+    def test_whole_number_types_match_int(self, photons):
+        assert global_phase_lift(1.0, photons) == global_phase_lift(1.0, 2)
 
     def test_result_lies_in_principal_interval(self):
         rng = np.random.default_rng(61)
