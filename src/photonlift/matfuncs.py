@@ -82,6 +82,17 @@ def is_hermitian(matrix, tol: float) -> bool:
     return frobenius_norm(out - out.conj().T) <= tol
 
 
+def _eigh_hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of (A + A^dag) / 2, by ``eigh``.
+
+    The eigenvectors are orthonormal to rounding even where eigenvalues
+    coincide or nearly do.
+    """
+    hermitian = matrix + matrix.conj().T
+    hermitian /= 2
+    return np.linalg.eigh(hermitian)
+
+
 def _exp_i_hermitian(matrix: np.ndarray) -> np.ndarray:
     """e^{iH} for H the Hermitian part (A + A^dag) / 2 of a square complex A.
 
@@ -90,10 +101,7 @@ def _exp_i_hermitian(matrix: np.ndarray) -> np.ndarray:
     the anti-Hermitian part is dropped, not exponentiated. Callers check
     the input; nothing here probes its structure.
     """
-    hermitian = matrix + matrix.conj().T
-    hermitian /= 2
-    phases, vectors = np.linalg.eigh(hermitian)
-    del hermitian  # one M x M array fewer at the peak of the rebuild
+    phases, vectors = _eigh_hermitian_part(matrix)
     return (vectors * np.exp(1j * phases)) @ vectors.conj().T
 
 
@@ -102,8 +110,8 @@ def matrix_exponential(matrix) -> np.ndarray:
 
     Hermitian and skew-Hermitian inputs go through an eigendecomposition,
     which keeps exp(i H) unitary to rounding for Hermitian H; skew-Hermitian
-    input takes the ``_exp_i_hermitian`` route that the checks in ``verify``
-    call directly. The route is chosen by Frobenius norms of A +- A^dag
+    input takes the ``_exp_i_hermitian`` route that ``verify`` uses for its
+    m x m exponentials. The route is chosen by Frobenius norms of A +- A^dag
     against a relative 1e-14. Anything else falls back to
     scaling-and-squaring.
     """

@@ -2,10 +2,17 @@
 
 The central check: lifting an effective Hamiltonian and exponentiating must
 give the same n-photon unitary as exponentiating first and lifting the
-resulting scattering matrix. Companions cover product preservation, global
-phases, and a finite-difference route to the Hamiltonian lift. All
-randomness is drawn from an explicit seed (DEFAULT_SEED when unspecified)
-so every report is reproducible.
+resulting scattering matrix. The lift-then-exponentiate side needs no
+M x M eigendecomposition: with H = V Lambda V^dag, the lifted eigenbasis
+W = lift_U(V) diagonalises lift_H(H) with eigenvalues q . lambda, one per
+basis state q. The check measures how far lift_H(H) W is from
+W diag(q . lambda) and how far W is from unitary; when both are within
+tolerance, W diag(e^{i q . lambda}) W^dag is exp(i lift_H(H)) to rounding,
+so comparing it with the lifted e^{iH} compares the two routes.
+Companions cover product preservation, global phases, and a
+finite-difference route to the Hamiltonian lift. All randomness is drawn
+from an explicit seed (DEFAULT_SEED when unspecified) so every report is
+reproducible.
 """
 
 import math
@@ -15,7 +22,13 @@ import numpy as np
 
 from .fock import _photon_number, _whole_number
 from .lift import _expansion_lifts, lift_hamiltonian, lift_unitary_expansion
-from .matfuncs import _as_square, _exp_i_hermitian, frobenius_norm
+from .matfuncs import (
+    _as_square,
+    _check_tol,
+    _eigh_hermitian_part,
+    _exp_i_hermitian,
+    frobenius_norm,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -36,7 +49,17 @@ DEFAULT_SEED = 42
 
 @dataclass(frozen=True)
 class DiagramReport:
-    """Residuals of the exponentiate-then-lift vs lift-then-exponentiate paths."""
+    """Residuals of the exponentiate-then-lift vs lift-then-exponentiate paths.
+
+    ``residual_diagram`` compares lift_U(e^{iH}) with W diag(e^{i mu}) W^dag,
+    W = lift_U(V) for the eigenvectors V of H and mu_q = q . lambda.
+    ``residual_eigen`` (||lift_H(H) W - W diag(mu)||_F) and
+    ``residual_eigenbasis`` (||W^dag W - I||_F) are what make that product
+    the exponential of the lifted H: a complete orthonormal set of its
+    eigenvectors with their eigenvalues fixes every function of a Hermitian
+    matrix. All residuals are Frobenius norms gated on ``tolerance``, along
+    with zero ``sparsity_violations``.
+    """
 
     modes: int
     photons: int
@@ -44,6 +67,8 @@ class DiagramReport:
     residual_unitarity: float
     residual_hermiticity: float
     sparsity_violations: int
+    residual_eigen: float
+    residual_eigenbasis: float
     tolerance: float
     passed: bool
 
@@ -85,37 +110,86 @@ def _count_sparsity_violations(lifted) -> int:
     return int(np.count_nonzero(distance > 2))
 
 
+def _distance_to_identity(product: np.ndarray) -> float:
+    """||A - I||_F for a square C-contiguous A, subtracting I in place."""
+    product.reshape(-1)[:: len(product) + 1] -= 1
+    return frobenius_norm(product)
+
+
 def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     """Compare both routes from a single-photon Hamiltonian to the n-photon unitary.
 
-    Route one exponentiates and lifts the resulting scattering matrix; route
-    two lifts the Hamiltonian and exponentiates. Also records how unitary the
-    lifted matrix is, how Hermitian the lifted Hamiltonian is, and whether any
-    far-apart state pair picked up a non-zero coupling.
+    The group route exponentiates and lifts: G = lift_U(e^{iH}). The
+    algebra route is exp(i lift_H(H)), taken from the paper's own
+    eigenbasis instead of an M x M ``eigh``. With H = V Lambda V^dag from
+    ``eigh`` of the m x m Hermitian part, every column q of W = lift_U(V)
+    should be an eigenvector of lift_H(H) with eigenvalue mu_q = q . lambda,
+    the occupations of q dotted with the single-photon eigenvalues. Two
+    residuals check that directly:
 
-    The input must be Hermitian within ``tol``. Both routes exponentiate the
-    Hermitian part of their generator, (H + H^dag) / 2, by ``eigh``, so a
-    matrix that is Hermitian only within ``tol`` still gives unitaries to
-    rounding; its anti-Hermitian part shows in ``residual_hermiticity``,
-    which is taken from the lifted H itself.
+    * ``residual_eigen`` = ||lift_H(H) W - W diag(mu)||_F, one dense product;
+    * ``residual_eigenbasis`` = ||W^dag W - I||_F.
+
+    When both are within ``tol``, W diag(e^{i mu}) W^dag is exp(i lift_H(H))
+    to rounding: a function of a Hermitian matrix is fixed by any complete
+    orthonormal set of its eigenvectors and their eigenvalues. So
+    ``residual_diagram`` = ||G - W diag(e^{i mu}) W^dag||_F compares the two
+    routes, and a fault in either lift shows in one of the three residuals.
+    G and W come from one stacked call of the expansion lift, so the check
+    runs no M x M eigendecomposition; the dense product and the Gram
+    matrices are O(M^3) GEMMs.
+
+    Also records how unitary G is, how Hermitian the lifted H is, and
+    whether any far-apart state pair picked up a non-zero coupling. The
+    input must be Hermitian within ``tol``. Lambda, V and e^{iH} come from
+    its Hermitian part, (H + H^dag) / 2, so a matrix that is Hermitian only
+    within ``tol`` still gives a unitary G to rounding. Its anti-Hermitian
+    part shows in ``residual_hermiticity``, taken from the lifted H itself,
+    and adds at most half of that to ``residual_eigen``. Every residual is
+    taken in one reused M x M scratch array, and the Hermiticity and
+    sparsity terms come before G and W exist, which keeps the peak near
+    six M x M complex arrays.
     """
     matrix = _as_square(h_single)
     modes = matrix.shape[0]
     lifted_h = lift_hamiltonian(matrix, photons, tol=tol)
     photons = _photon_number(photons)
-    group_route = lift_unitary_expansion(_exp_i_hermitian(matrix), photons)
-    algebra_route = _exp_i_hermitian(lifted_h.matrix)
-
-    unitary = group_route.matrix
-    eye = np.eye(unitary.shape[0], dtype=complex)
-    residual_diagram = frobenius_norm(unitary - algebra_route)
-    residual_unitarity = frobenius_norm(unitary.conj().T @ unitary - eye)
-    residual_hermiticity = frobenius_norm(lifted_h.matrix - lifted_h.matrix.conj().T)
+    lifted = lifted_h.matrix
+    scratch = np.empty_like(lifted)
+    np.conjugate(lifted.T, out=scratch)
+    scratch -= lifted
+    residual_hermiticity = frobenius_norm(scratch)
     violations = _count_sparsity_violations(lifted_h)
+
+    values, vectors = _eigh_hermitian_part(matrix)
+    group, lifted_vectors = _expansion_lifts(
+        [(vectors * np.exp(1j * values)) @ vectors.conj().T, vectors], photons
+    )
+    energies = lifted_h.basis.occupations @ values
+    np.matmul(lifted, lifted_vectors, out=scratch)
+    # The lifted H is not needed past that product, so its array is reused.
+    np.multiply(lifted_vectors, energies, out=lifted)
+    scratch -= lifted
+    residual_eigen = frobenius_norm(scratch)
+    # Gram matrices X^dag X as conj(X)^T X, with conj(X) in the freed array.
+    np.conjugate(lifted_vectors, out=lifted)
+    np.matmul(lifted.T, lifted_vectors, out=scratch)
+    residual_eigenbasis = _distance_to_identity(scratch)
+    np.conjugate(group, out=lifted)
+    np.matmul(lifted.T, group, out=scratch)
+    residual_unitarity = _distance_to_identity(scratch)
+    # W e^{i mu} W^dag - G; W is conjugated in place, as only W^dag is left to use.
+    np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
+    np.conjugate(lifted_vectors, out=lifted_vectors)
+    np.matmul(lifted, lifted_vectors.T, out=scratch)
+    scratch -= group
+    residual_diagram = frobenius_norm(scratch)
     passed = (
         residual_diagram <= tol
         and residual_unitarity <= tol
         and residual_hermiticity <= tol
+        and residual_eigen <= tol
+        and residual_eigenbasis <= tol
         and violations == 0
     )
     return DiagramReport(
@@ -125,6 +199,8 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
         residual_unitarity=residual_unitarity,
         residual_hermiticity=residual_hermiticity,
         sparsity_violations=violations,
+        residual_eigen=residual_eigen,
+        residual_eigenbasis=residual_eigenbasis,
         tolerance=tol,
         passed=passed,
     )
@@ -140,6 +216,7 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
     b = _as_square(second)
     if a.shape != b.shape:
         raise ValueError(f"matrix sizes differ: {a.shape} vs {b.shape}")
+    _check_tol(tol)
     product = _as_square(b @ a)
     photons = _photon_number(photons)
     combined, lifted_b, lifted_a = _expansion_lifts([product, b, a], photons)
@@ -165,6 +242,7 @@ def check_global_phase(
     ``lift._expansion_lifts``).
     """
     matrix = _as_square(scattering)
+    _check_tol(tol)
     photons = _photon_number(photons)
     rephased = _as_square(np.exp(1j * phase) * matrix)
     plain, shifted = _expansion_lifts([matrix, rephased], photons)

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,10 @@ from photonlift.verify import (
     random_unitary,
     run_sweep,
 )
+from reference import diagram_by_eigh
+
+# A fault of this size is 100 times the default diagram tolerance.
+FAULT = 1e-6
 
 
 @pytest.fixture
@@ -81,6 +88,123 @@ class TestCheckDiagram:
         assert report.sparsity_violations == 1
         assert not report.passed
 
+    def test_report_lists_the_eigen_residuals_before_the_tolerance(self, coupler_log):
+        fields = list(asdict(check_diagram(coupler_log, 2)))
+        position = fields.index("tolerance")
+        assert fields[position - 2 : position] == ["residual_eigen", "residual_eigenbasis"]
+
+    @pytest.mark.parametrize("modes,photons", [(10, 3), (6, 6)])
+    def test_peak_memory_stays_near_six_matrices(self, modes, photons):
+        h_single = random_hermitian(modes, np.random.default_rng(94))
+        tracemalloc.start()
+        try:
+            report = check_diagram(h_single, photons)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
+        assert report.passed
+        assert peak <= 6.5 * 16 * size**2
+
+
+def _perturb_one_move_pair(monkeypatch):
+    """Patch verify.lift_hamiltonian to add FAULT to one one-move pair (p, q), (q, p).
+
+    The lifted H stays Hermitian and keeps its sparsity pattern, so neither
+    ``residual_hermiticity`` nor the sparsity scan can see the fault.
+    """
+    exact = photonlift.verify.lift_hamiltonian
+
+    def perturbed(*args, **kwargs):
+        lifted = exact(*args, **kwargs)
+        matrix = lifted.matrix.copy()
+        rows, columns = np.nonzero(np.triu(matrix, 1))
+        row, column = rows[0], columns[0]
+        matrix[row, column] += FAULT
+        matrix[column, row] += FAULT
+        return LiftedHamiltonian(lifted.basis, matrix)
+
+    monkeypatch.setattr(photonlift.verify, "lift_hamiltonian", perturbed)
+
+
+def _scale_one_group_column(monkeypatch):
+    """Patch verify._expansion_lifts to scale one column of its first lift."""
+    exact = photonlift.verify._expansion_lifts
+
+    def scaled(matrices, photons):
+        lifts = exact(matrices, photons)
+        lifts[0][:, len(lifts[0]) // 2] *= 1 + FAULT
+        return lifts
+
+    monkeypatch.setattr(photonlift.verify, "_expansion_lifts", scaled)
+
+
+class TestDiagramAgainstEighRoute:
+    @pytest.mark.parametrize("modes,photons", [(3, 2), (4, 3), (10, 3), (6, 6)])
+    def test_both_routes_pass_and_agree(self, modes, photons):
+        h_single = random_hermitian(modes, np.random.default_rng(95))
+        report = check_diagram(h_single, photons)
+        reference = diagram_by_eigh(h_single, photons)
+        assert report.passed and reference.passed
+        assert abs(report.residual_diagram - reference.residual_diagram) <= 1e-12
+        assert abs(report.residual_unitarity - reference.residual_unitarity) <= 1e-12
+        assert report.residual_hermiticity == reference.residual_hermiticity
+
+    @pytest.mark.parametrize("modes,photons", [(3, 2), (4, 3), (10, 3)])
+    def test_both_routes_fail_on_a_perturbed_one_move_pair(
+        self, monkeypatch, modes, photons
+    ):
+        h_single = random_hermitian(modes, np.random.default_rng(96))
+        _perturb_one_move_pair(monkeypatch)
+        report = check_diagram(h_single, photons)
+        reference = diagram_by_eigh(h_single, photons)
+        assert report.residual_hermiticity <= report.tolerance
+        assert report.sparsity_violations == 0
+        assert report.residual_eigen > report.tolerance
+        assert reference.residual_diagram > report.tolerance
+        assert not report.passed and not reference.passed
+
+    @pytest.mark.parametrize("modes,photons", [(3, 2), (4, 3), (10, 3)])
+    def test_both_routes_fail_on_a_scaled_group_column(
+        self, monkeypatch, modes, photons
+    ):
+        h_single = random_hermitian(modes, np.random.default_rng(97))
+        _scale_one_group_column(monkeypatch)
+        report = check_diagram(h_single, photons)
+        reference = diagram_by_eigh(h_single, photons)
+        assert report.residual_eigen <= report.tolerance
+        assert report.residual_eigenbasis <= report.tolerance
+        assert report.residual_diagram > report.tolerance
+        assert reference.residual_diagram > report.tolerance
+        assert not report.passed and not reference.passed
+
+
+def _rotated(eigenvalues, seed):
+    """Hermitian matrix with the given spectrum in a seeded random eigenbasis."""
+    rotation = random_unitary(len(eigenvalues), np.random.default_rng(seed))
+    return (rotation * np.asarray(eigenvalues)) @ rotation.conj().T
+
+
+class TestAdversarialSpectra:
+    # eigh returns an orthonormal eigenbasis however the eigenvalues cluster,
+    # so the lifted eigenbasis stays orthonormal and exact.
+    CASES = {
+        "scalar": (lambda: 0.7 * np.eye(3), 3),
+        "double_eigenvalue": (lambda: _rotated([0.4, 0.4, -1.1, 0.9], 98), 3),
+        "gap_1e-12": (lambda: _rotated([0.5, 0.5 + 1e-12, -0.8, 1.3], 99), 3),
+        "diagonal": (lambda: np.diag([0.3, -1.2, 0.8, 2.1]).astype(complex), 3),
+        # Every split of 20 photons over two modes, fully bunched ones included.
+        "two_modes_20_photons": (lambda: random_hermitian(2, np.random.default_rng(100)), 20),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_passes_with_exact_eigen_residuals(self, case):
+        make, photons = self.CASES[case]
+        report = check_diagram(make(), photons)
+        assert report.passed
+        assert report.residual_eigen <= 1e-11
+        assert report.residual_eigenbasis <= 1e-11
+
 
 class TestCheckHomomorphism:
     def test_inverse_pair_gives_identity(self):
@@ -110,6 +234,11 @@ class TestCheckHomomorphism:
         with pytest.raises(ValueError, match="matrix sizes differ"):
             check_homomorphism(np.eye(2), np.eye(3), True)
 
+    def test_negative_tol_raises_and_nan_tol_fails(self):
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            check_homomorphism(np.eye(2), np.eye(2), 2, tol=-1)
+        assert not check_homomorphism(np.eye(2), np.eye(2), 2, tol=float("nan")).passed
+
 
 class TestCheckGlobalPhase:
     def test_random_instance(self):
@@ -122,6 +251,11 @@ class TestCheckGlobalPhase:
         rng = np.random.default_rng(86)
         report = check_global_phase(random_unitary(2, rng), 0.0, 2)
         assert report.residual == 0.0
+
+    def test_negative_tol_raises_and_nan_tol_fails(self):
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            check_global_phase(np.eye(2), 0.4, 2, tol=-1)
+        assert not check_global_phase(np.eye(2), 0.4, 2, tol=float("nan")).passed
 
 
 class TestCheckArguments:
