@@ -85,12 +85,21 @@ def is_hermitian(matrix, tol: float) -> bool:
 def _eigh_hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of (A + A^dag) / 2, by ``eigh``.
 
-    The eigenvectors are orthonormal to rounding even where eigenvalues
-    coincide or nearly do.
+    ``matrix`` is one square complex matrix or a stack of them, shape
+    (k, m, m); a stack takes one ``eigh`` call, and each of its matrices
+    gets the same result as on its own. The eigenvectors are orthonormal to
+    rounding even where eigenvalues coincide or nearly do.
     """
-    hermitian = matrix + matrix.conj().T
+    hermitian = matrix + np.swapaxes(matrix.conj(), -1, -2)
     hermitian /= 2
     return np.linalg.eigh(hermitian)
+
+
+def _exp_i_eigh(phases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """V e^{i Lambda} V^dag from ``eigh`` output, for one matrix or a stack."""
+    return (vectors * np.exp(1j * phases)[..., None, :]) @ np.swapaxes(
+        vectors.conj(), -1, -2
+    )
 
 
 def _exp_i_hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -101,8 +110,7 @@ def _exp_i_hermitian(matrix: np.ndarray) -> np.ndarray:
     the anti-Hermitian part is dropped, not exponentiated. Callers check
     the input; nothing here probes its structure.
     """
-    phases, vectors = _eigh_hermitian_part(matrix)
-    return (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    return _exp_i_eigh(*_eigh_hermitian_part(matrix))
 
 
 def matrix_exponential(matrix) -> np.ndarray:

@@ -13,6 +13,15 @@ Companions cover product preservation, global phases, and a
 finite-difference route to the Hamiltonian lift. All randomness is drawn
 from an explicit seed (DEFAULT_SEED when unspecified) so every report is
 reproducible.
+
+Each check validates its arguments, lifts, and hands the checked arrays and
+their lifts to a private report core (``_diagram_report``,
+``_homomorphism_report``, ``_phase_report``) that holds every residual and
+every pass rule. ``run_sweep`` feeds the same cores from one fused trial:
+one stacked ``eigh`` of the trial's four Hermitian draws gives every m x m
+exponential, and one stacked expansion lift walks all seven matrices the
+three checks need. At small M a trial's cost is per-call overhead, so one
+walk instead of three and one ``eigh`` instead of four is most of its time.
 """
 
 import math
@@ -20,12 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _photon_number, _whole_number
-from .lift import _expansion_lifts, lift_hamiltonian, lift_unitary_expansion
+from .fock import _mode_number, _photon_number, _whole_number
+from .lift import (
+    LiftedHamiltonian,
+    _expansion_lifts,
+    lift_hamiltonian,
+    lift_unitary_expansion,
+)
 from .matfuncs import (
     _as_square,
     _check_tol,
     _eigh_hermitian_part,
+    _exp_i_eigh,
     _exp_i_hermitian,
     frobenius_norm,
 )
@@ -116,6 +131,79 @@ def _distance_to_identity(product: np.ndarray) -> float:
     return frobenius_norm(product)
 
 
+def _diagram_structure(lifted_h: LiftedHamiltonian) -> tuple[np.ndarray, float, int]:
+    """The diagram terms that need the lifted H alone, and a scratch array.
+
+    Returns an M x M scratch array for ``_diagram_report`` to reuse,
+    ||lift_H(H)^dag - lift_H(H)||_F and the sparsity violations. They are
+    taken before G and W exist, which keeps the diagram check's peak near
+    six M x M complex arrays.
+    """
+    lifted = lifted_h.matrix
+    scratch = np.empty_like(lifted)
+    np.conjugate(lifted.T, out=scratch)
+    scratch -= lifted
+    return scratch, frobenius_norm(scratch), _count_sparsity_violations(lifted_h)
+
+
+def _diagram_report(
+    lifted_h: LiftedHamiltonian,
+    structure: tuple[np.ndarray, float, int],
+    values: np.ndarray,
+    group: np.ndarray,
+    lifted_vectors: np.ndarray,
+    tol: float,
+) -> DiagramReport:
+    """The diagram report from checked arrays: every residual and the pass rule.
+
+    ``structure`` is ``_diagram_structure(lifted_h)``, ``values`` the
+    eigenvalues lambda of the single-photon H, and ``group`` and
+    ``lifted_vectors`` the expansion lifts G = lift_U(e^{iH}) and
+    W = lift_U(V). The lifted H, W and the scratch array are overwritten.
+    """
+    scratch, residual_hermiticity, violations = structure
+    lifted = lifted_h.matrix
+    energies = lifted_h.basis.occupations @ values
+    np.matmul(lifted, lifted_vectors, out=scratch)
+    # The lifted H is not needed past that product, so its array is reused.
+    np.multiply(lifted_vectors, energies, out=lifted)
+    scratch -= lifted
+    residual_eigen = frobenius_norm(scratch)
+    # Gram matrices X^dag X as conj(X)^T X, with conj(X) in the freed array.
+    np.conjugate(lifted_vectors, out=lifted)
+    np.matmul(lifted.T, lifted_vectors, out=scratch)
+    residual_eigenbasis = _distance_to_identity(scratch)
+    np.conjugate(group, out=lifted)
+    np.matmul(lifted.T, group, out=scratch)
+    residual_unitarity = _distance_to_identity(scratch)
+    # W e^{i mu} W^dag - G; W is conjugated in place, as only W^dag is left to use.
+    np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
+    np.conjugate(lifted_vectors, out=lifted_vectors)
+    np.matmul(lifted, lifted_vectors.T, out=scratch)
+    scratch -= group
+    residual_diagram = frobenius_norm(scratch)
+    passed = (
+        residual_diagram <= tol
+        and residual_unitarity <= tol
+        and residual_hermiticity <= tol
+        and residual_eigen <= tol
+        and residual_eigenbasis <= tol
+        and violations == 0
+    )
+    return DiagramReport(
+        modes=lifted_h.basis.modes,
+        photons=lifted_h.basis.photons,
+        residual_diagram=residual_diagram,
+        residual_unitarity=residual_unitarity,
+        residual_hermiticity=residual_hermiticity,
+        sparsity_violations=violations,
+        residual_eigen=residual_eigen,
+        residual_eigenbasis=residual_eigenbasis,
+        tolerance=tol,
+        passed=passed,
+    )
+
+
 def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     """Compare both routes from a single-photon Hamiltonian to the n-photon unitary.
 
@@ -151,58 +239,34 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     six M x M complex arrays.
     """
     matrix = _as_square(h_single)
-    modes = matrix.shape[0]
     lifted_h = lift_hamiltonian(matrix, photons, tol=tol)
-    photons = _photon_number(photons)
-    lifted = lifted_h.matrix
-    scratch = np.empty_like(lifted)
-    np.conjugate(lifted.T, out=scratch)
-    scratch -= lifted
-    residual_hermiticity = frobenius_norm(scratch)
-    violations = _count_sparsity_violations(lifted_h)
-
+    structure = _diagram_structure(lifted_h)
     values, vectors = _eigh_hermitian_part(matrix)
     group, lifted_vectors = _expansion_lifts(
-        [(vectors * np.exp(1j * values)) @ vectors.conj().T, vectors], photons
+        [_exp_i_eigh(values, vectors), vectors], lifted_h.basis.photons
     )
-    energies = lifted_h.basis.occupations @ values
-    np.matmul(lifted, lifted_vectors, out=scratch)
-    # The lifted H is not needed past that product, so its array is reused.
-    np.multiply(lifted_vectors, energies, out=lifted)
-    scratch -= lifted
-    residual_eigen = frobenius_norm(scratch)
-    # Gram matrices X^dag X as conj(X)^T X, with conj(X) in the freed array.
-    np.conjugate(lifted_vectors, out=lifted)
-    np.matmul(lifted.T, lifted_vectors, out=scratch)
-    residual_eigenbasis = _distance_to_identity(scratch)
-    np.conjugate(group, out=lifted)
-    np.matmul(lifted.T, group, out=scratch)
-    residual_unitarity = _distance_to_identity(scratch)
-    # W e^{i mu} W^dag - G; W is conjugated in place, as only W^dag is left to use.
-    np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
-    np.conjugate(lifted_vectors, out=lifted_vectors)
-    np.matmul(lifted, lifted_vectors.T, out=scratch)
-    scratch -= group
-    residual_diagram = frobenius_norm(scratch)
-    passed = (
-        residual_diagram <= tol
-        and residual_unitarity <= tol
-        and residual_hermiticity <= tol
-        and residual_eigen <= tol
-        and residual_eigenbasis <= tol
-        and violations == 0
-    )
-    return DiagramReport(
+    return _diagram_report(lifted_h, structure, values, group, lifted_vectors, tol)
+
+
+def _homomorphism_report(
+    modes: int,
+    photons: int,
+    combined: np.ndarray,
+    lifted_b: np.ndarray,
+    lifted_a: np.ndarray,
+    tol: float,
+) -> HomomorphismReport:
+    """The homomorphism report from the lifts of b @ a, b and a."""
+    # separate - combined, in place: the norm is that of combined - separate.
+    difference = lifted_b @ lifted_a
+    difference -= combined
+    residual = frobenius_norm(difference)
+    return HomomorphismReport(
         modes=modes,
         photons=photons,
-        residual_diagram=residual_diagram,
-        residual_unitarity=residual_unitarity,
-        residual_hermiticity=residual_hermiticity,
-        sparsity_violations=violations,
-        residual_eigen=residual_eigen,
-        residual_eigenbasis=residual_eigenbasis,
+        residual=residual,
         tolerance=tol,
-        passed=passed,
+        passed=residual <= tol,
     )
 
 
@@ -219,14 +283,24 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
     _check_tol(tol)
     product = _as_square(b @ a)
     photons = _photon_number(photons)
-    combined, lifted_b, lifted_a = _expansion_lifts([product, b, a], photons)
-    # separate - combined, in place: the norm is that of combined - separate.
-    difference = lifted_b @ lifted_a
-    difference -= combined
-    residual = frobenius_norm(difference)
-    return HomomorphismReport(
-        modes=a.shape[0],
+    lifts = _expansion_lifts([product, b, a], photons)
+    return _homomorphism_report(a.shape[0], photons, *lifts, tol)
+
+
+def _phase_report(
+    modes: int,
+    photons: int,
+    phase: float,
+    plain: np.ndarray,
+    shifted: np.ndarray,
+    tol: float,
+) -> GlobalPhaseReport:
+    """The global-phase report from the lifts of S and e^{i phase} S."""
+    residual = frobenius_norm(shifted - np.exp(1j * photons * phase) * plain)
+    return GlobalPhaseReport(
+        modes=modes,
         photons=photons,
+        phase=phase,
         residual=residual,
         tolerance=tol,
         passed=residual <= tol,
@@ -245,16 +319,8 @@ def check_global_phase(
     _check_tol(tol)
     photons = _photon_number(photons)
     rephased = _as_square(np.exp(1j * phase) * matrix)
-    plain, shifted = _expansion_lifts([matrix, rephased], photons)
-    residual = frobenius_norm(shifted - np.exp(1j * photons * phase) * plain)
-    return GlobalPhaseReport(
-        modes=matrix.shape[0],
-        photons=photons,
-        phase=phase,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-    )
+    lifts = _expansion_lifts([matrix, rephased], photons)
+    return _phase_report(matrix.shape[0], photons, phase, *lifts, tol)
 
 
 def check_derivative_oracle(h_single, photons: int, step: float) -> float:
@@ -298,31 +364,51 @@ def run_sweep(
     """Run the diagram, homomorphism, and global-phase checks on random inputs.
 
     Returns (kind, trial, report) triples in a deterministic order for the
-    given seed. Aggregation (e.g. all-passed) is order-independent.
-    ``trials`` must be a whole number >= 1; anything else raises ValueError,
-    so an empty sweep never passes.
+    given seed. Aggregation (e.g. all-passed) is order-independent. Every
+    argument is checked before the first draw. ``trials`` and ``modes``
+    must be whole numbers >= 1 and ``photons`` a whole number >= 0: 2.0
+    counts as 2, while booleans, fractions and strings raise ValueError, so
+    an empty sweep never passes. A negative tolerance raises ValueError too.
+
+    Each trial draws, in this order, the Hamiltonian H of the diagram
+    check, the Hermitian generators of the homomorphism's ``first`` and
+    ``second``, the phase, and the generator of the phase check's S. It
+    then takes one stacked ``eigh`` of the four Hermitian parts, which gives
+    lambda and V of H and all four m x m exponentials, one
+    ``lift_hamiltonian`` of H, and one stacked expansion lift of
+    [e^{iH}, V, b a, b, a, S, e^{i phase} S]. The reports come from the
+    cores the public checks use, and equal, by ``repr``, what calling those
+    checks one after another on the same draws gives.
     """
     trials = _whole_number(trials, 1, "trial")
+    modes = _mode_number(modes)
+    photons = _photon_number(photons)
+    for bound in (tol, homomorphism_tol, phase_tol):
+        _check_tol(bound)
     rng = np.random.default_rng(seed)
     results: list[tuple[str, int, object]] = []
     for trial in range(trials):
-        hermitian = random_hermitian(modes, rng)
-        results.append(("diagram", trial, check_diagram(hermitian, photons, tol)))
-        first = random_unitary(modes, rng)
-        second = random_unitary(modes, rng)
-        results.append(
-            (
-                "homomorphism",
-                trial,
-                check_homomorphism(first, second, photons, homomorphism_tol),
-            )
-        )
+        # H, then the generators of the homomorphism's a and b, the phase,
+        # and last the generator of S: the order every seeded sweep drew in.
+        drawn = [random_hermitian(modes, rng) for _ in range(3)]
         phase = rng.uniform(-math.pi, math.pi)
-        results.append(
-            (
-                "global_phase",
-                trial,
-                check_global_phase(random_unitary(modes, rng), phase, photons, phase_tol),
-            )
+        drawn.append(random_hermitian(modes, rng))
+        values, vectors = _eigh_hermitian_part(np.stack(drawn))
+        exponential, a, b, scattering = _exp_i_eigh(values, vectors)
+        lifted_h = lift_hamiltonian(drawn[0], photons, tol=tol)
+        structure = _diagram_structure(lifted_h)
+        rephased = np.exp(1j * phase) * scattering
+        lifts = _expansion_lifts(
+            [exponential, vectors[0], b @ a, b, a, scattering, rephased], photons
         )
+        diagram = _diagram_report(lifted_h, structure, values[0], *lifts[:2], tol)
+        homomorphism = _homomorphism_report(
+            modes, photons, *lifts[2:5], homomorphism_tol
+        )
+        global_phase = _phase_report(modes, photons, phase, *lifts[5:], phase_tol)
+        results += [
+            ("diagram", trial, diagram),
+            ("homomorphism", trial, homomorphism),
+            ("global_phase", trial, global_phase),
+        ]
     return results

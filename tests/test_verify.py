@@ -22,7 +22,7 @@ from photonlift.verify import (
     random_unitary,
     run_sweep,
 )
-from reference import diagram_by_eigh
+from reference import diagram_by_eigh, sweep_by_checks
 
 # A fault of this size is 100 times the default diagram tolerance.
 FAULT = 1e-6
@@ -370,3 +370,71 @@ class TestRunSweep:
 
     def test_whole_float_trial_count_is_accepted(self):
         assert run_sweep(2, 1, trials=2.0, seed=93) == run_sweep(2, 1, trials=2, seed=93)
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "tolerances",
+        [{}, {"tol": 1e-7, "homomorphism_tol": 3e-9, "phase_tol": 0.0}],
+        ids=["default", "custom"],
+    )
+    def test_equals_the_check_by_check_oracle(self, modes, tolerances):
+        for photons in range(5):
+            for seed in (0, 7, 2024):
+                fused = run_sweep(modes, photons, 2, seed=seed, **tolerances)
+                oracle = sweep_by_checks(modes, photons, 2, seed=seed, **tolerances)
+                assert repr(fused) == repr(oracle), (modes, photons, seed)
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            {"trials": 0},
+            {"trials": True},
+            {"modes": True},
+            {"modes": 0},
+            {"modes": -2},
+            {"modes": "2"},
+            {"modes": 1.5},
+            {"modes": None},
+            {"photons": -1},
+            {"photons": True},
+            {"photons": 1.5},
+            {"photons": "1"},
+            {"tol": -1},
+            {"tol": None},
+            {"tol": float("nan")},
+            {"homomorphism_tol": -1},
+            {"homomorphism_tol": "x"},
+            {"phase_tol": -1},
+            {"phase_tol": None},
+        ],
+        ids=repr,
+    )
+    def test_bad_arguments_raise_as_the_oracle_does(self, arguments):
+        call = {"modes": 2, "photons": 1, "trials": 1, **arguments}
+        with pytest.raises(Exception) as expected:
+            sweep_by_checks(**call)
+        with pytest.raises(type(expected.value)) as raised:
+            run_sweep(**call)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("modes", [True, 0, "2"])
+    def test_rejects_mode_counts_that_are_not_whole_numbers_from_1(self, modes):
+        with pytest.raises(ValueError, match="mode counts must be whole numbers >= 1"):
+            run_sweep(modes, 2, 1)
+
+    def test_whole_float_mode_count_is_accepted(self):
+        assert run_sweep(2.0, 2, 1, seed=94) == run_sweep(2, 2, 1, seed=94)
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [{"photons": -1}, {"tol": -1}, {"homomorphism_tol": -1}, {"phase_tol": -1}],
+        ids=repr,
+    )
+    def test_checks_every_argument_before_the_first_draw(self, monkeypatch, arguments):
+        def no_draw(modes, rng):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(photonlift.verify, "random_hermitian", no_draw)
+        with pytest.raises(ValueError):
+            run_sweep(**{"modes": 2, "photons": 1, "trials": 1, **arguments})
