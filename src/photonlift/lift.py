@@ -49,6 +49,7 @@ from .matfuncs import (
     NotHermitianError,
     _as_square,
     _check_tol,
+    _refuse_nan_tol,
     frobenius_norm,
 )
 
@@ -122,9 +123,18 @@ def _lift_columns(
     in order (each r is r + e_0 minus its first photon), so only a column
     subset looks its sources up with ``np.unique``. The caller has checked
     the photon and mode counts, so the levels read the cache directly.
-    Modes are summed in order and the division comes last, which keeps
-    lifts of the identity and of permutations exact and makes each
-    matrix's columns the same whatever else is in its stack. Costs
+    Modes are summed in order and the division by sqrt(q_l) comes last,
+    which keeps lifts of the identity and of permutations exact and makes
+    each matrix's columns the same whatever else is in its stack.
+
+    The real factors are applied on float64 views, two real products per
+    entry instead of a complex one: the rows of U' (``np.take`` gives them
+    C-contiguous) are scaled by sqrt(r_j + 1) into one ``terms`` buffer per
+    level, and the finished block is multiplied in place by 1 / sqrt(q_l),
+    laid out per column as in ``_column_scale``. numpy divides a complex
+    number by a real one as a product with the reciprocal, so both give
+    what the complex arithmetic gives, bit for bit: no block entry is ever
+    -0.0, and a unitary's lift holds no infinities. Costs
     O(m * M' * k * W) per level. Stacking only pays at small M, so
     ``_expansion_lifts`` splits stacks into passes bounded by _STACK_BLOCK.
     """
@@ -136,25 +146,42 @@ def _lift_columns(
     for level in range(photons, 0, -1):
         table = _ladder_table(modes, level)
         if columns is None:
-            levels.append((table, table.first, table.first_down, table.first_coef))
+            scale = _column_scale(modes, level)
+            levels.append((table, table.first, table.first_down, scale))
         else:
-            first, coef = table.first[columns], table.first_coef[columns]
+            first = table.first[columns]
+            scale = np.repeat(1 / table.first_coef[columns], 2)
             columns, gather = np.unique(table.first_down[columns], return_inverse=True)
-            levels.append((table, first, gather, coef))
+            levels.append((table, first, gather, scale))
     # block[r, i, c]: row r of wanted column c of matrix i's lift.
     block = np.ones((1, count, 1), dtype=complex)
-    for table, first, gather, coef in reversed(levels):
-        shed = block[:, :, gather]
+    for table, first, gather, scale in reversed(levels):
+        shed = np.take(block, gather, axis=2)
         weights = sources[:, :, first]
         block = np.zeros((len(table.basis), *shed.shape[1:]), dtype=complex)
+        terms = np.empty_like(shed)
+        # Rebinding the float64 views also frees the last level's arrays.
+        real_block = block.view(float)
+        real_shed, real_terms = shed.view(float), terms.view(float)
         for mode in range(modes):
-            terms = table.up_coef[mode, :, None, None] * shed
+            np.multiply(table.up_coef[mode, :, None, None], real_shed, out=real_terms)
             terms *= weights[mode]
             block[table.up[mode]] += terms
-        # Into a new array: dividing in place left the large-M checks 8-10%
-        # slower, through fresh pages from the allocator.
-        block = block / coef
+        real_block *= scale
     return block.reshape(len(block), -1)
+
+
+@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _column_scale(modes: int, photons: int) -> np.ndarray:
+    """1 / sqrt(q_l) of every column q of a full lift, each twice, read-only.
+
+    The layout matches the float64 view of a level's block, where column c
+    is the pair of entries 2c, 2c + 1. ``photons`` is at least 1, so no
+    coefficient is 0.
+    """
+    scale = np.repeat(1 / _ladder_table(modes, photons).first_coef, 2)
+    scale.flags.writeable = False
+    return scale
 
 
 def _expansion_lifts(matrices, photons: int) -> list[np.ndarray]:
@@ -344,16 +371,27 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     * one photon moved from mode l to mode j: sqrt((q_j + 1) * q_l) * H_jl,
     * anything farther: exactly zero.
 
-    The one-move entries are scattered through the cached ladder table in
-    one pass over all m(m - 1) ordered mode pairs (j, l), j != l: for every
-    n - 1 photon state r, entry (up[j, r], up[l, r]) moves a photon of
-    r + e_l from l to j. That is O(m^2 * M') index work for M' states of
-    n - 1 photons, next to the O(M^2) output.
+    The one-move entries are scattered in one pass over all m(m - 1)
+    ordered mode pairs (j, l), j != l: for every n - 1 photon state r,
+    entry (up[j, r], up[l, r]) of the ladder table moves a photon of
+    r + e_l from l to j. Those positions and weights depend on (m, n)
+    alone and are built once per size (see ``_one_move_plan``), so a call
+    is one zero fill, the diagonal and one O(m^2 * M') scatter, for M'
+    states of n - 1 photons, next to the O(M^2) output.
+
+    The input must be Hermitian within ``tol``: ``NotHermitianError``
+    otherwise, whose message names the tolerance. A negative ``tol`` raises
+    ValueError, and so does a NaN one when the input is exactly Hermitian,
+    since only the tolerance is then at fault.
     """
     matrix = _as_square(h_single)
     _check_tol(tol)
+    defect = frobenius_norm(matrix - matrix.conj().T)
+    if defect == 0:
+        # Hermitian within any tolerance, so only a NaN one can be at fault.
+        _refuse_nan_tol(tol)
     # ``not ... <= tol`` rather than ``> tol``, so a NaN defect or tolerance fails.
-    if not frobenius_norm(matrix - matrix.conj().T) <= tol:
+    elif not defect <= tol:
         raise NotHermitianError(f"matrix is not Hermitian within tolerance {tol}")
     photons = _photon_number(photons)
     modes = matrix.shape[0]
@@ -366,12 +404,35 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     for mode in range(modes):
         diagonal += occupations[:, mode] * matrix[mode, mode]
     np.fill_diagonal(lifted, diagonal)
+    positions, targets, sources, weights = _one_move_plan(modes, photons)
+    lifted.reshape(-1)[positions] = weights * matrix[targets, sources]
+    return LiftedHamiltonian(table.basis, lifted)
+
+
+@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _one_move_plan(
+    modes: int, photons: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where each one-move entry of a lifted H goes, and its weight, read-only.
+
+    Row k of each array belongs to the k-th ordered mode pair (j, l),
+    j != l, and column r to the n - 1 photon state r: the flat position of
+    entry (up[j, r], up[l, r]) in the M x M lift, and sqrt(q_l (q_j + 1))
+    for q = r + e_l, the input state. ``targets`` and ``sources`` hold j and
+    l as (m(m - 1), 1) columns, so H[targets, sources] lines up with the
+    weights. The plan depends on (m, n) alone and takes O(m^2 * M')
+    memory, small beside the M x M lift.
+    """
+    table = _ladder_table(modes, photons)
+    occupations = table.basis.occupations
     targets, sources = np.nonzero(~np.eye(modes, dtype=bool))
     rows, columns = table.up[targets], table.up[sources]
     targets, sources = targets[:, None], sources[:, None]
     weights = np.sqrt(occupations[columns, sources] * occupations[rows, targets])
-    lifted[rows, columns] = weights * matrix[targets, sources]
-    return LiftedHamiltonian(table.basis, lifted)
+    plan = (rows * len(table.basis) + columns, targets, sources, weights)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def hamiltonian_element(h_single, output_state, input_state) -> complex:

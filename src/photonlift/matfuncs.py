@@ -59,12 +59,35 @@ def _as_square(matrix) -> np.ndarray:
 
 
 def frobenius_norm(matrix) -> float:
-    return float(np.linalg.norm(np.asarray(matrix), "fro"))
+    """sqrt(sum |a_ij|^2) over every entry, as one BLAS dot of the entries.
+
+    Works on any array shape and layout; a contiguous input, in either
+    order, is read in place with no temporary. Complex entries are read as
+    their real and imaginary parts, so the dot has no cross terms, and
+    integer and boolean input is converted to float first, so squares
+    cannot wrap around. Like ``np.linalg.norm(matrix, "fro")``, NaN gives
+    nan, an infinite entry gives inf and squares past the float range
+    overflow to inf; the two differ only in summation order, by a relative
+    ~1e-16 * sqrt(size).
+    """
+    entries = np.asarray(matrix)
+    if entries.dtype.kind not in "fc":
+        entries = entries.astype(float)
+    entries = entries.ravel(order="K")
+    if entries.dtype.kind == "c":
+        entries = entries.view(entries.real.dtype)
+    return float(np.sqrt(np.dot(entries, entries)))
 
 
 def _check_tol(tol: float) -> None:
     if tol < 0:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
+
+
+def _refuse_nan_tol(tol: float) -> None:
+    """Refuse a NaN tolerance where it would decide whether to raise."""
+    if tol != tol:
+        raise ValueError(f"tolerance must be a number, got {tol}")
 
 
 def is_unitary(matrix, tol: float) -> bool:

@@ -22,14 +22,25 @@ one stacked ``eigh`` of the trial's four Hermitian draws gives every m x m
 exponential, and one stacked expansion lift walks all seven matrices the
 three checks need. At small M a trial's cost is per-call overhead, so one
 walk instead of three and one ``eigh`` instead of four is most of its time.
+
+The sparsity count reads a cached index of the state pairs at most one
+photon move apart, built per (m, n) from the basis occupations alone, so
+it stays independent of the ladder table that builds the lifted H.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _mode_number, _photon_number, _whole_number
+from .fock import (
+    _LADDER_CACHE_SIZE,
+    _mode_number,
+    _photon_number,
+    _whole_number,
+    enumerate_basis,
+)
 from .lift import (
     LiftedHamiltonian,
     _expansion_lifts,
@@ -42,6 +53,7 @@ from .matfuncs import (
     _eigh_hermitian_part,
     _exp_i_eigh,
     _exp_i_hermitian,
+    _refuse_nan_tol,
     frobenius_norm,
 )
 
@@ -111,18 +123,64 @@ class GlobalPhaseReport:
     passed: bool
 
 
+@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _near_pairs(modes: int, photons: int) -> np.ndarray:
+    """Flat positions of the M x M pairs at most one photon move apart.
+
+    Those are the pairs (p, q) at occupation L1 distance 0 or 2: the
+    diagonal, and p = q - e_l + e_j for j != l, the pairs that share the
+    n - 1 photon state r = q - e_l = p - e_j. So every state q is listed
+    once per occupied mode l with its parent row q - e_l, and the list is
+    grouped by the parent rows' bytes in a dict, with no sort and no
+    ranking. Each parent r has exactly m children r + e_j, so the groups
+    form an (M', m) array, and every ordered pair of distinct members of a
+    group is one move apart, each pair in exactly one group. Everything
+    comes from the basis occupations alone: no ladder table and no M x M
+    temporary. The read-only result holds M + M' m (m - 1) positions, the
+    number of entries a lifted H may fill, in no particular order.
+    """
+    occupations = enumerate_basis(modes, photons).occupations
+    size = len(occupations)
+    states, lowered = np.nonzero(occupations)
+    parents = occupations[states]
+    parents[np.arange(len(states)), lowered] -= 1
+    children = {}
+    for state, parent in zip(states.tolist(), map(bytes, parents)):
+        children.setdefault(parent, []).append(state)
+    groups = np.array(list(children.values()), dtype=np.intp).reshape(-1, modes)
+    pairs = groups[:, :, None] * size + groups[:, None, :]
+    moves = pairs[:, ~np.eye(modes, dtype=bool)].ravel()
+    near = np.concatenate([moves, np.arange(size) * (size + 1)])
+    near.flags.writeable = False
+    return near
+
+
+def _count_nonzero_entries(values: np.ndarray) -> int:
+    """Entries of a C-contiguous complex array with a non-zero part, NaN included.
+
+    Compares the float64 view with 0 and reads each entry's two flags as
+    one uint16: what ``np.count_nonzero`` counts, about nine times faster
+    than it runs on complex input.
+    """
+    return int(np.count_nonzero(np.not_equal(values.view(float), 0).view(np.uint16)))
+
+
 def _count_sparsity_violations(lifted) -> int:
     """Non-zero entries between states more than one photon move apart.
 
     Two states are one move apart when their occupations differ by 2 in L1
-    distance. The distance is taken from the basis states themselves, not
-    from the ladder table that built the matrix, so the check stays
-    independent of the construction it checks. Costs O(nnz * modes).
+    distance. The count is the non-zero entries of the whole matrix less
+    those at the cached positions of ``_near_pairs``, so a NaN entry counts
+    as non-zero, as ``np.nonzero`` counts it. Those positions come from the
+    basis states themselves, not from the ladder table that built the
+    matrix, so the check stays independent of the construction it checks.
+    A call costs one O(M^2) comparison with zero and a gather of the
+    O(M' m^2) near positions. The index is built once per size, from
+    O(m M') rows, and kept in a bounded cache.
     """
-    occupations = lifted.basis.occupations
-    rows, columns = np.nonzero(lifted.matrix)
-    distance = np.abs(occupations[rows] - occupations[columns]).sum(axis=1)
-    return int(np.count_nonzero(distance > 2))
+    matrix = np.ascontiguousarray(lifted.matrix, dtype=complex)
+    near = np.take(matrix, _near_pairs(lifted.basis.modes, lifted.basis.photons))
+    return _count_nonzero_entries(matrix) - _count_nonzero_entries(near)
 
 
 def _distance_to_identity(product: np.ndarray) -> float:
@@ -131,24 +189,8 @@ def _distance_to_identity(product: np.ndarray) -> float:
     return frobenius_norm(product)
 
 
-def _diagram_structure(lifted_h: LiftedHamiltonian) -> tuple[np.ndarray, float, int]:
-    """The diagram terms that need the lifted H alone, and a scratch array.
-
-    Returns an M x M scratch array for ``_diagram_report`` to reuse,
-    ||lift_H(H)^dag - lift_H(H)||_F and the sparsity violations. They are
-    taken before G and W exist, which keeps the diagram check's peak near
-    six M x M complex arrays.
-    """
-    lifted = lifted_h.matrix
-    scratch = np.empty_like(lifted)
-    np.conjugate(lifted.T, out=scratch)
-    scratch -= lifted
-    return scratch, frobenius_norm(scratch), _count_sparsity_violations(lifted_h)
-
-
 def _diagram_report(
     lifted_h: LiftedHamiltonian,
-    structure: tuple[np.ndarray, float, int],
     values: np.ndarray,
     group: np.ndarray,
     lifted_vectors: np.ndarray,
@@ -156,13 +198,20 @@ def _diagram_report(
 ) -> DiagramReport:
     """The diagram report from checked arrays: every residual and the pass rule.
 
-    ``structure`` is ``_diagram_structure(lifted_h)``, ``values`` the
-    eigenvalues lambda of the single-photon H, and ``group`` and
-    ``lifted_vectors`` the expansion lifts G = lift_U(e^{iH}) and
-    W = lift_U(V). The lifted H, W and the scratch array are overwritten.
+    ``values`` are the eigenvalues lambda of the single-photon H, and
+    ``group`` and ``lifted_vectors`` the expansion lifts G = lift_U(e^{iH})
+    and W = lift_U(V). The lifted H and W are overwritten. Every residual
+    is taken in one M x M scratch array, allocated here, after the lift
+    walks have freed their temporaries: the check's peak is then the lift
+    walk of W beside the lifted H and G, or those arrays with W and the
+    scratch array, whichever is larger.
     """
-    scratch, residual_hermiticity, violations = structure
     lifted = lifted_h.matrix
+    scratch = np.empty_like(lifted)
+    np.conjugate(lifted.T, out=scratch)
+    scratch -= lifted
+    residual_hermiticity = frobenius_norm(scratch)
+    violations = _count_sparsity_violations(lifted_h)
     energies = lifted_h.basis.occupations @ values
     np.matmul(lifted, lifted_vectors, out=scratch)
     # The lifted H is not needed past that product, so its array is reused.
@@ -227,25 +276,28 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     runs no M x M eigendecomposition; the dense product and the Gram
     matrices are O(M^3) GEMMs.
 
-    Also records how unitary G is, how Hermitian the lifted H is, and
-    whether any far-apart state pair picked up a non-zero coupling. The
-    input must be Hermitian within ``tol``. Lambda, V and e^{iH} come from
-    its Hermitian part, (H + H^dag) / 2, so a matrix that is Hermitian only
-    within ``tol`` still gives a unitary G to rounding. Its anti-Hermitian
-    part shows in ``residual_hermiticity``, taken from the lifted H itself,
-    and adds at most half of that to ``residual_eigen``. Every residual is
-    taken in one reused M x M scratch array, and the Hermiticity and
-    sparsity terms come before G and W exist, which keeps the peak near
-    six M x M complex arrays.
+    Also records how unitary G is, how Hermitian the lifted H is, and how
+    many far-apart state pairs picked up a non-zero coupling, counted
+    against a cached index of the near pairs built from the basis alone (see
+    ``_count_sparsity_violations``). Around the four GEMMs, that count is
+    one O(M^2) comparison with zero, and each norm one O(M^2) dot with no
+    temporary. The input must be Hermitian within ``tol``. Lambda, V and
+    e^{iH} come from its Hermitian part, (H + H^dag) / 2, so a matrix that
+    is Hermitian only within ``tol`` still gives a unitary G to rounding.
+    Its anti-Hermitian part shows in ``residual_hermiticity``, taken from
+    the lifted H itself, and adds at most half of that to
+    ``residual_eigen``. Every residual is taken in one reused M x M scratch
+    array, allocated after the lifts, which keeps the peak near five M x M
+    complex arrays. A NaN ``tol`` raises ValueError (see
+    ``lift_hamiltonian``).
     """
     matrix = _as_square(h_single)
     lifted_h = lift_hamiltonian(matrix, photons, tol=tol)
-    structure = _diagram_structure(lifted_h)
     values, vectors = _eigh_hermitian_part(matrix)
     group, lifted_vectors = _expansion_lifts(
         [_exp_i_eigh(values, vectors), vectors], lifted_h.basis.photons
     )
-    return _diagram_report(lifted_h, structure, values, group, lifted_vectors, tol)
+    return _diagram_report(lifted_h, values, group, lifted_vectors, tol)
 
 
 def _homomorphism_report(
@@ -368,7 +420,8 @@ def run_sweep(
     argument is checked before the first draw. ``trials`` and ``modes``
     must be whole numbers >= 1 and ``photons`` a whole number >= 0: 2.0
     counts as 2, while booleans, fractions and strings raise ValueError, so
-    an empty sweep never passes. A negative tolerance raises ValueError too.
+    an empty sweep never passes. A negative tolerance raises ValueError too,
+    and so does a NaN ``tol``, as ``check_diagram`` raises it.
 
     Each trial draws, in this order, the Hamiltonian H of the diagram
     check, the Hermitian generators of the homomorphism's ``first`` and
@@ -385,6 +438,9 @@ def run_sweep(
     photons = _photon_number(photons)
     for bound in (tol, homomorphism_tol, phase_tol):
         _check_tol(bound)
+    # The draws are exactly Hermitian, so lift_hamiltonian would refuse a
+    # NaN ``tol`` this way in the first trial.
+    _refuse_nan_tol(tol)
     rng = np.random.default_rng(seed)
     results: list[tuple[str, int, object]] = []
     for trial in range(trials):
@@ -396,12 +452,11 @@ def run_sweep(
         values, vectors = _eigh_hermitian_part(np.stack(drawn))
         exponential, a, b, scattering = _exp_i_eigh(values, vectors)
         lifted_h = lift_hamiltonian(drawn[0], photons, tol=tol)
-        structure = _diagram_structure(lifted_h)
         rephased = np.exp(1j * phase) * scattering
         lifts = _expansion_lifts(
             [exponential, vectors[0], b @ a, b, a, scattering, rephased], photons
         )
-        diagram = _diagram_report(lifted_h, structure, values[0], *lifts[:2], tol)
+        diagram = _diagram_report(lifted_h, values[0], *lifts[:2], tol)
         homomorphism = _homomorphism_report(
             modes, photons, *lifts[2:5], homomorphism_tol
         )

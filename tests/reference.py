@@ -12,6 +12,11 @@ reaches both routes.
 ``sweep_by_checks`` is ``run_sweep`` as a loop over the public checks, one
 call per check on freshly drawn inputs, and serves as the oracle of the
 fused sweep trial.
+
+``sparsity_violations_by_distance`` counts the far couplings of a lifted H
+from the occupation distance of every non-zero entry, the oracle of the
+cached near-pair count. ``lift_columns_by_scatter`` is the expansion-lift
+walk in complex arithmetic throughout, the oracle of the real-view walk.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import photonlift.verify as verify
-from photonlift.fock import _mode_number, _whole_number
+from photonlift.fock import _ladder_table, _mode_number, _whole_number
 from photonlift.matfuncs import _as_square, _exp_i_hermitian, frobenius_norm
 
 
@@ -92,3 +97,42 @@ def sweep_by_checks(
         global_phase = verify.check_global_phase(scattering, phase, photons, phase_tol)
         results.append(("global_phase", trial, global_phase))
     return results
+
+
+def sparsity_violations_by_distance(lifted) -> int:
+    """Non-zero entries of a lifted H at occupation L1 distance above 2."""
+    occupations = lifted.basis.occupations
+    rows, columns = np.nonzero(lifted.matrix)
+    distance = np.abs(occupations[rows] - occupations[columns]).sum(axis=1)
+    return int(np.count_nonzero(distance > 2))
+
+
+def lift_columns_by_scatter(matrices, photons: int, columns=None) -> np.ndarray:
+    """``lift._lift_columns`` with complex products and a complex division.
+
+    The same levels, mode order and scatter through the ladder table, so
+    the result must be the same array, bit for bit.
+    """
+    stack = np.reshape(matrices, (-1, *np.shape(matrices)[-2:]))
+    count, modes = stack.shape[:2]
+    sources = stack.transpose(1, 0, 2)
+    levels = []
+    for level in range(photons, 0, -1):
+        table = _ladder_table(modes, level)
+        if columns is None:
+            levels.append((table, table.first, table.first_down, table.first_coef))
+        else:
+            first, coef = table.first[columns], table.first_coef[columns]
+            columns, gather = np.unique(table.first_down[columns], return_inverse=True)
+            levels.append((table, first, gather, coef))
+    block = np.ones((1, count, 1), dtype=complex)
+    for table, first, gather, coef in reversed(levels):
+        shed = block[:, :, gather]
+        weights = sources[:, :, first]
+        block = np.zeros((len(table.basis), *shed.shape[1:]), dtype=complex)
+        for mode in range(modes):
+            terms = table.up_coef[mode, :, None, None] * shed
+            terms *= weights[mode]
+            block[table.up[mode]] += terms
+        block = block / coef
+    return block.reshape(len(block), -1)

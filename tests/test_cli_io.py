@@ -425,6 +425,18 @@ class TestLiftHamiltonianCommand:
         assert "3 modes" in err and "3 photons" in err
         assert "dimension 10" in err
 
+    def test_nan_tol_on_hermitian_input_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "identity.json"
+        write_matrix(np.eye(2), source)
+        output = tmp_path / "out.json"
+        code = main(
+            ["lift-h", "--photons", "2", "--input", str(source), "--output",
+             str(output), "--tol", "nan"]
+        )
+        assert code == 1
+        assert "tolerance must be a number, got nan" in capsys.readouterr().err
+        assert not output.exists()
+
 
 class TestLogCommand:
     def test_beam_splitter_golden(self, tmp_path):
@@ -511,6 +523,21 @@ class TestVerifyCommand:
         code = main(["verify", "--input", str(source), "--photons", "2", "--tol", "nan"])
         assert code == 1
         assert "not Hermitian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["file", "sweep"])
+    def test_nan_tol_on_hermitian_input_names_the_tolerance(self, source, tmp_path, capsys):
+        if source == "file":
+            path = tmp_path / "identity.json"
+            write_matrix(np.eye(2), path)
+            argv = ["verify", "--input", str(path), "--photons", "2", "--tol", "nan"]
+        else:
+            argv = ["verify", "--modes", "3", "--photons", "2", "--trials", "1", "--tol", "nan"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "tolerance must be a number, got nan" in captured.err
+        assert "not Hermitian" not in captured.err
+        assert "summary" not in captured.out
 
     def test_sweep_passes_and_is_deterministic(self, capsys):
         argv = ["verify", "--photons", "2", "--modes", "3", "--trials", "3",

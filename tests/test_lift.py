@@ -33,6 +33,7 @@ from photonlift.matfuncs import (
     unitary_logarithm,
 )
 from photonlift.verify import random_hermitian, random_unitary
+from reference import lift_columns_by_scatter
 
 # The worked two-mode example lists its three two-photon states in the order
 # (2,0), (0,2), (1,1); this permutation maps canonical indices to that order.
@@ -152,6 +153,54 @@ class TestLiftColumns:
             assert np.array_equal(
                 _lift_columns(scattering, photons, columns), full[:, columns]
             )
+
+
+def assert_bit_identical(actual, expected):
+    assert np.array_equal(actual, expected)
+    # array_equal takes -0.0 for 0.0; the bytes tell them apart.
+    assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+class TestRealViewWalk:
+    """The real-view walk against the complex scatter walk, bit for bit."""
+
+    SIZES = [(m, n) for m in range(1, 7) for n in range(6)] + [(10, 3)]
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_random_stacks_and_column_subsets(self, modes, photons):
+        rng = np.random.default_rng([87, modes, photons])
+        count = rng.integers(1, 8)
+        matrices = np.stack([random_unitary(modes, rng) for _ in range(count)])
+        assert_bit_identical(
+            _lift_columns(matrices, photons), lift_columns_by_scatter(matrices, photons)
+        )
+        size = math.comb(modes + photons - 1, photons)
+        wanted = rng.integers(1, size + 1)
+        columns = np.sort(rng.choice(size, size=wanted, replace=False))
+        assert_bit_identical(
+            _lift_columns(matrices, photons, columns),
+            lift_columns_by_scatter(matrices, photons, columns),
+        )
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_signed_permutation_stacks(self, modes, photons):
+        rng = np.random.default_rng([88, modes, photons])
+        matrices = np.stack(
+            [
+                np.eye(modes)[rng.permutation(modes)] * rng.choice([-1, 1], modes)
+                for _ in range(rng.integers(1, 8))
+            ]
+        ).astype(complex)
+        assert_bit_identical(
+            _lift_columns(matrices, photons), lift_columns_by_scatter(matrices, photons)
+        )
+
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_every_stack_height(self, count):
+        rng = np.random.default_rng([89, count])
+        matrices = np.stack([random_unitary(3, rng) for _ in range(count)])
+        expected = lift_columns_by_scatter(matrices, 4)
+        assert_bit_identical(_lift_columns(matrices, 4), expected)
 
 
 class TestStackedLifts:
@@ -494,6 +543,24 @@ class TestLiftHamiltonian:
     def test_nan_tol_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             lift_hamiltonian([[0, 1], [0, 0]], 2, tol=math.nan)
+
+    def test_one_move_plan_is_read_only_and_shared(self):
+        lift_module._one_move_plan.cache_clear()
+        first = lift_hamiltonian(random_hermitian(4, np.random.default_rng(47)), 3)
+        plan = lift_module._one_move_plan(4, 3)
+        assert lift_module._one_move_plan.cache_info().hits == 1
+        second = lift_hamiltonian(np.diag([1.0, 2, 3, 4]), 3)
+        assert lift_module._one_move_plan(4, 3) is plan
+        assert np.count_nonzero(second.matrix - np.diag(np.diag(second.matrix))) == 0
+        assert np.count_nonzero(first.matrix.reshape(-1)[plan[0]]) == plan[0].size
+        for array in plan:
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("h_single", [np.eye(2), np.zeros((3, 3)), GOLDEN_COUPLER_LOG])
+    def test_nan_tol_on_exactly_hermitian_input_names_the_tolerance(self, h_single):
+        with pytest.raises(ValueError, match="tolerance must be a number, got nan") as raised:
+            lift_hamiltonian(h_single, 2, tol=math.nan)
+        assert not isinstance(raised.value, NotHermitianError)
 
     def test_negative_tol_raises(self):
         with pytest.raises(ValueError, match="non-negative"):

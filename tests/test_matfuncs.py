@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,84 @@ class TestPredicates:
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError):
             is_hermitian([[np.nan, 0], [0, 1]], 1e-9)
+
+
+class TestFrobeniusNorm:
+    def test_large_integer_entry_does_not_wrap_around(self):
+        assert frobenius_norm(np.array([[2**40, 0], [0, 0]], dtype=np.int64)) == 2.0**40
+        assert frobenius_norm([[2**40]]) == 2.0**40
+
+    def test_boolean_input_counts_true_entries(self):
+        assert frobenius_norm(np.array([[True, True], [False, True]])) == math.sqrt(3)
+
+    def test_empty_matrix_is_zero(self):
+        assert frobenius_norm(np.zeros((0, 0))) == 0.0
+        assert frobenius_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize(
+        "entry,expected",
+        [
+            (np.nan, math.nan),
+            (complex(np.nan, 0), math.nan),
+            (np.inf, math.inf),
+            (-np.inf, math.inf),
+            (complex(0, np.inf), math.inf),
+            (complex(np.inf, -np.inf), math.inf),
+            (1e200, math.inf),
+            (complex(1e200, 1e200), math.inf),
+        ],
+        ids=repr,
+    )
+    def test_non_finite_and_overflowing_entries_follow_numpy(self, entry, expected):
+        matrix = np.array([[entry, 1], [1j, 2]])
+        with np.errstate(over="ignore"):
+            ours = frobenius_norm(matrix)
+            numpys = np.linalg.norm(matrix, "fro")
+        assert math.isnan(ours) if math.isnan(expected) else ours == expected
+        assert math.isnan(numpys) if math.isnan(expected) else numpys == expected
+
+    @pytest.mark.parametrize("dtype", [float, complex, np.int64])
+    def test_views_match_numpy(self, dtype):
+        rng = np.random.default_rng(12)
+        raw = rng.standard_normal((3, 40, 120)) * 100
+        if dtype is complex:
+            raw = raw + 1j * rng.standard_normal(raw.shape)
+        stack = raw.astype(dtype)
+        views = [
+            stack[0],
+            stack[0].T,
+            stack[1, :, 40:80],
+            stack[2, ::3, 1::2],
+            stack.reshape(120, 120)[:, 40:80].T,
+        ]
+        for view in views:
+            expected = np.linalg.norm(view, "fro")
+            assert abs(frobenius_norm(view) - expected) <= 1e-14 * expected
+        expected = np.sqrt(sum(np.linalg.norm(block, "fro") ** 2 for block in stack))
+        assert abs(frobenius_norm(stack) - expected) <= 1e-14 * expected
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_numpy_property(self, rows, columns, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((rows, columns, 2)) @ [1, 1j]
+        matrix *= 10.0 ** rng.uniform(-100, 100)
+        expected = np.linalg.norm(matrix, "fro")
+        assert abs(frobenius_norm(matrix) - expected) <= 1e-14 * expected
+        assert frobenius_norm(matrix.real) == pytest.approx(
+            np.linalg.norm(matrix.real, "fro"), rel=1e-14
+        )
+
+    def test_reads_contiguous_input_in_place(self):
+        matrix = np.random.default_rng(13).standard_normal((200, 200)) + 1j
+        tracemalloc.start()
+        try:
+            frobenius_norm(matrix)
+            frobenius_norm(matrix.T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
 
 
 class TestMatrixExponential:

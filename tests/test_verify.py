@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import photonlift.fock
 import photonlift.verify
 from photonlift.lift import LiftedHamiltonian, balanced_beam_splitter, lift_hamiltonian
 from photonlift.matfuncs import (
@@ -22,7 +23,7 @@ from photonlift.verify import (
     random_unitary,
     run_sweep,
 )
-from reference import diagram_by_eigh, sweep_by_checks
+from reference import diagram_by_eigh, sparsity_violations_by_distance, sweep_by_checks
 
 # A fault of this size is 100 times the default diagram tolerance.
 FAULT = 1e-6
@@ -104,7 +105,92 @@ class TestCheckDiagram:
             tracemalloc.stop()
         size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
         assert report.passed
-        assert peak <= 6.5 * 16 * size**2
+        # The lifted H, the scratch array and G, beside one lift walk of W.
+        assert peak <= 6.0 * 16 * size**2
+
+    @pytest.mark.parametrize("h_single", [np.eye(2), np.zeros((3, 3))])
+    def test_nan_tol_names_the_tolerance_for_hermitian_input(self, h_single):
+        with pytest.raises(ValueError, match="tolerance must be a number, got nan") as raised:
+            check_diagram(h_single, 2, tol=float("nan"))
+        assert not isinstance(raised.value, NotHermitianError)
+
+
+class TestSparsityCount:
+    """The cached near-pair count against the distance of every non-zero entry."""
+
+    SIZES = [(m, n) for m in range(1, 7) for n in range(5)] + [(10, 3)]
+
+    @staticmethod
+    def first_pair_at(occupations, distance):
+        gaps = np.abs(occupations[:, None] - occupations[None]).sum(axis=2)
+        rows, columns = np.nonzero(gaps == distance)
+        return (rows[0], columns[0]) if len(rows) else None
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_counts_match_the_distance_route(self, modes, photons):
+        rng = np.random.default_rng([95, modes, photons])
+        lifted = lift_hamiltonian(random_hermitian(modes, rng), photons)
+        assert _count_sparsity_violations(lifted) == 0
+        assert sparsity_violations_by_distance(lifted) == 0
+        shape = lifted.matrix.shape
+        noise = rng.standard_normal(shape) * (rng.random(shape) < 0.2)
+        noisy = LiftedHamiltonian(lifted.basis, lifted.matrix + noise)
+        expected = sparsity_violations_by_distance(noisy)
+        assert _count_sparsity_violations(noisy) == expected
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_counts_match_on_corrupted_matrices(self, modes, photons):
+        rng = np.random.default_rng([96, modes, photons])
+        lifted = lift_hamiltonian(random_hermitian(modes, rng), photons)
+        occupations = lifted.basis.occupations
+        far = self.first_pair_at(occupations, 4)
+        move = self.first_pair_at(occupations, 2)
+        # (position, value, far couplings after the change); None zeroes all.
+        corruptions = [(None, 0, 0)]
+        if far is not None:
+            corruptions += [(far, 1e-300, 1), (far, np.nan, 1), (far, -1e-300j, 1)]
+        if move is not None:
+            corruptions.append((move, 0, 0))
+        for position, value, violations in corruptions:
+            matrix = lifted.matrix.copy()
+            if position is None:
+                matrix[...] = value
+            else:
+                matrix[position] = value
+            corrupted = LiftedHamiltonian(lifted.basis, matrix)
+            assert sparsity_violations_by_distance(corrupted) == violations
+            assert _count_sparsity_violations(corrupted) == violations
+
+    def test_negative_zero_far_entries_are_zero(self):
+        lifted = lift_hamiltonian(np.zeros((3, 3)), 3)
+        matrix = np.full_like(lifted.matrix, complex(-0.0, -0.0))
+        assert _count_sparsity_violations(LiftedHamiltonian(lifted.basis, matrix)) == 0
+
+    def test_zero_h_has_only_zero_entries(self):
+        lifted = lift_hamiltonian(np.zeros((4, 4)), 3)
+        assert _count_sparsity_violations(lifted) == 0
+        assert not lifted.matrix.any()
+
+    def test_index_needs_no_ladder_table_or_ranking(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the near-pair index used the lifts' construction")
+
+        photonlift.verify._near_pairs.cache_clear()
+        monkeypatch.setattr(photonlift.fock, "_ladder_table", refuse)
+        monkeypatch.setattr(photonlift.fock, "ladder_table", refuse)
+        monkeypatch.setattr(photonlift.fock, "_rank", refuse)
+        near = photonlift.verify._near_pairs(5, 3)
+        monkeypatch.undo()
+        lifted = lift_hamiltonian(np.ones((5, 5)), 3)
+        assert np.array_equal(np.flatnonzero(lifted.matrix), np.sort(near))
+        assert not near.flags.writeable
+
+    def test_index_holds_the_near_pairs_and_no_more(self):
+        for modes, photons in [(1, 3), (2, 0), (3, 3), (4, 2)]:
+            basis = lift_hamiltonian(np.zeros((modes, modes)), photons).basis
+            gaps = np.abs(basis.occupations[:, None] - basis.occupations[None]).sum(axis=2)
+            near = photonlift.verify._near_pairs(modes, photons)
+            assert np.array_equal(np.sort(near), np.flatnonzero(gaps <= 2))
 
 
 def _perturb_one_move_pair(monkeypatch):
@@ -428,7 +514,13 @@ class TestRunSweep:
 
     @pytest.mark.parametrize(
         "arguments",
-        [{"photons": -1}, {"tol": -1}, {"homomorphism_tol": -1}, {"phase_tol": -1}],
+        [
+            {"photons": -1},
+            {"tol": -1},
+            {"tol": float("nan")},
+            {"homomorphism_tol": -1},
+            {"phase_tol": -1},
+        ],
         ids=repr,
     )
     def test_checks_every_argument_before_the_first_draw(self, monkeypatch, arguments):
