@@ -5,21 +5,26 @@ row per state, built by stars and bars. Rows are ordered
 reverse-lexicographically, so all photons start bunched in the first mode:
 for two photons in two modes the order is (2, 0), (1, 1), (0, 2). The same
 states as tuples of ints (``FockBasis.states``) are built on first use, for
-printing and dict keys. Positions are recovered by exact combinatorial
-ranking rather than hashing, so ``index_of`` is O(modes) with no collision
-handling.
+printing and dict keys.
 
 The lifts do not apply ladder operators state by state. ``ladder_table``
-ranks every one-photon neighbour of every basis state, one mode at a time,
-and keeps the result, per (modes, photons), in a bounded cache: the lifts
-of one network size share one table. Besides the moves themselves (``down``
-and ``up``) it keeps what each lift level needs: the creation coefficients,
-each state's first occupied mode and the position left when that photon is
-removed. The lifts raise photons by scattering through ``up`` and build no
-masks and run no searches per call. ``apply_creation``,
-``apply_annihilation`` and ``index_of`` remain the per-state reference the
-table is tested against. Everything here is immutable (basis and table
-arrays are read-only) and safe to share across threads.
+reads every one-photon move off the basis occupations, with no ranking: in
+canonical order, p -> p - e_j maps the states with p_j >= 1, in order, onto
+all n - 1 photon states, in order, so the states that raise r -> r + e_j
+are just the rows with a photon in mode j. The table is built in O(modes *
+M) vectorised work and kept, per (modes, photons), in a bounded cache: the
+lifts of one network size share one table. Besides the moves (``up``) it
+keeps what each lift level needs: the creation coefficients, each state's
+first occupied mode and the position left when that photon is removed. The
+lifts raise photons by scattering through ``up`` and build no masks and run
+no searches per call.
+
+``FockBasis.index_of`` is the only combinatorial ranking left: it finds one
+state's position in O(modes) with no hashing, for
+``lift.transition_distribution``'s input column. With ``apply_creation`` and
+``apply_annihilation`` it is also the per-state reference the table is
+tested against. Everything here is immutable (basis and table arrays are
+read-only) and safe to share across threads.
 """
 
 import functools
@@ -130,13 +135,14 @@ class FockBasis:
         return self.states[position]
 
     def index_of(self, state: OccupationState) -> int:
-        """Position of ``state`` in canonical order, by combinatorial ranking."""
-        state = tuple(state)
-        if (
-            len(state) != self.modes
-            or any(count < 0 for count in state)
-            or sum(state) != self.photons
-        ):
+        """Position of ``state`` in canonical order, by combinatorial ranking.
+
+        Each count follows the whole-number rule of ``enumerate_basis``:
+        booleans, fractions and negative counts raise ValueError, and 2.0
+        counts as 2.
+        """
+        state = tuple(map(_photon_number, state))
+        if len(state) != self.modes or sum(state) != self.photons:
             raise ValueError(
                 f"state {state} does not belong to the basis with "
                 f"modes={self.modes}, photons={self.photons}"
@@ -179,26 +185,6 @@ def enumerate_basis(modes: int, photons: int) -> FockBasis:
     return FockBasis(modes, photons, occupations)
 
 
-def _rank(occupations: np.ndarray, photons: int) -> np.ndarray:
-    """Canonical positions of the rows of an occupation array: ``index_of``, vectorised.
-
-    Every row must hold ``photons`` photons in total, all counts >= 0.
-    """
-    modes = occupations.shape[-1]
-    # binomials[left, s] = C(left - 1 + s, s): states ranked before a prefix
-    # that leaves ``left`` photons for s later modes; 0 when none is left.
-    binomials = np.array(
-        [
-            [math.comb(left - 1 + s, s) if left else 0 for s in range(modes)]
-            for left in range(photons + 1)
-        ],
-        dtype=np.intp,
-    )
-    remaining = photons - np.cumsum(occupations[..., :-1], axis=-1)
-    slots_after = np.arange(modes - 1, 0, -1)
-    return binomials[remaining, slots_after].sum(axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class LadderTable:
     """One-photon ladder moves of every basis state, as index arrays.
@@ -206,23 +192,23 @@ class LadderTable:
     With M states of ``basis`` (n photons, counts in ``basis.occupations``)
     and M' states of n - 1 photons:
 
-    * ``down[j, p]`` is the position of p - e_j among the n - 1 photon
-      states, or -1 where p_j = 0, shape (modes, M);
     * ``up[j, r]`` is the position of r + e_j among the n photon states,
-      for r an n - 1 photon state, shape (modes, M');
+      for r an n - 1 photon state, shape (modes, M'). Row j is the
+      positions of the states with p_j >= 1, in order;
     * ``up_coef[j, r]`` is sqrt(r_j + 1), the creation coefficient of that
       move, shape (modes, M');
     * ``first[p]`` is the first occupied mode of state p (0 for the
       vacuum), shape (M,);
-    * ``first_down[p]`` is ``down[first[p], p]``, the position of p minus
-      its first photon (-1 for the vacuum), shape (M,);
+    * ``first_down[p]`` is the position of p minus its first photon among
+      the n - 1 photon states (-1 for the vacuum), shape (M,); it is the
+      rank of p among the states with a photon in mode ``first[p]``, so
+      ``up[first[p], first_down[p]] == p``;
     * ``first_coef[p]`` is sqrt(p_l) for l = ``first[p]``, the annihilation
       coefficient of that photon and so ``up_coef[l, first_down[p]]`` (0 for
       the vacuum), shape (M,).
     """
 
     basis: FockBasis
-    down: np.ndarray
     up: np.ndarray
     up_coef: np.ndarray
     first: np.ndarray
@@ -233,13 +219,15 @@ class LadderTable:
 def ladder_table(modes: int, photons: int) -> LadderTable:
     """The ladder table for ``photons`` photons in ``modes`` modes, cached.
 
-    Built in O(modes^2 * M) vectorised work, one mode at a time, so no
-    intermediate is larger than O(modes * M). The same object is returned
-    for repeated (modes, photons), so its arrays are read-only. Mode and
-    photon counts are checked as in ``enumerate_basis`` before the cache is
-    looked up, since the cache treats True as 1 and 2.0 as 2: booleans and
-    fractions raise whether or not the table is cached, and 2.0 gets the
-    table of 2. ``cache_clear`` and ``cache_info`` reach the cache.
+    Read off the basis occupations in O(modes * M) vectorised work, with
+    no ranking, so no intermediate is larger than O(modes * M). Each photon
+    number builds its own basis with ``enumerate_basis``. The same object
+    is returned for repeated (modes, photons), so its arrays are read-only.
+    Mode and photon counts are checked as in ``enumerate_basis`` before the
+    cache is looked up, since the cache treats True as 1 and 2.0 as 2:
+    booleans and fractions raise whether or not the table is cached, and
+    2.0 gets the table of 2. ``cache_clear`` and ``cache_info`` reach the
+    cache.
     """
     return _ladder_table(_mode_number(modes), _photon_number(photons))
 
@@ -248,28 +236,22 @@ def ladder_table(modes: int, photons: int) -> LadderTable:
 def _ladder_table(modes: int, photons: int) -> LadderTable:
     basis = enumerate_basis(modes, photons)
     occupations = basis.occupations
-    counts = occupations.T
-    down = np.full((modes, len(basis)), -1, dtype=np.intp)
-    # The vacuum has no photon to remove: its column stays -1.
-    for mode in range(modes if photons else 0):
-        occupied = np.flatnonzero(counts[mode])
-        lowered = occupations[occupied]
-        lowered[:, mode] -= 1
-        down[mode, occupied] = _rank(lowered, photons - 1)
-    # Every n - 1 photon state r is p - e_j for exactly one p, p = r + e_j,
-    # so ``up`` is ``down`` inverted.
-    lower_size = dimension(modes, photons - 1) if photons else 0
-    up = np.empty((modes, lower_size), dtype=np.intp)
-    moves, sources = np.nonzero(counts)
-    lowered_at = down[moves, sources]
-    up[moves, lowered_at] = sources
-    # Raising r into p = r + e_j has coefficient sqrt(r_j + 1) = sqrt(p_j).
-    up_coef = np.empty(up.shape)
-    up_coef[moves, lowered_at] = np.sqrt(counts[moves, sources])
-    first = np.argmax(counts > 0, axis=0)
-    first_down = down[first, np.arange(len(basis))]
-    first_coef = np.sqrt(counts[first, np.arange(len(basis))])
-    arrays = (down, up, up_coef, first, first_down, first_coef)
+    occupied = occupations > 0
+    # The states with p_j >= 1, in order, are r + e_j for the n - 1 photon
+    # states r, in order: subtracting e_j keeps the order, and every r is
+    # reached once. So row j of ``up`` lists them, and raising r into
+    # p = r + e_j has coefficient sqrt(r_j + 1) = sqrt(p_j).
+    up = np.stack([np.flatnonzero(column) for column in occupied.T])
+    up_coef = np.sqrt(np.take_along_axis(occupations.T, up, axis=1))
+    rows = np.arange(len(basis))
+    first = np.argmax(occupied, axis=1)
+    # For l = first[p], the position of p - e_l is the rank of p among the
+    # states with p_l >= 1. The vacuum, with no photon to remove, gets -1.
+    ranks = occupied.astype(np.intp)
+    np.cumsum(ranks, axis=0, out=ranks)
+    first_down = ranks[rows, first] - 1
+    first_coef = np.sqrt(occupations[rows, first])
+    arrays = (up, up_coef, first, first_down, first_coef)
     for array in arrays:
         array.flags.writeable = False
     return LadderTable(basis, *arrays)

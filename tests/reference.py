@@ -17,8 +17,13 @@ fused sweep trial.
 from the occupation distance of every non-zero entry, the oracle of the
 cached near-pair count. ``lift_columns_by_scatter`` is the expansion-lift
 walk in complex arithmetic throughout, the oracle of the real-view walk.
+
+``rank_occupations`` ranks occupation rows by binomial counting, the
+vectorised ``FockBasis.index_of``: the oracle of the ladder table, which
+reads its moves off the basis order with no ranking.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +110,29 @@ def sparsity_violations_by_distance(lifted) -> int:
     rows, columns = np.nonzero(lifted.matrix)
     distance = np.abs(occupations[rows] - occupations[columns]).sum(axis=1)
     return int(np.count_nonzero(distance > 2))
+
+
+def rank_occupations(occupations, photons: int) -> np.ndarray:
+    """Canonical positions of the rows of an occupation array.
+
+    Every row must hold ``photons`` photons, all counts >= 0. The states
+    before a row are, for each mode i but the last, those that agree with
+    it before i and hold more photons at i: C(left - 1 + s, s) of them,
+    where ``left`` is what the row leaves for the s modes after i.
+    """
+    occupations = np.asarray(occupations, dtype=np.intp)
+    modes = occupations.shape[-1]
+    # binomials[left, s] = C(left - 1 + s, s); 0 when no photon is left.
+    binomials = np.array(
+        [
+            [math.comb(left - 1 + s, s) if left else 0 for s in range(modes)]
+            for left in range(photons + 1)
+        ],
+        dtype=np.intp,
+    )
+    remaining = photons - np.cumsum(occupations[..., :-1], axis=-1)
+    slots_after = np.arange(modes - 1, 0, -1)
+    return binomials[remaining, slots_after].sum(axis=-1)
 
 
 def lift_columns_by_scatter(matrices, photons: int, columns=None) -> np.ndarray:

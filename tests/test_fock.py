@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from photonlift.fock import (
     MoveKind,
-    _rank,
     apply_annihilation,
     apply_creation,
     bunched_first_order,
@@ -18,6 +17,7 @@ from photonlift.fock import (
     ladder_table,
     photon_move_relation,
 )
+from reference import rank_occupations
 
 
 def exhaustive_states(modes, photons):
@@ -130,6 +130,15 @@ class TestEnumerateBasis:
         with pytest.raises(ValueError):
             basis.index_of((3, 0, -1))
 
+    def test_index_of_follows_the_whole_number_rule(self):
+        basis = enumerate_basis(2, 2)
+        assert basis.index_of((2.0, 0.0)) == 0
+        assert type(basis.index_of((2.0, 0.0))) is int
+        with pytest.raises(ValueError):
+            basis.index_of((1.5, 0.5))
+        with pytest.raises(ValueError):
+            basis.index_of((True, True))
+
 
 class TestLadderOperators:
     def test_creation_on_occupied_mode(self):
@@ -208,10 +217,8 @@ class TestLadderTable:
         for position, state in enumerate(basis):
             for mode in range(modes):
                 lowered = apply_annihilation(state, mode)
-                if lowered.state is None:
-                    assert table.down[mode, position] == -1
-                else:
-                    assert table.down[mode, position] == lower.index_of(lowered.state)
+                if lowered.state is not None:
+                    assert table.up[mode, lower.index_of(lowered.state)] == position
             occupied = [mode for mode, count in enumerate(state) if count]
             first = occupied[0] if occupied else 0
             assert table.first[position] == first
@@ -237,7 +244,6 @@ class TestLadderTable:
         assert ladder_table(3, 2) is table
         for array in (
             table.basis.occupations,
-            table.down,
             table.up,
             table.up_coef,
             table.first,
@@ -246,6 +252,28 @@ class TestLadderTable:
         ):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
+
+    @pytest.mark.parametrize(
+        "modes,photons", [(2, 30), (2, 300), (3, 40), (16, 4), (20, 5)]
+    )
+    def test_moves_match_the_ranking_oracle_at_size(self, modes, photons):
+        # The table reads its moves off the basis order; binomial ranking
+        # must find the same positions well beyond the per-state test.
+        table = ladder_table(modes, photons)
+        lower = enumerate_basis(modes, photons - 1).occupations
+        for mode in range(modes):
+            raised = lower.copy()
+            raised[:, mode] += 1
+            assert np.array_equal(table.up[mode], rank_occupations(raised, photons))
+            assert np.array_equal(table.up_coef[mode], np.sqrt(raised[:, mode]))
+        occupations = table.basis.occupations
+        rows = np.arange(len(occupations))
+        lowered = occupations.copy()
+        lowered[rows, table.first] -= 1
+        assert np.array_equal(
+            table.first_down, rank_occupations(lowered, photons - 1)
+        )
+        assert np.array_equal(table.first_coef, np.sqrt(occupations[rows, table.first]))
 
     def test_cold_bool_count_raises_and_caches_nothing(self):
         ladder_table.cache_clear()
@@ -311,7 +339,6 @@ class TestLadderTable:
             tracemalloc.stop()
         arrays = (
             table.basis.occupations,
-            table.down,
             table.up,
             table.up_coef,
             table.first,
@@ -355,7 +382,7 @@ def basis_and_state(draw):
 def test_index_round_trip(case):
     basis, state, position = case
     assert basis.index_of(state) == position
-    assert _rank(np.array([state]), basis.photons).tolist() == [position]
+    assert rank_occupations([state], basis.photons).tolist() == [position]
 
 
 @given(basis_and_state(), st.data())

@@ -178,7 +178,6 @@ class TestSparsityCount:
         photonlift.verify._near_pairs.cache_clear()
         monkeypatch.setattr(photonlift.fock, "_ladder_table", refuse)
         monkeypatch.setattr(photonlift.fock, "ladder_table", refuse)
-        monkeypatch.setattr(photonlift.fock, "_rank", refuse)
         near = photonlift.verify._near_pairs(5, 3)
         monkeypatch.undo()
         lifted = lift_hamiltonian(np.ones((5, 5)), 3)
