@@ -35,6 +35,7 @@ import numpy as np
 from .fock import (
     _LADDER_CACHE_SIZE,
     FockBasis,
+    LadderTable,
     MoveKind,
     OccupationState,
     _ladder_table,
@@ -103,7 +104,27 @@ def _lift_columns(
     """Columns ``columns`` (all when None) of the n-photon lifts of a stack of S.
 
     ``matrices`` is one m x m matrix or a stack of k of them, shape
-    (k, m, m). With l the first occupied mode of input q,
+    (k, m, m). Returns the 2-D (M, k * W) block of ``_fill_lift_columns``
+    for W wanted columns, in a fresh array.
+    """
+    stack = np.reshape(matrices, (-1, *np.shape(matrices)[-2:]))
+    size = len(_ladder_table(stack.shape[1], photons).basis)
+    wanted = size if columns is None else len(columns)
+    block = np.empty((size, len(stack), wanted), dtype=complex)
+    _fill_lift_columns(stack, photons, columns, block)
+    return block.reshape(size, -1)
+
+
+def _fill_lift_columns(
+    stack: np.ndarray, photons: int, columns: np.ndarray | None, out: np.ndarray
+) -> None:
+    """Write columns ``columns`` (all when None) of the lifts of ``stack`` into ``out``.
+
+    ``stack`` holds k m x m matrices, shape (k, m, m), and ``out`` is the
+    last level's (M, k, W) block for W wanted columns; it may hold anything
+    on entry, since it is zero-filled (or, with no photons, set to the
+    vacuum's 1 x 1 lift) before it is written, and its last axis must be
+    contiguous. With l the first occupied mode of input q,
     |q> = a_l^dag |q - e_l> / sqrt(q_l) and U a_l^dag U^dag =
     sum_j S_jl a_j^dag, so
 
@@ -114,7 +135,7 @@ def _lift_columns(
     one block in which the k matrices' columns sit side by side: with W
     wanted columns, column i * W + c of the 2-D (M, k * W) block, held as
     (M, k, W), is wanted column c of matrix i. The last level's block is
-    the result. A level is a scatter through the ladder table: for each
+    ``out``. A level is a scatter through the ladder table: for each
     mode j, row r of U' times sqrt(r_j + 1) S_jl is added to row up[j, r].
     The rows up[j] are distinct, so one fancy-indexed add per mode is
     exact, and a whole stack pays the per-call overhead of one lift. l, the
@@ -138,7 +159,6 @@ def _lift_columns(
     O(m * M' * k * W) per level. Stacking only pays at small M, so
     ``_expansion_lifts`` splits stacks into passes bounded by _STACK_BLOCK.
     """
-    stack = np.reshape(matrices, (-1, *np.shape(matrices)[-2:]))
     count, modes = stack.shape[:2]
     # sources[j, i, l] is S_jl of matrix i.
     sources = stack.transpose(1, 0, 2)
@@ -155,20 +175,28 @@ def _lift_columns(
             levels.append((table, first, gather, scale))
     # block[r, i, c]: row r of wanted column c of matrix i's lift.
     block = np.ones((1, count, 1), dtype=complex)
-    for table, first, gather, scale in reversed(levels):
+    if not levels:
+        out[...] = block
+    for depth, (table, first, gather, scale) in enumerate(reversed(levels), 1):
         shed = np.take(block, gather, axis=2)
         weights = sources[:, :, first]
-        block = np.zeros((len(table.basis), *shed.shape[1:]), dtype=complex)
+        if depth < photons:
+            block = np.zeros((len(table.basis), *shed.shape[1:]), dtype=complex)
+        else:
+            block = out
+            block.fill(0)
         terms = np.empty_like(shed)
-        # Rebinding the float64 views also frees the last level's arrays.
-        real_block = block.view(float)
         real_shed, real_terms = shed.view(float), terms.view(float)
         for mode in range(modes):
             np.multiply(table.up_coef[mode, :, None, None], real_shed, out=real_terms)
             terms *= weights[mode]
             block[table.up[mode]] += terms
+        real_block = block.view(float)
         real_block *= scale
-    return block.reshape(len(block), -1)
+        # With no name left on them, this level's buffers are freed now, and
+        # its block as soon as the next level rebinds ``block``, before that
+        # level's buffers are allocated.
+        del shed, terms, real_shed, real_terms, real_block
 
 
 @functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
@@ -184,23 +212,31 @@ def _column_scale(modes: int, photons: int) -> np.ndarray:
     return scale
 
 
-def _expansion_lifts(matrices, photons: int) -> list[np.ndarray]:
+def _expansion_lifts(
+    matrices, photons: int, out: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Full expansion lifts of same-size square complex matrices, in stacked passes.
 
     ``matrices`` have already been through ``_as_square``; the photon and
-    mode counts are checked here, once, before any work. A pass lifts as
-    many whole matrices as fit in _STACK_BLOCK entries of its last block
-    (at least one) through one ``_lift_columns`` walk, and each lift comes
-    back as an (M, M) view of its pass's block. A lift is the same array
-    whether it shares its pass or not.
+    mode counts are checked here, once, before any work. The k lifts are
+    written into ``out``, a (k, M, M) complex array with C-contiguous
+    slots whose contents do not matter, or into a fresh one when it is
+    None, and come back as its (M, M) slots. A pass lifts as many whole
+    matrices as fit in _STACK_BLOCK entries of its last block (at least
+    one) through one ``_fill_lift_columns`` walk, which writes the pass's
+    slots in place, viewed as its (M, k', M) block. A lift is the same
+    array whether it shares its pass or not, except at m = 1, where the
+    two can differ in the last bit.
     """
     size = len(ladder_table(matrices[0].shape[0], photons).basis)
+    if out is None:
+        out = np.empty((len(matrices), size, size), dtype=complex)
     per_pass = max(1, _STACK_BLOCK // size**2)
-    lifts = []
     for start in range(0, len(matrices), per_pass):
-        block = _lift_columns(np.stack(matrices[start : start + per_pass]), photons)
-        lifts += [block[:, low : low + size] for low in range(0, block.shape[1], size)]
-    return lifts
+        stop = start + per_pass
+        block = out[start:stop].transpose(1, 0, 2)
+        _fill_lift_columns(np.stack(matrices[start:stop]), photons, None, block)
+    return list(out)
 
 
 def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
@@ -384,6 +420,19 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     ValueError, and so does a NaN one when the input is exactly Hermitian,
     since only the tolerance is then at fault.
     """
+    matrix, table = _checked_hamiltonian(h_single, photons, tol)
+    size = len(table.basis)
+    return _fill_hamiltonian(matrix, table, np.empty((size, size), dtype=complex))
+
+
+def _checked_hamiltonian(
+    h_single, photons, tol: float
+) -> tuple[np.ndarray, LadderTable]:
+    """The checks of ``lift_hamiltonian``, in its order, before anything is lifted.
+
+    Returns the square complex matrix and the ladder table of its mode
+    count and the checked photon count.
+    """
     matrix = _as_square(h_single)
     _check_tol(tol)
     defect = frobenius_norm(matrix - matrix.conj().T)
@@ -393,20 +442,29 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     # ``not ... <= tol`` rather than ``> tol``, so a NaN defect or tolerance fails.
     elif not defect <= tol:
         raise NotHermitianError(f"matrix is not Hermitian within tolerance {tol}")
-    photons = _photon_number(photons)
-    modes = matrix.shape[0]
-    table = ladder_table(modes, photons)
-    occupations = table.basis.occupations
-    size = len(table.basis)
-    lifted = np.zeros((size, size), dtype=complex)
+    return matrix, ladder_table(matrix.shape[0], _photon_number(photons))
+
+
+def _fill_hamiltonian(
+    matrix: np.ndarray, table: LadderTable, out: np.ndarray
+) -> LiftedHamiltonian:
+    """The lift of a checked ``matrix`` over ``table``'s basis, written into ``out``.
+
+    ``out`` is a C-contiguous M x M complex array whose contents do not
+    matter: it is zero-filled first, then given the diagonal and the
+    one-move entries, and becomes the result's matrix.
+    """
+    basis = table.basis
+    occupations = basis.occupations
+    out.fill(0)
     # Summed mode by mode, as hamiltonian_element sums, so the two agree exactly.
-    diagonal = np.zeros(size, dtype=complex)
-    for mode in range(modes):
+    diagonal = np.zeros(len(basis), dtype=complex)
+    for mode in range(basis.modes):
         diagonal += occupations[:, mode] * matrix[mode, mode]
-    np.fill_diagonal(lifted, diagonal)
-    positions, targets, sources, weights = _one_move_plan(modes, photons)
-    lifted.reshape(-1)[positions] = weights * matrix[targets, sources]
-    return LiftedHamiltonian(table.basis, lifted)
+    np.fill_diagonal(out, diagonal)
+    positions, targets, sources, weights = _one_move_plan(basis.modes, basis.photons)
+    out.reshape(-1)[positions] = weights * matrix[targets, sources]
+    return LiftedHamiltonian(basis, out)
 
 
 @functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)

@@ -23,6 +23,12 @@ exponential, and one stacked expansion lift walks all seven matrices the
 three checks need. At small M a trial's cost is per-call overhead, so one
 walk instead of three and one ``eigh`` instead of four is most of its time.
 
+Every M x M array a check writes, the lifts and the scratch array its
+residuals are taken in, is a slot of one array allocated per call (per
+sweep in ``run_sweep``), once every argument is checked; see
+``_work_array``. Nothing is kept between calls, so the checks are safe to
+call concurrently.
+
 The sparsity count reads a cached index of the state pairs at most one
 photon move apart, built per (m, n) from the basis occupations alone, so
 it stays independent of the ladder table that builds the lifted H.
@@ -40,10 +46,13 @@ from .fock import (
     _photon_number,
     _whole_number,
     enumerate_basis,
+    ladder_table,
 )
 from .lift import (
     LiftedHamiltonian,
+    _checked_hamiltonian,
     _expansion_lifts,
+    _fill_hamiltonian,
     lift_hamiltonian,
     lift_unitary_expansion,
 )
@@ -183,6 +192,25 @@ def _count_sparsity_violations(lifted) -> int:
     return _count_nonzero_entries(matrix) - _count_nonzero_entries(near)
 
 
+def _work_array(slots: int, modes: int, photons: int) -> np.ndarray:
+    """``slots`` M x M complex arrays as the slots of one (slots, M, M) array.
+
+    The counts are checked as ``ladder_table`` checks them, before anything
+    is allocated: an empty matrix's mode count is refused here. The contents
+    are undefined, so each slot is written in full before it is read.
+    """
+    size = len(ladder_table(modes, photons).basis)
+    # One block, not one array per slot: glibc's free raises its mmap
+    # threshold to the size of a freed mmap'd block and its trim threshold
+    # to twice that (mallopt(3), "dynamic mmap threshold"). Once a block
+    # of all the slots has been freed, the next one comes from the heap,
+    # and what a check frees stays under the trim threshold, so later
+    # checks reuse those pages. Separate M x M arrays would leave the trim
+    # threshold at two of them, below the heap top a check frees, and
+    # every check would hand its pages back and fault them in again.
+    return np.empty((slots, size, size), dtype=complex)
+
+
 def _distance_to_identity(product: np.ndarray) -> float:
     """||A - I||_F for a square C-contiguous A, subtracting I in place."""
     product.reshape(-1)[:: len(product) + 1] -= 1
@@ -194,6 +222,7 @@ def _diagram_report(
     values: np.ndarray,
     group: np.ndarray,
     lifted_vectors: np.ndarray,
+    scratch: np.ndarray,
     tol: float,
 ) -> DiagramReport:
     """The diagram report from checked arrays: every residual and the pass rule.
@@ -201,13 +230,10 @@ def _diagram_report(
     ``values`` are the eigenvalues lambda of the single-photon H, and
     ``group`` and ``lifted_vectors`` the expansion lifts G = lift_U(e^{iH})
     and W = lift_U(V). The lifted H and W are overwritten. Every residual
-    is taken in one M x M scratch array, allocated here, after the lift
-    walks have freed their temporaries: the check's peak is then the lift
-    walk of W beside the lifted H and G, or those arrays with W and the
-    scratch array, whichever is larger.
+    is taken in ``scratch``, a C-contiguous M x M complex array whose
+    contents do not matter, so the report allocates no M x M array.
     """
     lifted = lifted_h.matrix
-    scratch = np.empty_like(lifted)
     np.conjugate(lifted.T, out=scratch)
     scratch -= lifted
     residual_hermiticity = frobenius_norm(scratch)
@@ -286,18 +312,24 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     is Hermitian only within ``tol`` still gives a unitary G to rounding.
     Its anti-Hermitian part shows in ``residual_hermiticity``, taken from
     the lifted H itself, and adds at most half of that to
-    ``residual_eigen``. Every residual is taken in one reused M x M scratch
-    array, allocated after the lifts, which keeps the peak near five M x M
-    complex arrays. A NaN ``tol`` raises ValueError (see
+    ``residual_eigen``. A NaN ``tol`` raises ValueError (see
     ``lift_hamiltonian``).
+
+    Every argument is checked, in the order ``lift_hamiltonian`` checks
+    them, before anything M x M is allocated. Then the lifted H, G, W and
+    the scratch array every residual is taken in are the four slots of one
+    (4, M, M) array (see ``_work_array``), so the check allocates no other
+    M x M array. Its peak is those four beside the lift walk of W.
     """
-    matrix = _as_square(h_single)
-    lifted_h = lift_hamiltonian(matrix, photons, tol=tol)
+    matrix, table = _checked_hamiltonian(h_single, photons, tol)
     values, vectors = _eigh_hermitian_part(matrix)
+    basis = table.basis
+    work = _work_array(4, basis.modes, basis.photons)
+    lifted_h = _fill_hamiltonian(matrix, table, work[0])
     group, lifted_vectors = _expansion_lifts(
-        [_exp_i_eigh(values, vectors), vectors], lifted_h.basis.photons
+        [_exp_i_eigh(values, vectors), vectors], basis.photons, work[2:]
     )
-    return _diagram_report(lifted_h, values, group, lifted_vectors, tol)
+    return _diagram_report(lifted_h, values, group, lifted_vectors, work[1], tol)
 
 
 def _homomorphism_report(
@@ -306,13 +338,18 @@ def _homomorphism_report(
     combined: np.ndarray,
     lifted_b: np.ndarray,
     lifted_a: np.ndarray,
+    scratch: np.ndarray,
     tol: float,
 ) -> HomomorphismReport:
-    """The homomorphism report from the lifts of b @ a, b and a."""
+    """The homomorphism report from the lifts of b @ a, b and a.
+
+    The product of the lifts is taken in ``scratch``, an M x M complex
+    array whose contents do not matter.
+    """
     # separate - combined, in place: the norm is that of combined - separate.
-    difference = lifted_b @ lifted_a
-    difference -= combined
-    residual = frobenius_norm(difference)
+    np.matmul(lifted_b, lifted_a, out=scratch)
+    scratch -= combined
+    residual = frobenius_norm(scratch)
     return HomomorphismReport(
         modes=modes,
         photons=photons,
@@ -326,7 +363,8 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
     """Check that lifting second @ first equals the product of the lifts.
 
     ``first`` acts first, ``second`` after it, matching operator order. The
-    three lifts share stacked passes (see ``lift._expansion_lifts``).
+    three lifts share stacked passes (see ``lift._expansion_lifts``), and
+    they and the product of two of them are the slots of one array.
     """
     a = _as_square(first)
     b = _as_square(second)
@@ -335,8 +373,9 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
     _check_tol(tol)
     product = _as_square(b @ a)
     photons = _photon_number(photons)
-    lifts = _expansion_lifts([product, b, a], photons)
-    return _homomorphism_report(a.shape[0], photons, *lifts, tol)
+    work = _work_array(4, a.shape[0], photons)
+    lifts = _expansion_lifts([product, b, a], photons, work[1:])
+    return _homomorphism_report(a.shape[0], photons, *lifts, work[0], tol)
 
 
 def _phase_report(
@@ -345,10 +384,17 @@ def _phase_report(
     phase: float,
     plain: np.ndarray,
     shifted: np.ndarray,
+    scratch: np.ndarray,
     tol: float,
 ) -> GlobalPhaseReport:
-    """The global-phase report from the lifts of S and e^{i phase} S."""
-    residual = frobenius_norm(shifted - np.exp(1j * photons * phase) * plain)
+    """The global-phase report from the lifts of S and e^{i phase} S.
+
+    The difference is taken in ``scratch``, an M x M complex array whose
+    contents do not matter.
+    """
+    np.multiply(np.exp(1j * photons * phase), plain, out=scratch)
+    np.subtract(shifted, scratch, out=scratch)
+    residual = frobenius_norm(scratch)
     return GlobalPhaseReport(
         modes=modes,
         photons=photons,
@@ -365,14 +411,16 @@ def check_global_phase(
     """Check that a global phase on S surfaces as n times the phase on the lift.
 
     S and e^{i phase} S are lifted in shared stacked passes (see
-    ``lift._expansion_lifts``).
+    ``lift._expansion_lifts``), and they and the difference are the slots
+    of one array.
     """
     matrix = _as_square(scattering)
     _check_tol(tol)
     photons = _photon_number(photons)
     rephased = _as_square(np.exp(1j * phase) * matrix)
-    lifts = _expansion_lifts([matrix, rephased], photons)
-    return _phase_report(matrix.shape[0], photons, phase, *lifts, tol)
+    work = _work_array(3, matrix.shape[0], photons)
+    lifts = _expansion_lifts([matrix, rephased], photons, work[1:])
+    return _phase_report(matrix.shape[0], photons, phase, *lifts, work[0], tol)
 
 
 def check_derivative_oracle(h_single, photons: int, step: float) -> float:
@@ -431,7 +479,10 @@ def run_sweep(
     ``lift_hamiltonian`` of H, and one stacked expansion lift of
     [e^{iH}, V, b a, b, a, S, e^{i phase} S]. The reports come from the
     cores the public checks use, and equal, by ``repr``, what calling those
-    checks one after another on the same draws gives.
+    checks one after another on the same draws gives. The lifted H, the
+    scratch array and the seven lifts are the slots of one (9, M, M) array
+    (see ``_work_array``), allocated once the arguments are checked and
+    rewritten by every trial, so no trial allocates an M x M array.
     """
     trials = _whole_number(trials, 1, "trial")
     modes = _mode_number(modes)
@@ -441,6 +492,8 @@ def run_sweep(
     # The draws are exactly Hermitian, so lift_hamiltonian would refuse a
     # NaN ``tol`` this way in the first trial.
     _refuse_nan_tol(tol)
+    # Slots: the lifted H, the scratch array, then the seven lifts.
+    work = _work_array(9, modes, photons)
     rng = np.random.default_rng(seed)
     results: list[tuple[str, int, object]] = []
     for trial in range(trials):
@@ -451,16 +504,23 @@ def run_sweep(
         drawn.append(random_hermitian(modes, rng))
         values, vectors = _eigh_hermitian_part(np.stack(drawn))
         exponential, a, b, scattering = _exp_i_eigh(values, vectors)
-        lifted_h = lift_hamiltonian(drawn[0], photons, tol=tol)
+        lifted_h = _fill_hamiltonian(
+            *_checked_hamiltonian(drawn[0], photons, tol), work[0]
+        )
         rephased = np.exp(1j * phase) * scattering
         lifts = _expansion_lifts(
-            [exponential, vectors[0], b @ a, b, a, scattering, rephased], photons
+            [exponential, vectors[0], b @ a, b, a, scattering, rephased],
+            photons,
+            work[2:],
         )
-        diagram = _diagram_report(lifted_h, values[0], *lifts[:2], tol)
+        scratch = work[1]
+        diagram = _diagram_report(lifted_h, values[0], *lifts[:2], scratch, tol)
         homomorphism = _homomorphism_report(
-            modes, photons, *lifts[2:5], homomorphism_tol
+            modes, photons, *lifts[2:5], scratch, homomorphism_tol
         )
-        global_phase = _phase_report(modes, photons, phase, *lifts[5:], phase_tol)
+        global_phase = _phase_report(
+            modes, photons, phase, *lifts[5:], scratch, phase_tol
+        )
         results += [
             ("diagram", trial, diagram),
             ("homomorphism", trial, homomorphism),

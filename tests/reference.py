@@ -6,8 +6,10 @@ the lifted Hamiltonian: the algebra route is exp(i lift_H(H)) from
 V e^{i Lambda} V^dag. ``photonlift.verify.check_diagram`` takes the same
 exponential from the lifted single-photon eigenbasis instead, so this route
 serves as its oracle. It reads ``lift_hamiltonian`` and ``_expansion_lifts``
-from ``photonlift.verify`` at call time, so a fault patched into either one
-reaches both routes.
+from ``photonlift.verify`` at call time, so a fault patched into
+``verify._expansion_lifts``, or into ``_fill_hamiltonian`` in both lift
+(which ``lift_hamiltonian`` calls) and verify (which ``check_diagram``
+calls), reaches both routes.
 
 ``sweep_by_checks`` is ``run_sweep`` as a loop over the public checks, one
 call per check on freshly drawn inputs, and serves as the oracle of the

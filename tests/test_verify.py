@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 import photonlift.fock
+import photonlift.lift
 import photonlift.verify
 from photonlift.lift import LiftedHamiltonian, balanced_beam_splitter, lift_hamiltonian
 from photonlift.matfuncs import (
     NotHermitianError,
+    _as_square,
+    _eigh_hermitian_part,
+    _exp_i_eigh,
     is_hermitian,
     is_unitary,
     unitary_logarithm,
@@ -83,7 +87,7 @@ class TestCheckDiagram:
         assert _count_sparsity_violations(corrupted) == 1
 
         monkeypatch.setattr(
-            photonlift.verify, "lift_hamiltonian", lambda *args, **kwargs: corrupted
+            photonlift.verify, "_fill_hamiltonian", lambda matrix, table, out: corrupted
         )
         report = check_diagram(np.zeros((3, 3)), 2)
         assert report.sparsity_violations == 1
@@ -105,7 +109,8 @@ class TestCheckDiagram:
             tracemalloc.stop()
         size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
         assert report.passed
-        # The lifted H, the scratch array and G, beside one lift walk of W.
+        # The four slots of the check's work array (the lifted H, the scratch
+        # array, G and W), beside the lift walk that writes W.
         assert peak <= 6.0 * 16 * size**2
 
     @pytest.mark.parametrize("h_single", [np.eye(2), np.zeros((3, 3))])
@@ -193,31 +198,34 @@ class TestSparsityCount:
 
 
 def _perturb_one_move_pair(monkeypatch):
-    """Patch verify.lift_hamiltonian to add FAULT to one one-move pair (p, q), (q, p).
+    """Patch the Hamiltonian fill to add FAULT to one one-move pair (p, q), (q, p).
 
     The lifted H stays Hermitian and keeps its sparsity pattern, so neither
-    ``residual_hermiticity`` nor the sparsity scan can see the fault.
+    ``residual_hermiticity`` nor the sparsity scan can see the fault. The
+    fill is patched where ``check_diagram`` reads it, in verify, and where
+    ``lift_hamiltonian`` reads it, in lift, so the fault reaches the eigh
+    route too.
     """
-    exact = photonlift.verify.lift_hamiltonian
+    exact = photonlift.lift._fill_hamiltonian
 
-    def perturbed(*args, **kwargs):
-        lifted = exact(*args, **kwargs)
-        matrix = lifted.matrix.copy()
-        rows, columns = np.nonzero(np.triu(matrix, 1))
+    def perturbed(matrix, table, out):
+        lifted = exact(matrix, table, out)
+        rows, columns = np.nonzero(np.triu(lifted.matrix, 1))
         row, column = rows[0], columns[0]
-        matrix[row, column] += FAULT
-        matrix[column, row] += FAULT
-        return LiftedHamiltonian(lifted.basis, matrix)
+        lifted.matrix[row, column] += FAULT
+        lifted.matrix[column, row] += FAULT
+        return lifted
 
-    monkeypatch.setattr(photonlift.verify, "lift_hamiltonian", perturbed)
+    monkeypatch.setattr(photonlift.lift, "_fill_hamiltonian", perturbed)
+    monkeypatch.setattr(photonlift.verify, "_fill_hamiltonian", perturbed)
 
 
 def _scale_one_group_column(monkeypatch):
     """Patch verify._expansion_lifts to scale one column of its first lift."""
     exact = photonlift.verify._expansion_lifts
 
-    def scaled(matrices, photons):
-        lifts = exact(matrices, photons)
+    def scaled(matrices, photons, out=None):
+        lifts = exact(matrices, photons, out)
         lifts[0][:, len(lifts[0]) // 2] *= 1 + FAULT
         return lifts
 
@@ -262,6 +270,58 @@ class TestDiagramAgainstEighRoute:
         assert report.residual_diagram > report.tolerance
         assert reference.residual_diagram > report.tolerance
         assert not report.passed and not reference.passed
+
+
+class TestReusedWorkMemory:
+    """A check's work array may reuse the pages of the check before it.
+
+    Whatever those pages hold must not reach a report: each check's report
+    equals, by ``repr``, the one built from arrays that hold nothing of an
+    earlier check.
+    """
+
+    SIZES = [(10, 3), (3, 2), (1, 3), (2, 20), (4, 0)]
+
+    @staticmethod
+    def fresh_report(h_single, photons):
+        """The report from a fresh lifted H and NaN-filled lift and scratch arrays.
+
+        G and W are lifted in one stacked pass, as ``check_diagram`` lifts
+        them: at m = 1 a stacked lift can differ from a single one in the
+        last bit. An entry the lift failed to write would stay NaN.
+        """
+        matrix = _as_square(h_single)
+        lifted_h = lift_hamiltonian(matrix, photons, tol=1e-8)
+        values, vectors = _eigh_hermitian_part(matrix)
+        size = len(lifted_h.basis)
+        work = np.full((3, size, size), np.nan, dtype=complex)
+        group, lifted_vectors = photonlift.verify._expansion_lifts(
+            [_exp_i_eigh(values, vectors), vectors], photons, work[1:]
+        )
+        return photonlift.verify._diagram_report(
+            lifted_h, values, group, lifted_vectors, work[0], 1e-8
+        )
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_after_a_check_at_a_larger_size(self, modes, photons):
+        rng = np.random.default_rng([101, modes, photons])
+        h_single = random_hermitian(modes, rng)
+        expected = repr(self.fresh_report(h_single, photons))
+        # M = 462, above every size here.
+        check_diagram(random_hermitian(6, rng), 6)
+        assert repr(check_diagram(h_single, photons)) == expected
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_after_a_check_of_another_h_at_the_same_size(self, modes, photons):
+        rng = np.random.default_rng([102, modes, photons])
+        h_single = random_hermitian(modes, rng)
+        expected = repr(self.fresh_report(h_single, photons))
+        check_diagram(10 * random_hermitian(modes, rng), photons)
+        assert repr(check_diagram(h_single, photons)) == expected
+
+    def test_sweep_trials_that_share_one_work_array(self):
+        fused = run_sweep(10, 3, trials=2, seed=103)
+        assert repr(fused) == repr(sweep_by_checks(10, 3, trials=2, seed=103))
 
 
 def _rotated(eigenvalues, seed):
