@@ -64,6 +64,18 @@ def _basis_order(basis, order: str) -> tuple[int, ...]:
     return tuple(range(len(basis)))
 
 
+def _ordered_lift(lifted, order: str):
+    """The lifted matrix with rows and columns in ``order``, and that order.
+
+    Canonical order is the lift's own, so its matrix is returned as it is;
+    only the bunched order takes a permuted copy.
+    """
+    positions = _basis_order(lifted.basis, order)
+    if order == "bunched":
+        return lifted.matrix[np.ix_(positions, positions)], positions
+    return lifted.matrix, positions
+
+
 def _print_basis(basis, order) -> None:
     for position, source in enumerate(order):
         occupation = ",".join(str(count) for count in basis.states[source])
@@ -88,8 +100,7 @@ def _cmd_lift_u(args) -> int:
             lifted = lift_unitary_permanent(scattering, args.photons)
         else:
             lifted = lift_unitary_expansion(scattering, args.photons)
-        order = _basis_order(lifted.basis, args.order)
-        reordered = lifted.matrix[np.ix_(order, order)]
+        reordered, order = _ordered_lift(lifted, args.order)
     write_matrix(
         reordered,
         args.output,
@@ -112,8 +123,7 @@ def _cmd_lift_h(args) -> int:
     h_single = read_matrix(args.input)
     with _lift_memory(h_single.shape[0], args.photons):
         lifted = lift_hamiltonian(h_single, args.photons, tol=args.tol)
-        order = _basis_order(lifted.basis, args.order)
-        reordered = lifted.matrix[np.ix_(order, order)]
+        reordered, order = _ordered_lift(lifted, args.order)
     write_matrix(
         reordered,
         args.output,

@@ -17,6 +17,12 @@ written with repr precision, so a write/read round trip reproduces every
 entry bit for bit, and the same matrix and metadata always give the same
 bytes. Non-finite numbers are rejected in both directions, and integers too
 large for a float64 on reading.
+
+The writer checks the whole matrix before it opens the file, then formats
+and writes the entries a fixed block at a time, so beyond the matrix it
+holds one boolean finite mask (a sixteenth of a complex matrix) and
+O(block) memory. The reader parses the whole file with ``json.load`` and
+peaks at about twelve times the matrix.
 """
 
 import cmath
@@ -105,6 +111,13 @@ def read_matrix(path) -> np.ndarray:
     return entries.reshape(rows, cols)
 
 
+# Entries formatted and written per block: a block's floats, format
+# arguments and text take about 0.13 MB whatever the matrix size.
+_WRITE_BLOCK = 1024
+_ENTRY_TEMPLATE = "  [%r, %r]"
+_BLOCK_TEMPLATE = ",\n".join([_ENTRY_TEMPLATE] * _WRITE_BLOCK)
+
+
 def write_matrix(matrix, path, metadata: dict[str, str] | None = None) -> None:
     """Write a matrix file that read_matrix restores exactly."""
     out = np.asarray(matrix, dtype=complex)
@@ -121,17 +134,22 @@ def write_matrix(matrix, path, metadata: dict[str, str] | None = None) -> None:
     ):
         raise ValueError("metadata must map strings to strings")
 
-    # Row-major [re, im, re, im, ...] as Python floats, formatted in one
-    # pass: %r writes float.__repr__, the shortest string that reads back
-    # to the same double, which is also what json.dumps writes.
-    values = np.ascontiguousarray(out).view(np.float64).ravel().tolist()
-    data = ",\n".join(["  [%r, %r]"] * (rows * cols)) % tuple(values)
-    lines = ["{", f' "rows": {rows},', f' "cols": {cols},', ' "data": [', data]
     if metadata:
-        lines.append(" ],")
-        lines.append(f' "metadata": {json.dumps(metadata, sort_keys=True)}')
+        tail = f'\n ],\n "metadata": {json.dumps(metadata, sort_keys=True)}\n}}\n'
     else:
-        lines.append(" ]")
-    lines.append("}")
+        tail = "\n ]\n}\n"
     with open(os.fspath(path), "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f'{{\n "rows": {rows},\n "cols": {cols},\n "data": [\n')
+        for start in range(0, rows * cols, _WRITE_BLOCK):
+            # A row-major block as [re, im, re, im, ...] Python floats; %r
+            # writes float.__repr__, the shortest string that reads back to
+            # the same double, which is also what json.dumps writes.
+            block = out.flat[start : start + _WRITE_BLOCK]
+            if len(block) == _WRITE_BLOCK:
+                template = _BLOCK_TEMPLATE
+            else:
+                template = ",\n".join([_ENTRY_TEMPLATE] * len(block))
+            if start:
+                handle.write(",\n")
+            handle.write(template % tuple(block.view(np.float64).tolist()))
+        handle.write(tail)

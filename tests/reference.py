@@ -23,8 +23,13 @@ walk in complex arithmetic throughout, the oracle of the real-view walk.
 ``rank_occupations`` ranks occupation rows by binomial counting, the
 vectorised ``FockBasis.index_of``: the oracle of the ladder table, which
 reads its moves off the basis order with no ranking.
+
+``write_matrix_one_pass`` formats a whole matrix file in one ``%`` format
+and writes it in one call, the byte oracle of ``photonlift.io.write_matrix``,
+which formats and writes a block of entries at a time.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -166,3 +171,24 @@ def lift_columns_by_scatter(matrices, photons: int, columns=None) -> np.ndarray:
             block[table.up[mode]] += terms
         block = block / coef
     return block.reshape(len(block), -1)
+
+
+def write_matrix_one_pass(matrix, path, metadata=None) -> None:
+    """Write the matrix file of ``write_matrix`` from one formatted string.
+
+    Takes finite 2-D input and string metadata, which ``write_matrix``
+    checks.
+    """
+    out = np.asarray(matrix, dtype=complex)
+    rows, cols = out.shape
+    values = np.ascontiguousarray(out).view(np.float64).ravel().tolist()
+    data = ",\n".join(["  [%r, %r]"] * (rows * cols)) % tuple(values)
+    lines = ["{", f' "rows": {rows},', f' "cols": {cols},', ' "data": [', data]
+    if metadata:
+        lines.append(" ],")
+        lines.append(f' "metadata": {json.dumps(metadata, sort_keys=True)}')
+    else:
+        lines.append(" ]")
+    lines.append("}")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")

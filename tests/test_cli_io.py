@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ import pytest
 import photonlift
 from photonlift import cli
 from photonlift.cli import main
-from photonlift.io import MatrixFileError, read_matrix, write_matrix
-from photonlift.lift import balanced_beam_splitter
+from photonlift.io import _WRITE_BLOCK, MatrixFileError, read_matrix, write_matrix
+from photonlift.lift import balanced_beam_splitter, lift_hamiltonian
 from photonlift.matfuncs import unitary_logarithm
+from reference import write_matrix_one_pass
 
 GOLDEN_TWO_PHOTON_LOG = np.array(
     [
@@ -201,6 +203,92 @@ class TestMatrixFileText:
             " ]\n"
             "}\n"
         )
+
+
+def block_test_matrix(entries, layout):
+    """A seeded matrix of ``entries`` entries, edge floats around block ends.
+
+    Rows are as long as the smallest divisor above 1 of ``entries`` that
+    does not divide the block, so rows straddle the block ends, unless
+    every divisor does (``entries`` a power of two). ``layout`` is
+    "complex" (C-contiguous), "transposed" (a transposed view of a
+    C-contiguous array) or "real".
+    """
+    divisors = [d for d in range(2, entries + 1) if entries % d == 0]
+    cols = next((d for d in divisors if _WRITE_BLOCK % d), min(divisors, default=1))
+    rng = np.random.default_rng([88, entries])
+    flat = rng.normal(size=entries) + 1j * rng.normal(size=entries)
+    edges = [-0.0, 5e-324, 1e16]
+    for end in range(0, entries + 1, _WRITE_BLOCK):
+        for position in range(max(0, end - 3), min(entries, end + 3)):
+            flat[position] = complex(edges[position % 3], edges[(position + 1) % 3])
+    matrix = flat.reshape(entries // cols, cols)
+    if layout == "real":
+        return matrix.real.copy()
+    if layout == "transposed":
+        return np.ascontiguousarray(matrix.T).T
+    return matrix
+
+
+class TestStreamedWriter:
+    """write_matrix writes block by block the bytes of one formatted string."""
+
+    COUNTS = [1, _WRITE_BLOCK - 1, _WRITE_BLOCK, _WRITE_BLOCK + 1, 2 * _WRITE_BLOCK + 3]
+
+    @pytest.mark.parametrize("entries", COUNTS)
+    @pytest.mark.parametrize("layout", ["complex", "transposed", "real"])
+    @pytest.mark.parametrize("metadata", [None, {"b": "two", "a": "one"}])
+    def test_bytes_match_one_pass(self, tmp_path, entries, layout, metadata):
+        matrix = block_test_matrix(entries, layout)
+        write_matrix(matrix, tmp_path / "streamed.json", metadata)
+        write_matrix_one_pass(matrix, tmp_path / "one_pass.json", metadata)
+        assert (tmp_path / "streamed.json").read_bytes() == (
+            tmp_path / "one_pass.json"
+        ).read_bytes()
+        assert np.array_equal(read_matrix(tmp_path / "streamed.json"), matrix)
+
+    @pytest.mark.parametrize("entries", COUNTS[1:])
+    def test_rows_and_edge_floats_straddle_block_ends(self, entries):
+        matrix = block_test_matrix(entries, "transposed")
+        rows, cols = matrix.shape
+        assert rows > 1 and cols > 1 and not matrix.flags.c_contiguous
+        assert _WRITE_BLOCK % cols or entries == _WRITE_BLOCK
+        flat = matrix.ravel()
+        for end in range(_WRITE_BLOCK, entries, _WRITE_BLOCK):
+            assert {flat[end - 1].real, flat[end].real} <= {-0.0, 5e-324, 1e16}
+            assert {flat[end - 1].imag, flat[end].imag} <= {-0.0, 5e-324, 1e16}
+
+    @pytest.mark.parametrize("size", [330, 660])
+    def test_peak_memory_is_a_block_beyond_the_finite_mask(self, tmp_path, size):
+        # One pass would hold about ten times the matrix: a float list, its
+        # tuple, the template, the formatted text and two joined copies.
+        # The finite mask takes a sixteenth of the matrix.
+        rng = np.random.default_rng([89, size])
+        matrix = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        tracemalloc.start()
+        try:
+            write_matrix(matrix, tmp_path / "large.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix.nbytes / 8 + 2**20
+
+    @pytest.mark.parametrize(
+        "matrix,metadata",
+        [
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), None),
+            (np.full((3, 2 * _WRITE_BLOCK), np.inf), None),
+            (np.eye(2), {"label": "identity", "photons": 3}),
+        ],
+        ids=["nan", "inf-after-a-block", "non-string-metadata"],
+    )
+    def test_refusal_leaves_an_existing_file_untouched(self, tmp_path, matrix, metadata):
+        target = tmp_path / "kept.json"
+        write_matrix(balanced_beam_splitter(), target, {"name": "coupler"})
+        before = target.read_bytes()
+        with pytest.raises(ValueError):
+            write_matrix(matrix, target, metadata)
+        assert target.read_bytes() == before
 
 
 class TestBasisCommand:
@@ -424,6 +512,27 @@ class TestLiftHamiltonianCommand:
         assert err.startswith("error: ")
         assert "3 modes" in err and "3 photons" in err
         assert "dimension 10" in err
+
+    @pytest.mark.parametrize("order", ["canonical", "bunched"])
+    def test_only_bunched_order_copies_the_lift(self, tmp_path, monkeypatch, order):
+        lifts, written = [], []
+
+        def recorded_lift(matrix, photons, tol):
+            lifts.append(lift_hamiltonian(matrix, photons, tol=tol))
+            return lifts[-1]
+
+        monkeypatch.setattr(cli, "lift_hamiltonian", recorded_lift)
+        monkeypatch.setattr(
+            cli, "write_matrix", lambda matrix, path, metadata: written.append(matrix)
+        )
+        source = tmp_path / "number.json"
+        write_matrix(np.diag([1.0, 2.0]), source)
+        code = main(
+            ["lift-h", "--photons", "2", "--order", order, "--input", str(source),
+             "--output", str(tmp_path / "out.json")]
+        )
+        assert code == 0
+        assert (written[0] is lifts[0].matrix) == (order == "canonical")
 
     def test_nan_tol_on_hermitian_input_exits_1(self, tmp_path, capsys):
         source = tmp_path / "identity.json"

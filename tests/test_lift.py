@@ -228,7 +228,12 @@ class TestStackedLifts:
         for matrix, lifted in zip(matrices, lifts):
             single = lift_unitary_expansion(matrix, photons).matrix
             assert lifted.shape == single.shape
-            assert np.abs(lifted - single).max() <= 1e-15
+            if modes == 1:
+                # The documented exception of _expansion_lifts: at m = 1 a
+                # lift that shares its pass can differ in the last bit.
+                assert np.abs(lifted - single).max() <= 1e-15
+            else:
+                assert lifted.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("modes,photons", SHARED + SINGLE)
     def test_signed_permutations_are_exact(self, modes, photons):
