@@ -12,7 +12,7 @@ reads every one-photon move off the basis occupations, with no ranking: in
 canonical order, p -> p - e_j maps the states with p_j >= 1, in order, onto
 all n - 1 photon states, in order, so the states that raise r -> r + e_j
 are just the rows with a photon in mode j. The table is built in O(modes *
-M) vectorised work and kept, per (modes, photons), in a bounded cache: the
+M) vectorised work and kept, per (modes, photons), in the plan store: the
 lifts of one network size share one table. Besides the moves (``up``) it
 keeps what each lift level needs: the creation coefficients, each state's
 first occupied mode and the position left when that photon is removed. The
@@ -25,12 +25,30 @@ state's position in O(modes) with no hashing, for
 ``apply_annihilation`` it is also the per-state reference the table is
 tested against. Everything here is immutable (basis and table arrays are
 read-only) and safe to share across threads.
+
+The plan store keeps every per-size plan of the package: the ladder tables
+here, the column scales, Glynn plans and one-move plans of ``lift`` and the
+near-pair indexes of ``verify``. Each builder is a function of (modes,
+photons) decorated with ``_stored_plan``, and its plans are keyed by
+(builder, modes, photons) in one dict. The store counts the summed
+``nbytes`` of each plan's arrays against one budget, ``_PLAN_BUDGET``, and
+evicts the least recently used plans while the total is over it; a plan
+larger than the whole budget is kept alone. A full lift of n photons walks
+the tables of levels 1..n, so the store keeps every level of a lift at high
+occupancy (all 300 of m = 2 take 3.3 MB) and still bounds what a few large
+sizes hold. ``FockBasis.states``, built on a stored basis on first use, is
+not counted. A build that raises stores nothing, and builds run outside
+the store's lock, so two threads may build one plan at once; the first
+stored is kept and returned to both.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -59,10 +77,65 @@ OccupationState = tuple[int, ...]
 # Largest basis size that still fits signed 64-bit indexing downstream.
 MAX_DIMENSION = 2**63 - 1
 
-# Ladder tables kept per process. One full lift of n photons uses the tables
-# for 1..n photons, so this holds several network sizes at once; a table
-# takes O(modes * M) memory, small beside one M x M lifted matrix.
-_LADDER_CACHE_SIZE = 64
+# Bytes of plan arrays the plan store keeps per process.
+_PLAN_BUDGET = 256 * 2**20
+
+# (builder, modes, photons) -> (plan, bytes), least recently used first.
+_plans = OrderedDict()
+_plans_lock = threading.Lock()
+_plans_held = 0
+
+
+def _plan_bytes(plan) -> int:
+    """Summed ``nbytes`` of the arrays in a plan, its tuples and dataclasses."""
+    if isinstance(plan, np.ndarray):
+        return plan.nbytes
+    if isinstance(plan, tuple):
+        return sum(map(_plan_bytes, plan))
+    if dataclasses.is_dataclass(plan):
+        return sum(
+            _plan_bytes(getattr(plan, field.name)) for field in dataclasses.fields(plan)
+        )
+    return 0
+
+
+def _stored_plan(builder):
+    """Keep the plans ``builder(modes, photons)`` builds in the plan store.
+
+    Callers pass counts already checked as whole numbers, since the key
+    treats True as 1 and 2.0 as 2.
+    """
+
+    @functools.wraps(builder)
+    def stored(modes: int, photons: int):
+        global _plans_held
+        key = (builder, modes, photons)
+        with _plans_lock:
+            entry = _plans.get(key)
+            if entry is not None:
+                _plans.move_to_end(key)
+                return entry[0]
+        plan = builder(modes, photons)
+        size = _plan_bytes(plan)
+        with _plans_lock:
+            entry = _plans.get(key)
+            if entry is not None:
+                return entry[0]
+            _plans[key] = (plan, size)
+            _plans_held += size
+            while _plans_held > _PLAN_BUDGET and len(_plans) > 1:
+                _plans_held -= _plans.popitem(last=False)[1][1]
+        return plan
+
+    return stored
+
+
+def _clear_plans() -> None:
+    """Empty the plan store."""
+    global _plans_held
+    with _plans_lock:
+        _plans.clear()
+        _plans_held = 0
 
 
 def dimension(modes: int, photons: int) -> int:
@@ -217,22 +290,22 @@ class LadderTable:
 
 
 def ladder_table(modes: int, photons: int) -> LadderTable:
-    """The ladder table for ``photons`` photons in ``modes`` modes, cached.
+    """The ladder table for ``photons`` photons in ``modes`` modes, stored.
 
     Read off the basis occupations in O(modes * M) vectorised work, with
     no ranking, so no intermediate is larger than O(modes * M). Each photon
-    number builds its own basis with ``enumerate_basis``. The same object
-    is returned for repeated (modes, photons), so its arrays are read-only.
-    Mode and photon counts are checked as in ``enumerate_basis`` before the
-    cache is looked up, since the cache treats True as 1 and 2.0 as 2:
-    booleans and fractions raise whether or not the table is cached, and
-    2.0 gets the table of 2. ``cache_clear`` and ``cache_info`` reach the
-    cache.
+    number builds its own basis with ``enumerate_basis``. The table is kept
+    in the plan store (see the module docstring), and the same object is
+    returned for repeated (modes, photons) while it is kept, so its arrays
+    are read-only. Mode and photon counts are checked as in
+    ``enumerate_basis`` before the store is looked up, since its keys treat
+    True as 1 and 2.0 as 2: booleans and fractions raise whether or not the
+    table is stored, and 2.0 gets the table of 2.
     """
     return _ladder_table(_mode_number(modes), _photon_number(photons))
 
 
-@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+@_stored_plan
 def _ladder_table(modes: int, photons: int) -> LadderTable:
     basis = enumerate_basis(modes, photons)
     occupations = basis.occupations
@@ -255,10 +328,6 @@ def _ladder_table(modes: int, photons: int) -> LadderTable:
     for array in arrays:
         array.flags.writeable = False
     return LadderTable(basis, *arrays)
-
-
-ladder_table.cache_clear = _ladder_table.cache_clear
-ladder_table.cache_info = _ladder_table.cache_info
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ The m x m scattering matrix S of a photon-conserving linear network fixes
 the evolution of any number of photons. ``lift_unitary_expansion`` and
 ``lift_unitary_permanent`` are two independent constructions of the lifted
 M x M unitary (M = C(m+n-1, n)). The first is a photon-by-photon recursion
-over cached ladder tables, in O(n * m * M^2). It can also lift a stack of
+over stored ladder tables, in O(n * m * M^2). It can also lift a stack of
 same-size matrices in one walk of the levels, with their columns side by
 side, so small lifts share the per-call overhead; the consistency checks
 lift their two or three matrices that way, in passes of whole matrices
@@ -15,25 +15,25 @@ over repeated columns. One vectorised plan holds the K_q = prod_j (f_j + 1)
 sign-count vectors of every column q (f = q minus its first photon), and the
 products are evaluated in passes over runs of whole columns, each bounded to
 about 2^16 complex entries. The plan depends on (m, n) alone: it is built
-once per size, with its own basis, pass schedule and factorials, and kept
-in a bounded cache of its own, so the route still shares no table with the
+once per size, with its own basis, pass schedule and factorials. It is
+kept in the plan store of ``fock`` beside the ladder tables, which shares
+storage and nothing else, so the route still shares no table with the
 expansion lift. A call costs O(m * M * sum_q K_q) time and the O(M^2) lift
-plus one pass of memory; the cache retains O(m * sum_q K_q) per size.
+plus one pass of memory; the store keeps O(m * sum_q K_q) per size, within
+its byte budget.
 ``lift_hamiltonian`` is the matching map on effective Hamiltonians, where
 exp(i H) gives the evolution. Entry (p, q) of a lifted matrix is the
 amplitude from basis state q to basis state p, so columns are images of
 input states. Everything here is a pure function over immutable inputs
-(cached plans and tables are read-only) and safe to call concurrently.
+(stored plans and tables are read-only) and safe to call concurrently.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import (
-    _LADDER_CACHE_SIZE,
     FockBasis,
     LadderTable,
     MoveKind,
@@ -41,6 +41,7 @@ from .fock import (
     _ladder_table,
     _mode_number,
     _photon_number,
+    _stored_plan,
     enumerate_basis,
     ladder_table,
     photon_move_relation,
@@ -143,7 +144,7 @@ def _fill_lift_columns(
     ``first_down`` and ``first_coef``. A full lift needs every column of U'
     in order (each r is r + e_0 minus its first photon), so only a column
     subset looks its sources up with ``np.unique``. The caller has checked
-    the photon and mode counts, so the levels read the cache directly.
+    the photon and mode counts, so the levels read the store directly.
     Modes are summed in order and the division by sqrt(q_l) comes last,
     which keeps lifts of the identity and of permutations exact and makes
     each matrix's columns the same whatever else is in its stack.
@@ -199,7 +200,7 @@ def _fill_lift_columns(
         del shed, terms, real_shed, real_terms, real_block
 
 
-@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+@_stored_plan
 def _column_scale(modes: int, photons: int) -> np.ndarray:
     """1 / sqrt(q_l) of every column q of a full lift, each twice, read-only.
 
@@ -245,7 +246,7 @@ def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
     Adds one photon at a time: column q of the n-photon lift is S applied to
     the first photon of q, a_l^dag -> sum_j S_jl a_j^dag, on top of column
     q - e_l of the (n-1)-photon lift (see ``_lift_columns``). The moves come
-    from the cached ladder tables of ``fock.ladder_table``, so the full lift
+    from the stored ladder tables of ``fock.ladder_table``, so the full lift
     costs O(n * m * M^2) for M = C(m+n-1, n).
     """
     matrix = _as_square(scattering)
@@ -273,7 +274,7 @@ class _GlynnPlan:
     factorials: np.ndarray
 
 
-@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+@_stored_plan
 def _glynn_plan(modes: int, photons: int) -> _GlynnPlan:
     """The Glynn plan of the permanent lift of ``photons`` photons in ``modes`` modes.
 
@@ -287,8 +288,8 @@ def _glynn_plan(modes: int, photons: int) -> _GlynnPlan:
     Passes take the most whole columns whose vectors fit in about
     _GLYNN_BLOCK complex products and powers (at least one column). The
     caller has checked both counts, so equal keys are equal sizes; the plan
-    takes O(m * sum_q K_q) memory and the cache keeps as many plans as
-    ``fock`` keeps ladder tables.
+    takes O(m * sum_q K_q) memory and is kept in the plan store of ``fock``,
+    counted against its byte budget like the ladder tables.
     """
     basis = enumerate_basis(modes, photons)
     occupations = basis.occupations
@@ -347,22 +348,23 @@ def lift_unitary_permanent(scattering, photons: int) -> LiftedUnitary:
 
     over the K_q = prod_j (f_j + 1) sign-count vectors s of column q,
     f = q minus its first photon. What depends on (m, n) alone is built
-    once per size and kept in a bounded cache (see ``_glynn_plan``): the
-    basis, the count rows q - 2s and weights of every vector, the pass
-    schedule and the factorial products. It retains O(m * sum_q K_q)
-    memory, well under one lift at large M (0.7 MB at (8, 5), where a lift
-    is 10 MB). A call forms X for every vector in one product S @ counts,
-    then evaluates runs of whole columns in canonical order, each pass
-    holding at most about _GLYNN_BLOCK complex products and powers (or one
-    column, if that is more): a power table by repeated multiplication, a
-    gather by occupation and one ``np.add.reduceat`` per pass into the
-    columns of the lift. The work stays O(m * M * sum_q K_q), instead of
+    once per size and kept in the plan store of ``fock`` (see
+    ``_glynn_plan``), which evicts least recently used plans past its byte
+    budget: the basis, the count rows q - 2s and weights of every vector,
+    the pass schedule and the factorial products. It holds
+    O(m * sum_q K_q) memory, well under one lift at large M (0.7 MB at
+    (8, 5), where a lift is 10 MB). A call forms X for every vector in one
+    product S @ counts, then evaluates runs of whole columns in canonical
+    order, each pass holding at most about _GLYNN_BLOCK complex products
+    and powers (or one column, if that is more): a power table by repeated
+    multiplication, a gather by occupation and one ``np.add.reduceat`` per
+    pass into the columns of the lift. The work stays O(m * M * sum_q K_q), instead of
     M^2 permanents of 2^n subsets each, and the memory is the O(M^2) lift
     plus one pass. Glynn's signed sums cancel better than Ryser's subset
     sums. This construction shares no code with the expansion lift: it
     enumerates its own basis and uses no ladder table, and the two serve as
     cross-checks. More than PERMANENT_SIZE_LIMIT photons raise ValueError
-    up front, before anything is built or cached.
+    up front, before anything is built or stored.
     """
     matrix = _as_square(scattering)
     photons = _photon_number(photons)
@@ -467,7 +469,7 @@ def _fill_hamiltonian(
     return LiftedHamiltonian(basis, out)
 
 
-@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+@_stored_plan
 def _one_move_plan(
     modes: int, photons: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -29,21 +29,23 @@ sweep in ``run_sweep``), once every argument is checked; see
 ``_work_array``. Nothing is kept between calls, so the checks are safe to
 call concurrently.
 
-The sparsity count reads a cached index of the state pairs at most one
-photon move apart, built per (m, n) from the basis occupations alone, so
-it stays independent of the ladder table that builds the lifted H.
+The sparsity count reads an index of the state pairs at most one photon
+move apart, built per (m, n) from the basis occupations alone, so it stays
+independent of the ladder table that builds the lifted H. The index is
+kept in the plan store of ``fock``, which also keeps the ladder tables and
+the lifts' plans and evicts least recently used plans past one byte
+budget; it shares their storage and nothing else.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import (
-    _LADDER_CACHE_SIZE,
     _mode_number,
     _photon_number,
+    _stored_plan,
     _whole_number,
     enumerate_basis,
     ladder_table,
@@ -132,7 +134,7 @@ class GlobalPhaseReport:
     passed: bool
 
 
-@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+@_stored_plan
 def _near_pairs(modes: int, photons: int) -> np.ndarray:
     """Flat positions of the M x M pairs at most one photon move apart.
 
@@ -179,13 +181,13 @@ def _count_sparsity_violations(lifted) -> int:
 
     Two states are one move apart when their occupations differ by 2 in L1
     distance. The count is the non-zero entries of the whole matrix less
-    those at the cached positions of ``_near_pairs``, so a NaN entry counts
+    those at the stored positions of ``_near_pairs``, so a NaN entry counts
     as non-zero, as ``np.nonzero`` counts it. Those positions come from the
     basis states themselves, not from the ladder table that built the
     matrix, so the check stays independent of the construction it checks.
     A call costs one O(M^2) comparison with zero and a gather of the
     O(M' m^2) near positions. The index is built once per size, from
-    O(m M') rows, and kept in a bounded cache.
+    O(m M') rows, and kept in the plan store of ``fock``.
     """
     matrix = np.ascontiguousarray(lifted.matrix, dtype=complex)
     near = np.take(matrix, _near_pairs(lifted.basis.modes, lifted.basis.photons))
@@ -304,7 +306,7 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
 
     Also records how unitary G is, how Hermitian the lifted H is, and how
     many far-apart state pairs picked up a non-zero coupling, counted
-    against a cached index of the near pairs built from the basis alone (see
+    against a stored index of the near pairs built from the basis alone (see
     ``_count_sparsity_violations``). Around the four GEMMs, that count is
     one O(M^2) comparison with zero, and each norm one O(M^2) dot with no
     temporary. The input must be Hermitian within ``tol``. Lambda, V and

@@ -258,11 +258,13 @@ class TestStreamedWriter:
             assert {flat[end - 1].real, flat[end].real} <= {-0.0, 5e-324, 1e16}
             assert {flat[end - 1].imag, flat[end].imag} <= {-0.0, 5e-324, 1e16}
 
-    @pytest.mark.parametrize("size", [330, 660])
+    @pytest.mark.parametrize("size", [120, 240])
     def test_peak_memory_is_a_block_beyond_the_finite_mask(self, tmp_path, size):
         # One pass would hold about ten times the matrix: a float list, its
         # tuple, the template, the formatted text and two joined copies.
-        # The finite mask takes a sixteenth of the matrix.
+        # The finite mask takes a sixteenth of the matrix. tracemalloc sees
+        # every float the writer formats, so the sizes stay small and the
+        # slack a quarter MiB: a one-pass write peaks at 2.7 and 11 MiB.
         rng = np.random.default_rng([89, size])
         matrix = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         tracemalloc.start()
@@ -271,7 +273,7 @@ class TestStreamedWriter:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= matrix.nbytes / 8 + 2**20
+        assert peak <= matrix.nbytes / 8 + 2**18
 
     @pytest.mark.parametrize(
         "matrix,metadata",

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photonlift.fock as fock_module
 from photonlift.fock import (
     MoveKind,
+    _clear_plans,
+    _ladder_table,
     apply_annihilation,
     apply_creation,
     bunched_first_order,
@@ -276,28 +279,28 @@ class TestLadderTable:
         assert np.array_equal(table.first_coef, np.sqrt(occupations[rows, table.first]))
 
     def test_cold_bool_count_raises_and_caches_nothing(self):
-        ladder_table.cache_clear()
+        _clear_plans()
         with pytest.raises(ValueError):
             ladder_table(2, True)
-        assert ladder_table.cache_info().currsize == 0
+        assert not fock_module._plans
         assert ladder_table(2, 1).basis.photons == 1
 
     def test_cold_float_count_builds_an_int_basis(self):
-        ladder_table.cache_clear()
+        _clear_plans()
         table = ladder_table(2, 2.0)
         assert type(table.basis.photons) is int
         assert table.basis.photons == 2
         assert ladder_table(2, 2) is table
 
     def test_cold_bool_mode_count_raises_and_caches_nothing(self):
-        ladder_table.cache_clear()
+        _clear_plans()
         with pytest.raises(ValueError):
             ladder_table(True, 2)
-        assert ladder_table.cache_info().currsize == 0
+        assert not fock_module._plans
         assert ladder_table(1, 2).basis.modes == 1
 
     def test_cold_float_mode_count_builds_an_int_basis(self):
-        ladder_table.cache_clear()
+        _clear_plans()
         table = ladder_table(2.0, 1)
         assert type(table.basis.modes) is int
         assert table.basis.modes == 2
@@ -306,31 +309,36 @@ class TestLadderTable:
             ladder_table(2.5, 1)
 
     def test_warm_bool_mode_count_raises(self):
-        ladder_table.cache_clear()
+        _clear_plans()
         ladder_table(1, 2)
         with pytest.raises(ValueError):
             ladder_table(True, 2)
-        assert ladder_table.cache_info().currsize == 1
+        assert list(fock_module._plans) == [(_ladder_table.__wrapped__, 1, 2)]
 
     def test_warm_bool_photon_count_raises(self):
-        ladder_table.cache_clear()
+        _clear_plans()
         ladder_table(2, 1)
         with pytest.raises(ValueError):
             ladder_table(2, True)
-        assert ladder_table.cache_info().currsize == 1
+        assert list(fock_module._plans) == [(_ladder_table.__wrapped__, 2, 1)]
 
-    def test_warm_float_count_hits_the_int_entry(self):
-        ladder_table.cache_clear()
+    def test_warm_float_count_hits_the_int_entry(self, monkeypatch):
+        _clear_plans()
         table = ladder_table(2, 2)
+        builds = []
+        monkeypatch.setattr(
+            fock_module, "enumerate_basis", lambda *counts: builds.append(counts)
+        )
         assert ladder_table(2, 2.0) is table
         assert ladder_table(2.0, 2) is table
-        assert ladder_table.cache_info().currsize == 1
+        assert builds == []
+        assert list(fock_module._plans) == [(_ladder_table.__wrapped__, 2, 2)]
         with pytest.raises(ValueError):
             ladder_table(2, 2.5)
 
     def test_build_peak_memory_is_linear_in_table_size(self):
         # No intermediate of the build may grow like modes * M * modes.
-        ladder_table.cache_clear()
+        _clear_plans()
         tracemalloc.start()
         try:
             table = ladder_table(16, 4)

@@ -1,15 +1,25 @@
 import cmath
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import photonlift.fock as fock_module
 import photonlift.lift as lift_module
 import photonlift.matfuncs as matfuncs_module
-from photonlift.fock import MoveKind, ladder_table, photon_move_relation
+from photonlift.fock import (
+    MoveKind,
+    _clear_plans,
+    _ladder_table,
+    ladder_table,
+    photon_move_relation,
+)
 from photonlift.lift import (
     _STACK_BLOCK,
     _expansion_lifts,
@@ -32,7 +42,7 @@ from photonlift.matfuncs import (
     permanent,
     unitary_logarithm,
 )
-from photonlift.verify import random_hermitian, random_unitary
+from photonlift.verify import check_diagram, random_hermitian, random_unitary
 from reference import lift_columns_by_scatter
 
 # The worked two-mode example lists its three two-photon states in the order
@@ -273,8 +283,7 @@ class TestPhotonNumber:
 
     @pytest.mark.parametrize("lift", LIFTS)
     def test_whole_numbers_lift_alike_with_cold_and_warm_tables(self, lift):
-        ladder_table.cache_clear()
-        _glynn_plan.cache_clear()
+        _clear_plans()
         cold = lift(balanced_beam_splitter(), 2.0)
         warm = lift(balanced_beam_splitter(), 2.0)
         exact = lift(balanced_beam_splitter(), np.int64(2))
@@ -286,8 +295,7 @@ class TestPhotonNumber:
     @pytest.mark.parametrize("lift", LIFTS)
     @pytest.mark.parametrize("photons", [True, np.bool_(True), 1.5, -1, "2"])
     def test_rejects_booleans_fractions_and_negatives(self, lift, photons):
-        ladder_table.cache_clear()
-        _glynn_plan.cache_clear()
+        _clear_plans()
         with pytest.raises(ValueError):
             lift(balanced_beam_splitter(), photons)
         lift(balanced_beam_splitter(), 1)
@@ -403,19 +411,53 @@ class TestLiftUnitaryPermanent:
             lift_unitary_permanent(np.eye(1), PERMANENT_SIZE_LIMIT + 1)
 
 
+def spy_on_builds(monkeypatch, module):
+    """Record the (modes, photons) of every ``enumerate_basis`` call ``module`` makes."""
+    builds = []
+    build = module.enumerate_basis
+
+    def spy(modes, photons):
+        builds.append((modes, photons))
+        return build(modes, photons)
+
+    monkeypatch.setattr(module, "enumerate_basis", spy)
+    return builds
+
+
+def lifts_and_reports(modes, photons, seed):
+    """Every lift of one seeded network, as bytes, and its diagram report."""
+    rng = np.random.default_rng(seed)
+    scattering, h_single = random_unitary(modes, rng), random_hermitian(modes, rng)
+    results = [
+        lift_unitary_expansion(scattering, photons).matrix.tobytes(),
+        lift_hamiltonian(h_single, photons).matrix.tobytes(),
+        asdict(check_diagram(h_single, photons)),
+    ]
+    if photons <= 8:
+        results.append(lift_unitary_permanent(scattering, photons).matrix.tobytes())
+    return results
+
+
+def held_bytes():
+    """Bytes the plan store counts, checked against its entries."""
+    held = sum(size for _, size in fock_module._plans.values())
+    assert fock_module._plans_held == held
+    return held
+
+
 class TestGlynnPlanCache:
     @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2**32 - 1))
     @example(5, 5, 35)  # several passes
     @settings(max_examples=40, deadline=None)
     def test_cold_and_warm_lifts_are_bit_equal(self, modes, photons, seed):
         scattering = random_unitary(modes, np.random.default_rng(seed))
-        _glynn_plan.cache_clear()
+        _clear_plans()
         cold = lift_unitary_permanent(scattering, photons)
         warm = lift_unitary_permanent(scattering, photons)
         assert np.array_equal(cold.matrix, warm.matrix)
 
     def test_plan_is_read_only_and_shared_by_lifts_of_one_size(self):
-        _glynn_plan.cache_clear()
+        _clear_plans()
         first = lift_unitary_permanent(random_unitary(4, np.random.default_rng(36)), 4)
         second = lift_unitary_permanent(np.eye(4), 4)
         assert first.basis is second.basis
@@ -428,27 +470,27 @@ class TestGlynnPlanCache:
             with pytest.raises(ValueError):
                 array[...] = 0
 
-    def test_repeated_size_hits_the_cache(self):
-        _glynn_plan.cache_clear()
+    def test_repeated_size_hits_the_cache(self, monkeypatch):
+        _clear_plans()
+        builds = spy_on_builds(monkeypatch, lift_module)
         lift_unitary_permanent(np.eye(3), 3)
-        hits = _glynn_plan.cache_info().hits
         lift_unitary_permanent(balanced_beam_splitter() * 1j, 3)
         lift_unitary_permanent(np.eye(3), 3)
-        assert _glynn_plan.cache_info().hits == hits + 1
+        assert builds == [(3, 3), (2, 3)]
 
     def test_refused_calls_cache_nothing(self):
-        _glynn_plan.cache_clear()
+        _clear_plans()
         with pytest.raises(ValueError, match=f"{PERMANENT_SIZE_LIMIT} photons"):
             lift_unitary_permanent(np.eye(1), PERMANENT_SIZE_LIMIT + 1)
         with pytest.raises(ValueError, match="mode counts"):
             lift_unitary_permanent(np.zeros((0, 0)), 2)
-        assert _glynn_plan.cache_info().currsize == 0
+        assert not fock_module._plans
 
     def test_cold_peak_memory_and_retained_plan(self):
-        # The plan built by a cold call stays in the cache; it holds the
+        # The plan built by a cold call stays in the store; it holds the
         # 8832 sign-count vectors of (8, 5), far less than one lift.
         scattering = random_unitary(8, np.random.default_rng(34))
-        _glynn_plan.cache_clear()
+        _clear_plans()
         tracemalloc.start()
         try:
             lifted = lift_unitary_permanent(scattering, 5)
@@ -461,6 +503,88 @@ class TestGlynnPlanCache:
         assert matrix_bytes == 16 * 792**2
         assert peak <= 3 * matrix_bytes
         assert retained <= 0.1 * matrix_bytes
+
+
+class TestPlanStore:
+    """One store keeps every per-size plan, bounded by the bytes it holds."""
+
+    # Mixed sizes, two of them repeated; only (2, 30) skips the permanent lift.
+    JOBS = [
+        (modes, photons, seed)
+        for seed, (modes, photons) in enumerate(
+            [(1, 3), (2, 0), (2, 6), (3, 3), (4, 2), (2, 30), (5, 3), (3, 3), (2, 6), (4, 4)]
+        )
+    ]
+
+    @pytest.mark.parametrize("photons", [65, 300])
+    def test_second_lift_above_64_photons_builds_no_table(self, monkeypatch, photons):
+        scattering = random_unitary(2, np.random.default_rng(photons))
+        _clear_plans()
+        first = lift_unitary_expansion(scattering, photons)
+        builds = spy_on_builds(monkeypatch, fock_module)
+        second = lift_unitary_expansion(scattering, photons)
+        assert builds == []
+        assert second.matrix.tobytes() == first.matrix.tobytes()
+
+    def test_small_budget_evicts_and_changes_no_result(self, monkeypatch):
+        _clear_plans()
+        kept = [lifts_and_reports(*job) for job in self.JOBS]
+        budget = 2**14
+        assert max(size for _, size in fock_module._plans.values()) <= budget < held_bytes()
+        monkeypatch.setattr(fock_module, "_PLAN_BUDGET", budget)
+        _clear_plans()
+        builds = spy_on_builds(monkeypatch, fock_module)
+        for job, results in zip(self.JOBS, kept):
+            assert lifts_and_reports(*job) == results
+            assert held_bytes() <= budget
+        # The repeated sizes were evicted in between and built again.
+        assert len(builds) > len(set(builds))
+
+    def test_plan_larger_than_the_budget_is_kept_alone(self, monkeypatch):
+        _clear_plans()
+        large = fock_module._plan_bytes(ladder_table(3, 4))
+        monkeypatch.setattr(fock_module, "_PLAN_BUDGET", large - 1)
+        _clear_plans()
+        for photons in range(3):
+            ladder_table(2, photons)
+        table = ladder_table(3, 4)
+        assert list(fock_module._plans) == [(_ladder_table.__wrapped__, 3, 4)]
+        assert held_bytes() == large
+        assert ladder_table(3, 4) is table
+        ladder_table(2, 1)
+        assert list(fock_module._plans) == [(_ladder_table.__wrapped__, 2, 1)]
+
+    def test_build_that_raises_stores_nothing(self, monkeypatch):
+        _clear_plans()
+
+        def fail(modes, photons):
+            raise MemoryError("no room for the basis")
+
+        monkeypatch.setattr(fock_module, "enumerate_basis", fail)
+        with pytest.raises(MemoryError):
+            ladder_table(3, 2)
+        monkeypatch.undo()
+        assert not fock_module._plans and held_bytes() == 0
+        assert ladder_table(3, 2).basis.photons == 2
+
+    def test_threads_under_a_tiny_budget_match_serial_results(self, monkeypatch):
+        _clear_plans()
+        serial = [lifts_and_reports(*job) for job in self.JOBS]
+        budget = 2**12
+        monkeypatch.setattr(fock_module, "_PLAN_BUDGET", budget)
+        _clear_plans()
+        # Short switch intervals interleave the threads' store bookkeeping;
+        # a lost update would leave the held bytes off the entries' sum.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                jobs = pool.map(lambda job: lifts_and_reports(*job), self.JOBS * 4, timeout=60)
+                threaded = list(jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 4
+        assert held_bytes() <= budget or len(fock_module._plans) == 1
 
 
 class TestLiftHamiltonian:
@@ -550,10 +674,11 @@ class TestLiftHamiltonian:
             lift_hamiltonian([[0, 1], [0, 0]], 2, tol=math.nan)
 
     def test_one_move_plan_is_read_only_and_shared(self):
-        lift_module._one_move_plan.cache_clear()
+        _clear_plans()
         first = lift_hamiltonian(random_hermitian(4, np.random.default_rng(47)), 3)
+        stored = fock_module._plans[(lift_module._one_move_plan.__wrapped__, 4, 3)]
         plan = lift_module._one_move_plan(4, 3)
-        assert lift_module._one_move_plan.cache_info().hits == 1
+        assert plan is stored[0]
         second = lift_hamiltonian(np.diag([1.0, 2, 3, 4]), 3)
         assert lift_module._one_move_plan(4, 3) is plan
         assert np.count_nonzero(second.matrix - np.diag(np.diag(second.matrix))) == 0

@@ -180,7 +180,7 @@ class TestSparsityCount:
         def refuse(*args, **kwargs):
             raise AssertionError("the near-pair index used the lifts' construction")
 
-        photonlift.verify._near_pairs.cache_clear()
+        photonlift.fock._clear_plans()
         monkeypatch.setattr(photonlift.fock, "_ladder_table", refuse)
         monkeypatch.setattr(photonlift.fock, "ladder_table", refuse)
         near = photonlift.verify._near_pairs(5, 3)
