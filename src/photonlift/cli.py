@@ -1,5 +1,12 @@
 """Command-line front end: lift matrices, take logs, run checks, print demos.
 
+``lift-u`` and ``lift-h`` differ only in the map they call. One writer
+lifts, writes the matrix in ``--order`` with its size, method (``lift-u``)
+and order as metadata, and prints a ``modes= photons= dimension=`` header
+and one ``index=K occupation=n1,...,nm`` line per state in the written
+order, through the printer ``basis`` uses. ``verify`` prints one key=value
+record per check, from a file or a seeded sweep, then one summary line.
+
 Exit codes: 0 on success, 1 when a validation or consistency check fails
 or a lift does not fit in memory, 2 on I/O or parse problems. Reports are
 line-oriented key=value records so they stay easy to grep and to consume
@@ -7,6 +14,7 @@ from other tools.
 """
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -37,13 +45,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _print_record(kind: str, fields: dict, **extra) -> None:
-    parts = [f"check={kind}"]
-    parts += [f"{key}={_format_value(value)}" for key, value in extra.items()]
-    parts += [f"{key}={_format_value(value)}" for key, value in fields.items()]
-    print(" ".join(parts))
-
-
 @contextmanager
 def _lift_memory(modes: int, photons: int):
     """Turn a MemoryError inside the block into one that names the lift size."""
@@ -58,34 +59,45 @@ def _lift_memory(modes: int, photons: int):
         ) from exc
 
 
-def _basis_order(basis, order: str) -> tuple[int, ...]:
-    if order == "bunched":
-        return bunched_first_order(basis)
-    return tuple(range(len(basis)))
+def _print_basis(basis, positions, **labels) -> None:
+    """The size header with ``labels``, then one line per state.
 
-
-def _ordered_lift(lifted, order: str):
-    """The lifted matrix with rows and columns in ``order``, and that order.
-
-    Canonical order is the lift's own, so its matrix is returned as it is;
-    only the bunched order takes a permuted copy.
+    States come in the order of ``positions``, or canonical order for None.
     """
-    positions = _basis_order(lifted.basis, order)
-    if order == "bunched":
-        return lifted.matrix[np.ix_(positions, positions)], positions
-    return lifted.matrix, positions
-
-
-def _print_basis(basis, order) -> None:
-    for position, source in enumerate(order):
-        occupation = ",".join(str(count) for count in basis.states[source])
-        print(f"index={position} occupation={occupation}")
+    header = {"modes": basis.modes, "photons": basis.photons, "dimension": len(basis)}
+    print(" ".join(f"{key}={value}" for key, value in {**header, **labels}.items()))
+    rows = basis.occupations
+    if positions is not None:
+        rows = rows[list(positions)]
+    for index, occupation in enumerate(rows.tolist()):
+        print(f"index={index} occupation={','.join(map(str, occupation))}")
 
 
 def _cmd_basis(args) -> int:
     basis = enumerate_basis(args.modes, args.photons)
-    print(f"modes={args.modes} photons={args.photons} dimension={len(basis)}")
-    _print_basis(basis, _basis_order(basis, args.order))
+    bunched = args.order == "bunched"
+    _print_basis(basis, bunched_first_order(basis) if bunched else None)
+    return 0
+
+
+def _write_lift(args, single, lift, **labels) -> int:
+    """Write ``lift(single, args.photons)`` in ``args.order`` and print its basis.
+
+    The file's metadata and the printed header carry the size, then
+    ``labels`` and the order. Canonical order writes the lift itself; only
+    the bunched order takes a permuted copy.
+    """
+    with _lift_memory(single.shape[0], args.photons):
+        lifted = lift(single, args.photons)
+        matrix, positions = lifted.matrix, None
+        if args.order == "bunched":
+            positions = bunched_first_order(lifted.basis)
+            matrix = matrix[np.ix_(positions, positions)]
+    basis = lifted.basis
+    labels["order"] = args.order
+    metadata = {"modes": str(basis.modes), "photons": str(basis.photons), **labels}
+    write_matrix(matrix, args.output, metadata=metadata)
+    _print_basis(basis, positions, **labels)
     return 0
 
 
@@ -95,50 +107,17 @@ def _cmd_lift_u(args) -> int:
         raise NotUnitaryError(
             f"{args.input}: matrix is not unitary within tolerance {args.tol}"
         )
-    with _lift_memory(scattering.shape[0], args.photons):
-        if args.method == "permanent":
-            lifted = lift_unitary_permanent(scattering, args.photons)
-        else:
-            lifted = lift_unitary_expansion(scattering, args.photons)
-        reordered, order = _ordered_lift(lifted, args.order)
-    write_matrix(
-        reordered,
-        args.output,
-        metadata={
-            "modes": str(lifted.basis.modes),
-            "photons": str(args.photons),
-            "method": args.method,
-            "order": args.order,
-        },
-    )
-    print(
-        f"modes={lifted.basis.modes} photons={args.photons} "
-        f"dimension={len(lifted.basis)} method={args.method} order={args.order}"
-    )
-    _print_basis(lifted.basis, order)
-    return 0
+    if args.method == "permanent":
+        lift = lift_unitary_permanent
+    else:
+        lift = lift_unitary_expansion
+    return _write_lift(args, scattering, lift, method=args.method)
 
 
 def _cmd_lift_h(args) -> int:
     h_single = read_matrix(args.input)
-    with _lift_memory(h_single.shape[0], args.photons):
-        lifted = lift_hamiltonian(h_single, args.photons, tol=args.tol)
-        reordered, order = _ordered_lift(lifted, args.order)
-    write_matrix(
-        reordered,
-        args.output,
-        metadata={
-            "modes": str(lifted.basis.modes),
-            "photons": str(args.photons),
-            "order": args.order,
-        },
-    )
-    print(
-        f"modes={lifted.basis.modes} photons={args.photons} "
-        f"dimension={len(lifted.basis)} order={args.order}"
-    )
-    _print_basis(lifted.basis, order)
-    return 0
+    lift = functools.partial(lift_hamiltonian, tol=args.tol)
+    return _write_lift(args, h_single, lift)
 
 
 def _cmd_log(args) -> int:
@@ -150,24 +129,24 @@ def _cmd_log(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.input is not None:
+    if args.input is None:
+        with _lift_memory(args.modes, args.photons):
+            sweep = run_sweep(
+                args.modes, args.photons, args.trials, seed=args.seed, tol=args.tol
+            )
+        results = [
+            (kind, {"seed": args.seed, "trial": trial}, report)
+            for kind, trial, report in sweep
+        ]
+    else:
         h_single = read_matrix(args.input)
         with _lift_memory(h_single.shape[0], args.photons):
-            report = check_diagram(h_single, args.photons, args.tol)
-        _print_record("diagram", asdict(report))
-        failed = 0 if report.passed else 1
-        print(f"summary checks=1 failed={failed}")
-        return 0 if report.passed else 1
-
-    with _lift_memory(args.modes, args.photons):
-        results = run_sweep(
-            args.modes, args.photons, args.trials, seed=args.seed, tol=args.tol
-        )
+            results = [("diagram", {}, check_diagram(h_single, args.photons, args.tol))]
     failed = 0
-    for kind, trial, report in results:
-        _print_record(kind, asdict(report), seed=args.seed, trial=trial)
-        if not report.passed:
-            failed += 1
+    for kind, labels, report in results:
+        fields = {"check": kind, **labels, **asdict(report)}
+        print(" ".join(f"{key}={_format_value(fields[key])}" for key in fields))
+        failed += not report.passed
     print(f"summary checks={len(results)} failed={failed}")
     return 0 if failed == 0 else 1
 

@@ -51,7 +51,6 @@ from .matfuncs import (
     NotHermitianError,
     _as_square,
     _check_tol,
-    _refuse_nan_tol,
     frobenius_norm,
 )
 
@@ -418,9 +417,8 @@ def lift_hamiltonian(h_single, photons: int, *, tol: float = 1e-9) -> LiftedHami
     states of n - 1 photons, next to the O(M^2) output.
 
     The input must be Hermitian within ``tol``: ``NotHermitianError``
-    otherwise, whose message names the tolerance. A negative ``tol`` raises
-    ValueError, and so does a NaN one when the input is exactly Hermitian,
-    since only the tolerance is then at fault.
+    otherwise, whose message names the tolerance. A NaN or negative
+    ``tol`` raises ValueError before the input is compared with it.
     """
     matrix, table = _checked_hamiltonian(h_single, photons, tol)
     size = len(table.basis)
@@ -437,12 +435,8 @@ def _checked_hamiltonian(
     """
     matrix = _as_square(h_single)
     _check_tol(tol)
-    defect = frobenius_norm(matrix - matrix.conj().T)
-    if defect == 0:
-        # Hermitian within any tolerance, so only a NaN one can be at fault.
-        _refuse_nan_tol(tol)
-    # ``not ... <= tol`` rather than ``> tol``, so a NaN defect or tolerance fails.
-    elif not defect <= tol:
+    # ``not ... <= tol`` rather than ``> tol``, so a NaN defect fails.
+    if not frobenius_norm(matrix - matrix.conj().T) <= tol:
         raise NotHermitianError(f"matrix is not Hermitian within tolerance {tol}")
     return matrix, ladder_table(matrix.shape[0], _photon_number(photons))
 
@@ -520,14 +514,22 @@ def hamiltonian_element(h_single, output_state, input_state) -> complex:
     return 0j
 
 
+def _check_phase(phase: float) -> None:
+    """Refuse a NaN or infinite phase, which names no point on the circle."""
+    if not np.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
+
+
 def global_phase_lift(phase: float, photons: int) -> float:
     """Phase picked up by the lifted unitary when S gains a global phase.
 
     Multiplying S by e^{i phase} multiplies the n-photon unitary by
     e^{i n phase}; the returned angle is n * phase reduced to (-pi, pi].
-    ``photons`` follows the whole-number rule of the lifts: booleans,
-    fractions and negative counts raise ValueError.
+    A NaN or infinite ``phase`` raises ValueError. ``photons`` follows the
+    whole-number rule of the lifts: booleans, fractions and negative counts
+    raise ValueError.
     """
+    _check_phase(phase)
     reduced = math.remainder(_photon_number(photons) * phase, math.tau)
     if reduced <= -math.pi:
         reduced += math.tau

@@ -84,14 +84,11 @@ def frobenius_norm(matrix) -> float:
 
 
 def _check_tol(tol: float) -> None:
-    if tol < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
-
-
-def _refuse_nan_tol(tol: float) -> None:
-    """Refuse a NaN tolerance where it would decide whether to raise."""
+    """Refuse a NaN or negative tolerance, the one rule of every public ``tol``."""
     if tol != tol:
         raise ValueError(f"tolerance must be a number, got {tol}")
+    if tol < 0:
+        raise ValueError(f"tolerance must be non-negative, got {tol}")
 
 
 def is_unitary(matrix, tol: float) -> bool:

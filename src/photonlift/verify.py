@@ -52,6 +52,7 @@ from .fock import (
 )
 from .lift import (
     LiftedHamiltonian,
+    _check_phase,
     _checked_hamiltonian,
     _expansion_lifts,
     _fill_hamiltonian,
@@ -64,7 +65,6 @@ from .matfuncs import (
     _eigh_hermitian_part,
     _exp_i_eigh,
     _exp_i_hermitian,
-    _refuse_nan_tol,
     frobenius_norm,
 )
 
@@ -314,8 +314,7 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     is Hermitian only within ``tol`` still gives a unitary G to rounding.
     Its anti-Hermitian part shows in ``residual_hermiticity``, taken from
     the lifted H itself, and adds at most half of that to
-    ``residual_eigen``. A NaN ``tol`` raises ValueError (see
-    ``lift_hamiltonian``).
+    ``residual_eigen``. A NaN or negative ``tol`` raises ValueError.
 
     Every argument is checked, in the order ``lift_hamiltonian`` checks
     them, before anything M x M is allocated. Then the lifted H, G, W and
@@ -414,11 +413,13 @@ def check_global_phase(
 
     S and e^{i phase} S are lifted in shared stacked passes (see
     ``lift._expansion_lifts``), and they and the difference are the slots
-    of one array.
+    of one array. A NaN or infinite ``phase`` raises ValueError before
+    anything is lifted.
     """
     matrix = _as_square(scattering)
     _check_tol(tol)
     photons = _photon_number(photons)
+    _check_phase(phase)
     rephased = _as_square(np.exp(1j * phase) * matrix)
     work = _work_array(3, matrix.shape[0], photons)
     lifts = _expansion_lifts([matrix, rephased], photons, work[1:])
@@ -470,8 +471,8 @@ def run_sweep(
     argument is checked before the first draw. ``trials`` and ``modes``
     must be whole numbers >= 1 and ``photons`` a whole number >= 0: 2.0
     counts as 2, while booleans, fractions and strings raise ValueError, so
-    an empty sweep never passes. A negative tolerance raises ValueError too,
-    and so does a NaN ``tol``, as ``check_diagram`` raises it.
+    an empty sweep never passes. A NaN or negative tolerance raises
+    ValueError too, as the public checks raise it.
 
     Each trial draws, in this order, the Hamiltonian H of the diagram
     check, the Hermitian generators of the homomorphism's ``first`` and
@@ -491,9 +492,6 @@ def run_sweep(
     photons = _photon_number(photons)
     for bound in (tol, homomorphism_tol, phase_tol):
         _check_tol(bound)
-    # The draws are exactly Hermitian, so lift_hamiltonian would refuse a
-    # NaN ``tol`` this way in the first trial.
-    _refuse_nan_tol(tol)
     # Slots: the lifted H, the scratch array, then the seven lifts.
     work = _work_array(9, modes, photons)
     rng = np.random.default_rng(seed)

@@ -419,7 +419,7 @@ class TestLiftUnitaryCommand:
              str(tmp_path / "out.json"), "--tol", "nan"]
         )
         assert code == 1
-        assert "not unitary" in capsys.readouterr().err
+        assert "tolerance must be a number, got nan" in capsys.readouterr().err
 
     def test_out_of_memory_exits_1_and_names_the_size(
         self, tmp_path, capsys, monkeypatch
@@ -494,7 +494,7 @@ class TestLiftHamiltonianCommand:
              str(tmp_path / "out.json"), "--tol", "nan"]
         )
         assert code == 1
-        assert "not Hermitian" in capsys.readouterr().err
+        assert "tolerance must be a number, got nan" in capsys.readouterr().err
 
     def test_out_of_memory_exits_1_and_names_the_size(
         self, tmp_path, capsys, monkeypatch
@@ -584,7 +584,7 @@ class TestLogCommand:
         code = main(["log", "--input", str(source), "--output", str(tmp_path / "o.json"),
                      "--tol", "nan"])
         assert code == 1
-        assert "not unitary" in capsys.readouterr().err
+        assert "tolerance must be a number, got nan" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
     def test_overflowing_gram_matrix_exits_1(self, tmp_path, capsys):
@@ -633,7 +633,7 @@ class TestVerifyCommand:
         write_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), source)
         code = main(["verify", "--input", str(source), "--photons", "2", "--tol", "nan"])
         assert code == 1
-        assert "not Hermitian" in capsys.readouterr().err
+        assert "tolerance must be a number, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["file", "sweep"])
     def test_nan_tol_on_hermitian_input_names_the_tolerance(self, source, tmp_path, capsys):
@@ -670,6 +670,125 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "trial counts must be whole numbers >= 1" in captured.err
         assert "summary" not in captured.out
+
+
+CANONICAL_3_2 = ["2,0,0", "1,1,0", "1,0,1", "0,2,0", "0,1,1", "0,0,2"]
+BUNCHED_3_2 = ["2,0,0", "0,2,0", "0,0,2", "1,1,0", "1,0,1", "0,1,1"]
+
+RECORD_FIELDS = {
+    "diagram": (
+        "modes", "photons", "residual_diagram", "residual_unitarity",
+        "residual_hermiticity", "sparsity_violations", "residual_eigen",
+        "residual_eigenbasis", "tolerance", "passed",
+    ),
+    "homomorphism": ("modes", "photons", "residual", "tolerance", "passed"),
+    "global_phase": ("modes", "photons", "phase", "residual", "tolerance", "passed"),
+}
+
+
+def expected_record(kind, report, **extra):
+    """The ``verify`` line of one report: extras first, then its fields in order."""
+
+    def text(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    pairs = list(extra.items()) + [
+        (name, getattr(report, name)) for name in RECORD_FIELDS[kind]
+    ]
+    return " ".join([f"check={kind}"] + [f"{key}={text(value)}" for key, value in pairs])
+
+
+class TestCommandOutput:
+    """Exact stdout and file bytes of the commands that lift and verify."""
+
+    @pytest.mark.parametrize(
+        "command,method,order",
+        [
+            ("lift-u", "expansion", "canonical"),
+            ("lift-u", "expansion", "bunched"),
+            ("lift-u", "permanent", "canonical"),
+            ("lift-u", "permanent", "bunched"),
+            ("lift-h", None, "canonical"),
+            ("lift-h", None, "bunched"),
+        ],
+    )
+    def test_lift_stdout_and_file_bytes(self, tmp_path, capsys, command, method, order):
+        from photonlift.fock import bunched_first_order
+        from photonlift.lift import lift_unitary_expansion, lift_unitary_permanent
+        from photonlift.verify import random_hermitian, random_unitary
+
+        rng = np.random.default_rng(321)
+        source, target = tmp_path / "single.json", tmp_path / "lifted.json"
+        argv = [command, "--photons", "2", "--input", str(source), "--output",
+                str(target), "--order", order]
+        if command == "lift-u":
+            single = random_unitary(3, rng)
+            lift = {"expansion": lift_unitary_expansion,
+                    "permanent": lift_unitary_permanent}[method]
+            lifted = lift(single, 2)
+            argv += ["--method", method]
+            header = f"modes=3 photons=2 dimension=6 method={method} order={order}"
+            metadata = {"modes": "3", "photons": "2", "method": method, "order": order}
+        else:
+            single = random_hermitian(3, rng)
+            lifted = lift_hamiltonian(single, 2)
+            header = f"modes=3 photons=2 dimension=6 order={order}"
+            metadata = {"modes": "3", "photons": "2", "order": order}
+        write_matrix(single, source)
+
+        assert main(argv) == 0
+        states = BUNCHED_3_2 if order == "bunched" else CANONICAL_3_2
+        assert capsys.readouterr().out.splitlines() == [header] + [
+            f"index={index} occupation={state}" for index, state in enumerate(states)
+        ]
+        expected = lifted.matrix
+        if order == "bunched":
+            positions = bunched_first_order(lifted.basis)
+            expected = expected[np.ix_(positions, positions)]
+        reference = tmp_path / "reference.json"
+        write_matrix(expected, reference, metadata=metadata)
+        assert target.read_bytes() == reference.read_bytes()
+
+    def test_verify_file_record_is_exact(self, tmp_path, capsys):
+        source = tmp_path / "zero.json"
+        write_matrix(np.zeros((2, 2)), source)
+        assert main(["verify", "--input", str(source), "--photons", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "check=diagram modes=2 photons=2 residual_diagram=0.0 "
+            "residual_unitarity=0.0 residual_hermiticity=0.0 sparsity_violations=0 "
+            "residual_eigen=0.0 residual_eigenbasis=0.0 tolerance=1e-08 passed=true",
+            "summary checks=1 failed=0",
+        ]
+
+    def test_failing_verify_file_prints_its_record_and_exits_1(self, tmp_path, capsys):
+        from photonlift.verify import check_diagram, random_hermitian
+
+        single = random_hermitian(3, np.random.default_rng(322))
+        source = tmp_path / "h.json"
+        write_matrix(single, source)
+        code = main(["verify", "--input", str(source), "--photons", "2", "--tol", "0"])
+        report = check_diagram(single, 2, 0.0)
+        assert not report.passed
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            expected_record("diagram", report),
+            "summary checks=1 failed=1",
+        ]
+
+    @pytest.mark.parametrize("tol,failed", [("1e-08", 0), ("0", 2)])
+    def test_verify_sweep_records_are_exact(self, capsys, tol, failed):
+        from photonlift.verify import run_sweep
+
+        code = main(["verify", "--modes", "3", "--photons", "2", "--trials", "2",
+                     "--seed", "42", "--tol", tol])
+        results = run_sweep(3, 2, 2, seed=42, tol=float(tol))
+        assert code == (1 if failed else 0)
+        assert capsys.readouterr().out.splitlines() == [
+            expected_record(kind, report, seed=42, trial=trial)
+            for kind, trial, report in results
+        ] + [f"summary checks=6 failed={failed}"]
 
 
 class TestDemoCommand:

@@ -670,7 +670,7 @@ class TestLiftHamiltonian:
             lift_hamiltonian([[0, 1], [0, 0]], 2)
 
     def test_nan_tol_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ValueError, match="tolerance must be a number, got nan"):
             lift_hamiltonian([[0, 1], [0, 0]], 2, tol=math.nan)
 
     def test_one_move_plan_is_read_only_and_shared(self):
@@ -786,6 +786,11 @@ class TestGlobalPhaseLift:
     @pytest.mark.parametrize("photons", [2.0, np.int64(2)])
     def test_whole_number_types_match_int(self, photons):
         assert global_phase_lift(1.0, photons) == global_phase_lift(1.0, 2)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phases(self, phase):
+        with pytest.raises(ValueError, match=f"^phase must be finite, got {phase}$"):
+            global_phase_lift(phase, 2)
 
     def test_result_lies_in_principal_interval(self):
         rng = np.random.default_rng(61)

@@ -101,6 +101,11 @@ class TestPredicates:
         with pytest.raises(ValueError):
             is_unitary(np.eye(2), -1e-9)
 
+    @pytest.mark.parametrize("predicate", [is_unitary, is_hermitian])
+    def test_nan_tolerance_rejected(self, predicate):
+        with pytest.raises(ValueError, match="^tolerance must be a number, got nan$"):
+            predicate(np.eye(2), math.nan)
+
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError):
             is_hermitian([[np.nan, 0], [0, 1]], 1e-9)
@@ -277,7 +282,7 @@ class TestUnitaryLogarithm:
         assert unitary_logarithm(np.zeros((0, 0))).shape == (0, 0)
 
     def test_nan_tol_rejects(self):
-        with pytest.raises(NotUnitaryError):
+        with pytest.raises(ValueError, match="tolerance must be a number, got nan"):
             unitary_logarithm(np.eye(2)[::-1], tol=math.nan)
 
     def test_overflowing_gram_matrix_rejects(self):

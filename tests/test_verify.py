@@ -382,7 +382,8 @@ class TestCheckHomomorphism:
     def test_negative_tol_raises_and_nan_tol_fails(self):
         with pytest.raises(ValueError, match="tolerance must be non-negative"):
             check_homomorphism(np.eye(2), np.eye(2), 2, tol=-1)
-        assert not check_homomorphism(np.eye(2), np.eye(2), 2, tol=float("nan")).passed
+        with pytest.raises(ValueError, match="tolerance must be a number, got nan"):
+            check_homomorphism(np.eye(2), np.eye(2), 2, tol=float("nan"))
 
 
 class TestCheckGlobalPhase:
@@ -400,7 +401,18 @@ class TestCheckGlobalPhase:
     def test_negative_tol_raises_and_nan_tol_fails(self):
         with pytest.raises(ValueError, match="tolerance must be non-negative"):
             check_global_phase(np.eye(2), 0.4, 2, tol=-1)
-        assert not check_global_phase(np.eye(2), 0.4, 2, tol=float("nan")).passed
+        with pytest.raises(ValueError, match="tolerance must be a number, got nan"):
+            check_global_phase(np.eye(2), 0.4, 2, tol=float("nan"))
+
+    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_phase_raises_before_any_lift(self, monkeypatch, phase):
+        def no_lift(*args):
+            raise AssertionError("lifted before checking the phase")
+
+        monkeypatch.setattr(photonlift.verify, "_work_array", no_lift)
+        monkeypatch.setattr(photonlift.verify, "_expansion_lifts", no_lift)
+        with pytest.raises(ValueError, match=f"^phase must be finite, got {phase}$"):
+            check_global_phase(np.eye(2), phase, 2)
 
 
 class TestCheckArguments:
@@ -549,8 +561,10 @@ class TestRunSweep:
             {"tol": float("nan")},
             {"homomorphism_tol": -1},
             {"homomorphism_tol": "x"},
+            {"homomorphism_tol": float("nan")},
             {"phase_tol": -1},
             {"phase_tol": None},
+            {"phase_tol": float("nan")},
         ],
         ids=repr,
     )
@@ -578,7 +592,9 @@ class TestRunSweep:
             {"tol": -1},
             {"tol": float("nan")},
             {"homomorphism_tol": -1},
+            {"homomorphism_tol": float("nan")},
             {"phase_tol": -1},
+            {"phase_tol": float("nan")},
         ],
         ids=repr,
     )
