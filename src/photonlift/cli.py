@@ -230,7 +230,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--trials", type=int, default=10)
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument(
+        "--tol",
+        type=float,
+        default=1e-8,
+        help="tolerance of the diagram check, the only check of --input; a "
+        "sweep's homomorphism and global-phase checks keep 1e-9 and 1e-10",
+    )
     verify.set_defaults(func=_cmd_verify)
 
     demo = commands.add_parser(

@@ -4,8 +4,8 @@ A basis is one read-only (M, modes) array of per-mode photon counts, one
 row per state, built by stars and bars. Rows are ordered
 reverse-lexicographically, so all photons start bunched in the first mode:
 for two photons in two modes the order is (2, 0), (1, 1), (0, 2). The same
-states as tuples of ints (``FockBasis.states``) are built on first use, for
-printing and dict keys.
+states as tuples of ints (``FockBasis.states``, iteration, ``basis[k]``)
+are read off the rows on each use and kept nowhere.
 
 The lifts do not apply ladder operators state by state. ``ladder_table``
 reads every one-photon move off the basis occupations, with no ranking: in
@@ -20,11 +20,12 @@ lifts raise photons by scattering through ``up`` and build no masks and run
 no searches per call.
 
 ``FockBasis.index_of`` is the only combinatorial ranking left: it finds one
-state's position in O(modes) with no hashing, for
-``lift.transition_distribution``'s input column. With ``apply_creation`` and
-``apply_annihilation`` it is also the per-state reference the table is
-tested against. Everything here is immutable (basis and table arrays are
-read-only) and safe to share across threads.
+state's position in O(modes) with no hashing. The lifts do not call it:
+``lift.transition_distribution`` builds its input's column from the
+occupation itself. With ``apply_creation`` and ``apply_annihilation`` it
+is the per-state reference the table is tested against. Everything here is
+immutable (basis and table arrays are read-only) and safe to share across
+threads.
 
 The plan store keeps every per-size plan of the package: the ladder tables
 here, the column scales, Glynn plans and one-move plans of ``lift`` and the
@@ -36,8 +37,8 @@ evicts the least recently used plans while the total is over it; a plan
 larger than the whole budget is kept alone. A full lift of n photons walks
 the tables of levels 1..n, so the store keeps every level of a lift at high
 occupancy (all 300 of m = 2 take 3.3 MB) and still bounds what a few large
-sizes hold. ``FockBasis.states``, built on a stored basis on first use, is
-not counted. A build that raises stores nothing, and builds run outside
+sizes hold. A stored basis keeps nothing beyond its counted occupation
+array. A build that raises stores nothing, and builds run outside
 the store's lock, so two threads may build one plan at once; the first
 stored is kept and returned to both.
 """
@@ -186,26 +187,27 @@ class FockBasis:
     """All occupation states for a fixed photon number, canonically ordered.
 
     ``occupations[k]`` is state k as a row of per-mode counts, shape
-    (M, modes), dtype ``np.intp``, read-only. ``states`` holds the same rows
-    as tuples of ints, built on first use. Bases compare by identity.
+    (M, modes), dtype ``np.intp``, read-only. ``states``, iteration and
+    ``basis[k]`` give the same rows as tuples of ints, read off
+    ``occupations`` on each use and kept nowhere. Bases compare by identity.
     """
 
     modes: int
     photons: int
     occupations: np.ndarray
 
-    @functools.cached_property
+    @property
     def states(self) -> tuple[OccupationState, ...]:
-        return tuple(map(tuple, self.occupations.tolist()))
+        return tuple(self)
 
     def __len__(self) -> int:
         return len(self.occupations)
 
     def __iter__(self) -> Iterator[OccupationState]:
-        return iter(self.states)
+        return map(tuple, self.occupations.tolist())
 
     def __getitem__(self, position: int) -> OccupationState:
-        return self.states[position]
+        return tuple(self.occupations[position].tolist())
 
     def index_of(self, state: OccupationState) -> int:
         """Position of ``state`` in canonical order, by combinatorial ranking.

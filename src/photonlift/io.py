@@ -128,9 +128,12 @@ def write_matrix(matrix, path, metadata: dict[str, str] | None = None) -> None:
         raise ValueError(f"rows and cols must be >= 1, got {rows}x{cols}")
     if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
-    if metadata is not None and not all(
-        isinstance(key, str) and isinstance(value, str)
-        for key, value in metadata.items()
+    if metadata is not None and not (
+        isinstance(metadata, dict)
+        and all(
+            isinstance(key, str) and isinstance(value, str)
+            for key, value in metadata.items()
+        )
     ):
         raise ValueError("metadata must map strings to strings")
 

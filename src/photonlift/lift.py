@@ -4,12 +4,13 @@ The m x m scattering matrix S of a photon-conserving linear network fixes
 the evolution of any number of photons. ``lift_unitary_expansion`` and
 ``lift_unitary_permanent`` are two independent constructions of the lifted
 M x M unitary (M = C(m+n-1, n)). The first is a photon-by-photon recursion
-over stored ladder tables, in O(n * m * M^2). It can also lift a stack of
-same-size matrices in one walk of the levels, with their columns side by
-side, so small lifts share the per-call overhead; the consistency checks
-lift their two or three matrices that way, in passes of whole matrices
-bounded to about 2^13 complex entries, so from M of about 64 on each pass
-holds one matrix. The second is the closed form
+over stored ladder tables, in O(n * m * M^2), one walk up the levels from
+the vacuum. Every full lift goes through ``_expansion_lifts``, which lifts
+a stack of same-size matrices in one walk, with their columns side by
+side, so small lifts share the per-call overhead, in passes of whole
+matrices bounded to about 2^13 complex entries (from M of about 64 on,
+one matrix per pass). The same walk gives one input's column alone, from
+its occupation with no ranking. The second is the closed form
 U[p, q] = per(S[p|q]) / sqrt(prod_j p_j! prod_l q_l!), from Glynn's formula
 over repeated columns. One vectorised plan holds the K_q = prod_j (f_j + 1)
 sign-count vectors of every column q (f = q minus its first photon), and the
@@ -98,55 +99,41 @@ class LiftedHamiltonian:
     matrix: np.ndarray
 
 
-def _lift_columns(
-    matrices: np.ndarray, photons: int, columns: np.ndarray | None = None
-) -> np.ndarray:
-    """Columns ``columns`` (all when None) of the n-photon lifts of a stack of S.
-
-    ``matrices`` is one m x m matrix or a stack of k of them, shape
-    (k, m, m). Returns the 2-D (M, k * W) block of ``_fill_lift_columns``
-    for W wanted columns, in a fresh array.
-    """
-    stack = np.reshape(matrices, (-1, *np.shape(matrices)[-2:]))
-    size = len(_ladder_table(stack.shape[1], photons).basis)
-    wanted = size if columns is None else len(columns)
-    block = np.empty((size, len(stack), wanted), dtype=complex)
-    _fill_lift_columns(stack, photons, columns, block)
-    return block.reshape(size, -1)
-
-
 def _fill_lift_columns(
-    stack: np.ndarray, photons: int, columns: np.ndarray | None, out: np.ndarray
+    stack: np.ndarray, photons: int, state: OccupationState | None, out: np.ndarray
 ) -> None:
-    """Write columns ``columns`` (all when None) of the lifts of ``stack`` into ``out``.
+    """Write every column of the lifts of ``stack``, or ``state``'s, into ``out``.
 
-    ``stack`` holds k m x m matrices, shape (k, m, m), and ``out`` is the
-    last level's (M, k, W) block for W wanted columns; it may hold anything
-    on entry, since it is zero-filled (or, with no photons, set to the
-    vacuum's 1 x 1 lift) before it is written, and its last axis must be
-    contiguous. With l the first occupied mode of input q,
-    |q> = a_l^dag |q - e_l> / sqrt(q_l) and U a_l^dag U^dag =
-    sum_j S_jl a_j^dag, so
+    ``stack`` holds k m x m matrices, shape (k, m, m); ``state`` is None or
+    an occupation of ``photons`` photons in m modes. ``out`` is the last
+    level's (M, k, W) block, W = M or 1; its contents do not matter, since
+    it is zero-filled (or, with no photons, set to the vacuum's 1 x 1 lift)
+    before it is written, and its last axis must be contiguous. With l the
+    first occupied mode of input q, |q> = a_l^dag |q - e_l> / sqrt(q_l) and
+    U a_l^dag U^dag = sum_j S_jl a_j^dag, so
 
         U[p, q] = (sum_j sqrt(p_j) S_jl U'[p - e_j, q - e_l]) / sqrt(q_l)
 
-    with U' the (n-1)-photon lift. Only the columns of U' that the wanted
-    columns need are built, level by level from the vacuum. Each level is
-    one block in which the k matrices' columns sit side by side: with W
-    wanted columns, column i * W + c of the 2-D (M, k * W) block, held as
-    (M, k, W), is wanted column c of matrix i. The last level's block is
-    ``out``. A level is a scatter through the ladder table: for each
-    mode j, row r of U' times sqrt(r_j + 1) S_jl is added to row up[j, r].
-    The rows up[j] are distinct, so one fancy-indexed add per mode is
-    exact, and a whole stack pays the per-call overhead of one lift. l, the
-    position of q - e_l and sqrt(q_l) are the table's ``first``,
-    ``first_down`` and ``first_coef``. A full lift needs every column of U'
-    in order (each r is r + e_0 minus its first photon), so only a column
-    subset looks its sources up with ``np.unique``. The caller has checked
-    the photon and mode counts, so the levels read the store directly.
-    Modes are summed in order and the division by sqrt(q_l) comes last,
-    which keeps lifts of the identity and of permutations exact and makes
-    each matrix's columns the same whatever else is in its stack.
+    with U' the (n-1)-photon lift. The walk is one loop up from the vacuum,
+    level 1 to n. Each level is one block in which the k matrices' columns
+    sit side by side: column i * W + c of the 2-D (M, k * W) block, held as
+    (M, k, W), is column c of matrix i. A level is a scatter through the
+    ladder table: for each mode j, row r of U' times sqrt(r_j + 1) S_jl is
+    added to row up[j, r]. The rows up[j] are distinct, so one
+    fancy-indexed add per mode is exact, and a whole stack pays the
+    per-call overhead of one lift. For every column, l, the position of
+    q - e_l and sqrt(q_l) are the table's ``first``, ``first_down`` and
+    ``first_coef``, and U' is needed whole. One input needs no ranking:
+    the levels below it remove its first photons, emptying its first
+    occupied mode first, so level k adds the k-th photon counted from the
+    last occupied mode, over the one column below, with 1 / sqrt(the
+    photons in that mode so far): the parent and coefficient that
+    ``first_down`` and ``first_coef`` give. The caller has checked the
+    photon and mode counts, so the levels read the store directly. Modes
+    are summed in order and the division by sqrt(q_l) comes last, which
+    keeps lifts of the identity and of permutations exact and makes each
+    matrix's columns, and one input's column, the same whatever else the
+    walk builds.
 
     The real factors are applied on float64 views, two real products per
     entry instead of a complex one: the rows of U' (``np.take`` gives them
@@ -162,25 +149,27 @@ def _fill_lift_columns(
     count, modes = stack.shape[:2]
     # sources[j, i, l] is S_jl of matrix i.
     sources = stack.transpose(1, 0, 2)
-    levels = []
-    for level in range(photons, 0, -1):
-        table = _ladder_table(modes, level)
-        if columns is None:
-            scale = _column_scale(modes, level)
-            levels.append((table, table.first, table.first_down, scale))
-        else:
-            first = table.first[columns]
-            scale = np.repeat(1 / table.first_coef[columns], 2)
-            columns, gather = np.unique(table.first_down[columns], return_inverse=True)
-            levels.append((table, first, gather, scale))
-    # block[r, i, c]: row r of wanted column c of matrix i's lift.
+    if state is not None:
+        # Each level's mode and scale, laid out as in ``_column_scale``.
+        added = [
+            ([mode], np.full(2, 1 / math.sqrt(held)))
+            for mode in reversed(range(modes))
+            for held in range(1, state[mode] + 1)
+        ]
+    # block[r, i, c]: row r of column c of matrix i's lift.
     block = np.ones((1, count, 1), dtype=complex)
-    if not levels:
+    if not photons:
         out[...] = block
-    for depth, (table, first, gather, scale) in enumerate(reversed(levels), 1):
+    for level in range(1, photons + 1):
+        table = _ladder_table(modes, level)
+        if state is None:
+            first, gather = table.first, table.first_down
+            scale = _column_scale(modes, level)
+        else:
+            (first, scale), gather = added[level - 1], [0]
         shed = np.take(block, gather, axis=2)
         weights = sources[:, :, first]
-        if depth < photons:
+        if level < photons:
             block = np.zeros((len(table.basis), *shed.shape[1:]), dtype=complex)
         else:
             block = out
@@ -235,7 +224,8 @@ def _expansion_lifts(
     for start in range(0, len(matrices), per_pass):
         stop = start + per_pass
         block = out[start:stop].transpose(1, 0, 2)
-        _fill_lift_columns(np.stack(matrices[start:stop]), photons, None, block)
+        # np.array stacks as np.stack would, at a tenth of the call cost.
+        _fill_lift_columns(np.array(matrices[start:stop]), photons, None, block)
     return list(out)
 
 
@@ -244,14 +234,15 @@ def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
 
     Adds one photon at a time: column q of the n-photon lift is S applied to
     the first photon of q, a_l^dag -> sum_j S_jl a_j^dag, on top of column
-    q - e_l of the (n-1)-photon lift (see ``_lift_columns``). The moves come
-    from the stored ladder tables of ``fock.ladder_table``, so the full lift
-    costs O(n * m * M^2) for M = C(m+n-1, n).
+    q - e_l of the (n-1)-photon lift (see ``_fill_lift_columns``). The moves
+    come from the stored ladder tables of ``fock.ladder_table``, so the full
+    lift costs O(n * m * M^2) for M = C(m+n-1, n). It is the one-matrix
+    case of ``_expansion_lifts``, which the consistency checks call.
     """
     matrix = _as_square(scattering)
     photons = _photon_number(photons)
-    table = ladder_table(matrix.shape[0], photons)
-    return LiftedUnitary(table.basis, _lift_columns(matrix, photons))
+    lifted = _expansion_lifts([matrix], photons)[0]
+    return LiftedUnitary(_ladder_table(matrix.shape[0], photons).basis, lifted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,19 +538,26 @@ def transition_distribution(
 
     Computes only the column of the lifted unitary for ``input_state``, by
     the same photon-by-photon recursion as ``lift_unitary_expansion``, in
-    O(n * m * M) instead of building the M x M matrix. Returns
-    |amplitude|^2 per output state, keyed in canonical basis order. Counts
-    must be whole numbers; booleans and fractions raise ValueError.
+    O(n * m * M) instead of building the M x M matrix, from the occupation
+    with no ranking. Returns |amplitude|^2 per output state, keyed in
+    canonical basis order by tuples read off the basis occupations. Counts
+    must be whole numbers, one per mode of S; booleans, fractions and
+    states of another length raise ValueError.
     """
     matrix = _as_square(scattering)
     occupation = _photon_counts(input_state)
     photons = sum(occupation)
-    table = ladder_table(matrix.shape[0], photons)
-    column = np.array([table.basis.index_of(occupation)])
-    amplitudes = _lift_columns(matrix, photons, column)[:, 0]
+    basis = ladder_table(matrix.shape[0], photons).basis
+    if len(occupation) != basis.modes:
+        raise ValueError(
+            f"state {occupation} does not belong to the basis with "
+            f"modes={basis.modes}, photons={photons}"
+        )
+    amplitudes = np.empty((len(basis), 1, 1), dtype=complex)
+    _fill_lift_columns(matrix[None], photons, occupation, amplitudes)
     return {
         state: float(abs(amplitude) ** 2)
-        for state, amplitude in zip(table.basis.states, amplitudes)
+        for state, amplitude in zip(basis, amplitudes.ravel())
     }
 
 

@@ -18,11 +18,13 @@ fused sweep trial.
 ``sparsity_violations_by_distance`` counts the far couplings of a lifted H
 from the occupation distance of every non-zero entry, the oracle of the
 cached near-pair count. ``lift_columns_by_scatter`` is the expansion-lift
-walk in complex arithmetic throughout, the oracle of the real-view walk.
+walk in complex arithmetic throughout, the oracle of the real-view walk,
+for every column or for one input's.
 
 ``rank_occupations`` ranks occupation rows by binomial counting, the
 vectorised ``FockBasis.index_of``: the oracle of the ladder table, which
-reads its moves off the basis order with no ranking.
+reads its moves off the basis order with no ranking, and the start of
+``lift_columns_by_scatter``'s trace of one input's column.
 
 ``write_matrix_one_pass`` formats a whole matrix file in one ``%`` format
 and writes it in one call, the byte oracle of ``photonlift.io.write_matrix``,
@@ -142,24 +144,29 @@ def rank_occupations(occupations, photons: int) -> np.ndarray:
     return binomials[remaining, slots_after].sum(axis=-1)
 
 
-def lift_columns_by_scatter(matrices, photons: int, columns=None) -> np.ndarray:
-    """``lift._lift_columns`` with complex products and a complex division.
+def lift_columns_by_scatter(matrices, photons: int, state=None) -> np.ndarray:
+    """``lift._fill_lift_columns`` with complex products and a complex division.
 
-    The same levels, mode order and scatter through the ladder table, so
-    the result must be the same array, bit for bit.
+    Returns the 2-D (M, k * W) block for every column (W = M) or for the
+    column of the occupation ``state`` alone (W = 1). The same levels,
+    mode order and scatter through the ladder table, so the result must be
+    the same array, bit for bit. A state's column is traced down from its
+    rank by the tables' ``first``, ``first_down`` and ``first_coef``, not
+    from its occupation, so the walk's photon order has its own oracle.
     """
     stack = np.reshape(matrices, (-1, *np.shape(matrices)[-2:]))
     count, modes = stack.shape[:2]
     sources = stack.transpose(1, 0, 2)
+    if state is not None:
+        column = rank_occupations([state], photons)
     levels = []
     for level in range(photons, 0, -1):
         table = _ladder_table(modes, level)
-        if columns is None:
+        if state is None:
             levels.append((table, table.first, table.first_down, table.first_coef))
         else:
-            first, coef = table.first[columns], table.first_coef[columns]
-            columns, gather = np.unique(table.first_down[columns], return_inverse=True)
-            levels.append((table, first, gather, coef))
+            levels.append((table, table.first[column], [0], table.first_coef[column]))
+            column = table.first_down[column]
     block = np.ones((1, count, 1), dtype=complex)
     for table, first, gather, coef in reversed(levels):
         shed = block[:, :, gather]

@@ -293,6 +293,16 @@ class TestStreamedWriter:
         assert target.read_bytes() == before
 
 
+    @pytest.mark.parametrize("metadata", [[("a", "b")], "ab", 5])
+    def test_metadata_that_is_no_mapping_is_refused_before_the_file_opens(
+        self, tmp_path, metadata
+    ):
+        target = tmp_path / "never.json"
+        with pytest.raises(ValueError, match="metadata must map strings to strings"):
+            write_matrix(np.eye(2), target, metadata)
+        assert not target.exists()
+
+
 class TestBasisCommand:
     def test_prints_states_in_order(self, capsys):
         assert main(["basis", "--modes", "2", "--photons", "2"]) == 0

@@ -104,6 +104,10 @@ class TestEnumerateBasis:
         assert all(len(state) == modes for state in basis)
         assert all(sum(state) == photons for state in basis)
         assert all(basis.index_of(state) == k for k, state in enumerate(basis))
+        assert tuple(basis) == basis.states
+        assert [basis[k] for k in range(len(basis))] == list(basis.states)
+        # The tuples are read off the occupations on each use, never kept.
+        assert "states" not in vars(basis)
 
     def test_photon_count_rule(self):
         assert enumerate_basis(2, 2.0).photons == 2

@@ -23,8 +23,8 @@ from photonlift.fock import (
 from photonlift.lift import (
     _STACK_BLOCK,
     _expansion_lifts,
+    _fill_lift_columns,
     _glynn_plan,
-    _lift_columns,
     balanced_beam_splitter,
     global_phase_lift,
     hamiltonian_element,
@@ -150,19 +150,36 @@ class TestLiftUnitaryExpansion:
             lift_unitary_expansion(np.ones((2, 3)), 1)
 
 
+def lift_block(matrices, photons, state=None):
+    """The 2-D (M, k * W) block ``_fill_lift_columns`` writes for a stack of S.
+
+    W is M for every column, or 1 for the column of the occupation ``state``.
+    """
+    stack = np.reshape(matrices, (-1, *np.shape(matrices)[-2:]))
+    size = math.comb(stack.shape[1] + photons - 1, photons)
+    block = np.empty((size, len(stack), size if state is None else 1), dtype=complex)
+    _fill_lift_columns(stack, photons, state, block)
+    return block.reshape(size, -1)
+
+
 class TestLiftColumns:
-    @pytest.mark.parametrize("modes,photons", [(4, 3), (5, 2), (2, 6)])
+    @pytest.mark.parametrize("modes,photons", [(4, 3), (5, 2), (2, 6), (1, 0), (1, 4), (2, 40)])
     def test_column_subsets_match_the_full_lift_exactly(self, modes, photons):
-        rng = np.random.default_rng(83)
-        scattering = random_unitary(modes, rng)
-        full = _lift_columns(scattering, photons)
-        assert np.array_equal(full, lift_unitary_expansion(scattering, photons).matrix)
-        size = full.shape[1]
-        for count in (1, 2, size // 2, size):
-            columns = rng.choice(size, size=count, replace=False)
-            assert np.array_equal(
-                _lift_columns(scattering, photons, columns), full[:, columns]
-            )
+        # The walk's only subset is one input's column: each one, byte for byte.
+        scattering = random_unitary(modes, np.random.default_rng(83))
+        lifted = lift_unitary_expansion(scattering, photons)
+        assert lift_block(scattering, photons).tobytes() == lifted.matrix.tobytes()
+        for column, state in enumerate(lifted.basis):
+            single = lift_block(scattering, photons, state)
+            assert single.tobytes() == lifted.matrix[:, [column]].tobytes()
+
+    def test_input_column_needs_no_ranking(self, monkeypatch):
+        def refuse(self, state):
+            raise AssertionError("the lift ranked its input")
+
+        monkeypatch.setattr(fock_module.FockBasis, "index_of", refuse)
+        distribution = transition_distribution(balanced_beam_splitter(), (1, 1))
+        assert list(distribution) == [(2, 0), (1, 1), (0, 2)]
 
 
 def assert_bit_identical(actual, expected):
@@ -182,14 +199,13 @@ class TestRealViewWalk:
         count = rng.integers(1, 8)
         matrices = np.stack([random_unitary(modes, rng) for _ in range(count)])
         assert_bit_identical(
-            _lift_columns(matrices, photons), lift_columns_by_scatter(matrices, photons)
+            lift_block(matrices, photons), lift_columns_by_scatter(matrices, photons)
         )
-        size = math.comb(modes + photons - 1, photons)
-        wanted = rng.integers(1, size + 1)
-        columns = np.sort(rng.choice(size, size=wanted, replace=False))
+        basis = ladder_table(modes, photons).basis
+        state = basis[rng.integers(len(basis))]
         assert_bit_identical(
-            _lift_columns(matrices, photons, columns),
-            lift_columns_by_scatter(matrices, photons, columns),
+            lift_block(matrices, photons, state),
+            lift_columns_by_scatter(matrices, photons, state),
         )
 
     @pytest.mark.parametrize("modes,photons", SIZES)
@@ -202,7 +218,7 @@ class TestRealViewWalk:
             ]
         ).astype(complex)
         assert_bit_identical(
-            _lift_columns(matrices, photons), lift_columns_by_scatter(matrices, photons)
+            lift_block(matrices, photons), lift_columns_by_scatter(matrices, photons)
         )
 
     @pytest.mark.parametrize("count", range(1, 8))
@@ -210,7 +226,11 @@ class TestRealViewWalk:
         rng = np.random.default_rng([89, count])
         matrices = np.stack([random_unitary(3, rng) for _ in range(count)])
         expected = lift_columns_by_scatter(matrices, 4)
-        assert_bit_identical(_lift_columns(matrices, 4), expected)
+        assert_bit_identical(lift_block(matrices, 4), expected)
+        assert_bit_identical(
+            lift_block(matrices, 4, (1, 0, 3)),
+            lift_columns_by_scatter(matrices, 4, (1, 0, 3)),
+        )
 
 
 class TestStackedLifts:
@@ -260,7 +280,7 @@ class TestStackedLifts:
         rng = np.random.default_rng(86)
         matrices = np.stack([random_unitary(3, rng) for _ in range(4)])
         size = self.dimension(3, 2)
-        block = _lift_columns(matrices, 2)
+        block = lift_block(matrices, 2)
         assert block.shape == (size, 4 * size)
         for index, matrix in enumerate(matrices):
             single = lift_unitary_expansion(matrix, 2).matrix
@@ -868,6 +888,22 @@ class TestTransitionDistribution:
     def test_rejects_fractional_and_boolean_counts(self, counts):
         with pytest.raises(ValueError):
             transition_distribution(balanced_beam_splitter(), counts)
+
+    @pytest.mark.parametrize("counts", [(1, 1, 1), ()])
+    def test_rejects_states_of_the_wrong_length(self, counts):
+        with pytest.raises(ValueError, match="does not belong to the basis with modes=2"):
+            transition_distribution(balanced_beam_splitter(), counts)
+
+    def test_vacuum_stays_put(self):
+        scattering = random_unitary(3, np.random.default_rng(102))
+        assert transition_distribution(scattering, (0, 0, 0)) == {(0, 0, 0): 1.0}
+
+    def test_stored_basis_keeps_no_state_tuples(self):
+        scattering = random_unitary(3, np.random.default_rng(103))
+        distribution = transition_distribution(scattering, (1, 0, 2))
+        basis = ladder_table(3, 3).basis
+        assert "states" not in vars(basis)
+        assert list(distribution) == list(basis.states)
 
     def test_accepts_whole_number_types(self):
         expected = transition_distribution(balanced_beam_splitter(), (1, 1))
