@@ -18,10 +18,11 @@ Each check validates its arguments, lifts, and hands the checked arrays and
 their lifts to a private report core (``_diagram_report``,
 ``_homomorphism_report``, ``_phase_report``) that holds every residual and
 every pass rule. ``run_sweep`` feeds the same cores from one fused trial:
-one stacked ``eigh`` of the trial's four Hermitian draws gives every m x m
-exponential, and one stacked expansion lift walks all seven matrices the
-three checks need. At small M a trial's cost is per-call overhead, so one
-walk instead of three and one ``eigh`` instead of four is most of its time.
+one ``rng.random`` call draws the whole trial, one stacked expression
+builds its four Hermitian matrices, one stacked ``eigh`` of them gives
+every m x m exponential, and one stacked expansion lift walks all seven
+matrices the three checks need. At small M a trial's cost is per-call
+overhead, so a fixed number of calls per trial is most of its speed.
 
 Every M x M array a check writes, the lifts and the scratch array its
 residuals are taken in, is a slot of one array allocated per call (per
@@ -474,12 +475,20 @@ def run_sweep(
     an empty sweep never passes. A NaN or negative tolerance raises
     ValueError too, as the public checks raise it.
 
-    Each trial draws, in this order, the Hamiltonian H of the diagram
-    check, the Hermitian generators of the homomorphism's ``first`` and
-    ``second``, the phase, and the generator of the phase check's S. It
-    then takes one stacked ``eigh`` of the four Hermitian parts, which gives
-    lambda and V of H and all four m x m exponentials, one
-    ``lift_hamiltonian`` of H, and one stacked expansion lift of
+    Each trial draws its 8 m^2 + 1 doubles u with one ``rng.random`` call,
+    in this order: the real then the imaginary parts of the m x m entries
+    of the diagram check's H (2 m^2), then of the Hermitian generators of
+    the homomorphism's ``first`` (a) and ``second`` (b), then the phase,
+    then the generator of the phase check's S. They are scaled as
+    ``Generator.uniform`` scales them, -1 + 2u for the entries and
+    -pi + 2 pi u for the phase, so they are the doubles that
+    ``random_hermitian`` and ``rng.uniform`` would draw in that order. The
+    four draws are built in one stacked (raw + raw^dag) / 2, exactly
+    Hermitian and finite, so they go to ``eigh`` as they are, with no
+    Hermitian-part step and no tolerance check: the tolerances were checked
+    before the first draw. The trial then takes one stacked ``eigh``, which
+    gives lambda and V of H and all four m x m exponentials, the lift of H
+    (what ``lift_hamiltonian`` gives), and one stacked expansion lift of
     [e^{iH}, V, b a, b, a, S, e^{i phase} S]. The reports come from the
     cores the public checks use, and equal, by ``repr``, what calling those
     checks one after another on the same draws gives. The lifted H, the
@@ -492,21 +501,24 @@ def run_sweep(
     photons = _photon_number(photons)
     for bound in (tol, homomorphism_tol, phase_tol):
         _check_tol(bound)
+    table = ladder_table(modes, photons)
     # Slots: the lifted H, the scratch array, then the seven lifts.
     work = _work_array(9, modes, photons)
     rng = np.random.default_rng(seed)
     results: list[tuple[str, int, object]] = []
+    # Each trial's draws: 6 m^2 for H, a and b, the phase, then 2 m^2 for S.
+    cut = 6 * modes**2
     for trial in range(trials):
-        # H, then the generators of the homomorphism's a and b, the phase,
-        # and last the generator of S: the order every seeded sweep drew in.
-        drawn = [random_hermitian(modes, rng) for _ in range(3)]
-        phase = rng.uniform(-math.pi, math.pi)
-        drawn.append(random_hermitian(modes, rng))
-        values, vectors = _eigh_hermitian_part(np.stack(drawn))
+        draws = rng.random(cut + 2 * modes**2 + 1)
+        # rng.uniform(low, high) is low + (high - low) * u: the same doubles.
+        phase = -math.pi + 2 * math.pi * float(draws[cut])
+        parts = np.concatenate((draws[:cut], draws[cut + 1 :]))
+        raw = -1.0 + 2.0 * parts.reshape(4, 2, modes, modes)
+        raw = raw[:, 0] + 1j * raw[:, 1]
+        drawn = (raw + raw.conj().swapaxes(1, 2)) / 2
+        values, vectors = np.linalg.eigh(drawn)
         exponential, a, b, scattering = _exp_i_eigh(values, vectors)
-        lifted_h = _fill_hamiltonian(
-            *_checked_hamiltonian(drawn[0], photons, tol), work[0]
-        )
+        lifted_h = _fill_hamiltonian(drawn[0], table, work[0])
         rephased = np.exp(1j * phase) * scattering
         lifts = _expansion_lifts(
             [exponential, vectors[0], b @ a, b, a, scattering, rephased],

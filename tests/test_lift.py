@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -42,7 +43,7 @@ from photonlift.matfuncs import (
     permanent,
     unitary_logarithm,
 )
-from photonlift.verify import check_diagram, random_hermitian, random_unitary
+from photonlift.verify import check_diagram, random_hermitian, random_unitary, run_sweep
 from reference import lift_columns_by_scatter
 
 # The worked two-mode example lists its three two-photon states in the order
@@ -220,6 +221,80 @@ class TestRealViewWalk:
         assert_bit_identical(
             lift_block(matrices, photons), lift_columns_by_scatter(matrices, photons)
         )
+
+    # Sizes whose walks merge every level past 1, scatter every one, or
+    # cross the gather bound part way up; with stacks of 1, 2 and 7, and
+    # single columns, which merge for longer.
+    BOTH_SIDES = [(3, 0), (4, 1), (4, 3), (3, 12), (2, 40), (5, 4), (6, 6), (10, 3)]
+
+    @staticmethod
+    def merged_levels(modes, photons, count, width=None):
+        """The levels of a walk over ``count`` matrices that take the merged step."""
+        levels = []
+        for level in range(2, photons + 1):
+            size = len(ladder_table(modes, level).basis)
+            gathered = min(modes, level) * size * count * (width or size)
+            if gathered <= lift_module._GATHER_BLOCK:
+                levels.append(level)
+        return levels
+
+    def test_sizes_lie_on_both_sides_of_the_gather_bound(self):
+        assert self.merged_levels(4, 3, 7) == [2, 3]
+        assert self.merged_levels(2, 40, 2) == list(range(2, 41))
+        assert self.merged_levels(5, 4, 1) == [2, 3]
+        assert self.merged_levels(6, 6, 7) == [2]
+        assert self.merged_levels(3, 12, 1) == list(range(2, 11))
+        assert self.merged_levels(10, 3, 7) == []
+        assert self.merged_levels(10, 3, 1, width=1) == [2, 3]
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("modes,photons", BOTH_SIDES)
+    def test_stacks_on_both_sides_of_the_gather_bound(self, modes, photons, count):
+        rng = np.random.default_rng([90, modes, photons, count])
+        matrices = np.stack([random_unitary(modes, rng) for _ in range(count)])
+        assert_bit_identical(
+            lift_block(matrices, photons), lift_columns_by_scatter(matrices, photons)
+        )
+        basis = ladder_table(modes, photons).basis
+        for state in {basis[0], basis[-1], basis[rng.integers(len(basis))]}:
+            assert_bit_identical(
+                lift_block(matrices, photons, state),
+                lift_columns_by_scatter(matrices, photons, state),
+            )
+
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("modes,photons", [(5, 4), (4, 3), (6, 6)])
+    def test_levels_take_the_step_their_size_selects(self, monkeypatch, modes, photons, count):
+        slot_rows = lift_module._slot_rows
+        merged = []
+
+        def spy(modes, level):
+            merged.append(level)
+            return slot_rows(modes, level)
+
+        monkeypatch.setattr(lift_module, "_slot_rows", spy)
+        matrices = np.stack([np.eye(modes, dtype=complex)] * count)
+        lift_block(matrices, photons)
+        assert merged == self.merged_levels(modes, photons, count)
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("modes,photons", [(1, 3), (3, 1), (4, 3), (5, 4), (6, 6)])
+    def test_signed_zeros_of_permutations_leave_no_negative_zero(self, modes, photons, count):
+        rng = np.random.default_rng([91, modes, photons, count])
+        matrices = np.stack(
+            [
+                np.eye(modes)[rng.permutation(modes)] * rng.choice([-1, 1], modes)
+                for _ in range(count)
+            ]
+        ).astype(complex)
+        # -I, whose zero entries are -0.0 - 0.0j, and its conjugate, whose
+        # zero entries are -0.0 + 0.0j: no negative zero may reach the lift.
+        matrices[0] = -np.eye(modes).astype(complex)
+        matrices[-1] = np.conjugate(matrices[0])
+        lifted = lift_block(matrices, photons)
+        assert_bit_identical(lifted, lift_columns_by_scatter(matrices, photons))
+        parts = lifted.view(float)
+        assert not np.signbit(parts[parts == 0]).any()
 
     @pytest.mark.parametrize("count", range(1, 8))
     def test_every_stack_height(self, count):
@@ -458,6 +533,17 @@ def lifts_and_reports(modes, photons, seed):
     return results
 
 
+def plan_arrays(plan):
+    """Every array of a stored plan, through its tuples and dataclasses."""
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    if isinstance(plan, tuple):
+        return [array for part in plan for array in plan_arrays(part)]
+    if dataclasses.is_dataclass(plan):
+        return plan_arrays(tuple(getattr(plan, field.name) for field in dataclasses.fields(plan)))
+    return []
+
+
 def held_bytes():
     """Bytes the plan store counts, checked against its entries."""
     held = sum(size for _, size in fock_module._plans.values())
@@ -559,6 +645,23 @@ class TestPlanStore:
             assert held_bytes() <= budget
         # The repeated sizes were evicted in between and built again.
         assert len(builds) > len(set(builds))
+
+    def test_no_two_stored_plans_share_an_array_buffer(self):
+        # Shared buffers would be counted twice and freed by neither eviction.
+        _clear_plans()
+        for job in self.JOBS:
+            lifts_and_reports(*job)
+        for modes, photons in [(3, 3), (5, 4), (1, 2)]:
+            run_sweep(modes, photons, 2, seed=modes)
+        transition_distribution(random_unitary(6, np.random.default_rng(6)), (2, 0, 1, 0, 0, 3))
+        keys = list(fock_module._plans)
+        assert lift_module._slot_rows.__wrapped__ in {key[0] for key in keys}
+        entries = [plan_arrays(plan) for plan, _ in fock_module._plans.values()]
+        for index, arrays in enumerate(entries):
+            for later, others in zip(keys[index + 1 :], entries[index + 1 :]):
+                for array in arrays:
+                    for other in others:
+                        assert not np.shares_memory(array, other), (keys[index], later)
 
     def test_plan_larger_than_the_budget_is_kept_alone(self, monkeypatch):
         _clear_plans()

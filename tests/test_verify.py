@@ -599,9 +599,24 @@ class TestRunSweep:
         ids=repr,
     )
     def test_checks_every_argument_before_the_first_draw(self, monkeypatch, arguments):
-        def no_draw(modes, rng):
-            raise AssertionError("drew before checking the arguments")
+        class NoDraws:
+            """A generator whose one draw call, ``random``, fails."""
 
-        monkeypatch.setattr(photonlift.verify, "random_hermitian", no_draw)
+            def __init__(self, seed):
+                pass
+
+            def random(self, size):
+                raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(photonlift.verify.np.random, "default_rng", NoDraws)
+        # Valid arguments reach the draw, so the patch covers the sweep's draws.
+        with pytest.raises(AssertionError, match="drew before checking"):
+            run_sweep(2, 1, 1)
         with pytest.raises(ValueError):
             run_sweep(**{"modes": 2, "photons": 1, "trials": 1, **arguments})
+
+    @pytest.mark.parametrize("modes,photons", [(1, 2), (2, 3), (3, 2)])
+    def test_twenty_trials_equal_the_oracle(self, modes, photons):
+        # A draw out of place shifts every later trial's draws.
+        fused = run_sweep(modes, photons, 20, seed=95)
+        assert repr(fused) == repr(sweep_by_checks(modes, photons, 20, seed=95))
