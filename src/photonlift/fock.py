@@ -28,19 +28,19 @@ immutable (basis and table arrays are read-only) and safe to share across
 threads.
 
 The plan store keeps every per-size plan of the package: the ladder tables
-here, the column scales, Glynn plans and one-move plans of ``lift`` and the
-near-pair indexes of ``verify``. Each builder is a function of (modes,
-photons) decorated with ``_stored_plan``, and its plans are keyed by
-(builder, modes, photons) in one dict. The store counts the summed
-``nbytes`` of each plan's arrays against one budget, ``_PLAN_BUDGET``, and
-evicts the least recently used plans while the total is over it; a plan
-larger than the whole budget is kept alone. A full lift of n photons walks
-the tables of levels 1..n, so the store keeps every level of a lift at high
-occupancy (all 300 of m = 2 take 3.3 MB) and still bounds what a few large
-sizes hold. A stored basis keeps nothing beyond its counted occupation
-array. A build that raises stores nothing, and builds run outside
-the store's lock, so two threads may build one plan at once; the first
-stored is kept and returned to both.
+here, the column scales, small-level walk plans, Glynn plans and one-move
+plans of ``lift`` and the near-pair indexes of ``verify``. Each builder is
+a function of (modes, photons) decorated with ``_stored_plan``, and its
+plans are keyed by (builder, modes, photons) in one dict. The store counts
+the summed ``nbytes`` of each plan's arrays against one budget,
+``_PLAN_BUDGET``, and evicts the least recently used plans while the total
+is over it; a plan larger than the whole budget is kept alone. A full lift
+of n photons walks the tables of levels 1..n, so the store keeps every
+level of a lift at high occupancy (all 300 of m = 2 take 3.3 MB) and still
+bounds what a few large sizes hold. A stored basis keeps nothing beyond its
+counted occupation array. A build that raises stores nothing, and builds
+run outside the store's lock, so two threads may build one plan at once;
+the first stored is kept and returned to both.
 """
 
 import dataclasses
@@ -164,10 +164,15 @@ def _whole_number(count, least: int, kind: str) -> int:
     Every basis is built through this rule, so 2.0 and 2 give the same basis
     and True never stands in for 1.
     """
-    whole = isinstance(count, numbers.Integral) or (
-        isinstance(count, numbers.Real) and float(count).is_integer()
+    # An exact int, the common case, skips the slower ABC checks.
+    whole = type(count) is int or (
+        not isinstance(count, bool)
+        and (
+            isinstance(count, numbers.Integral)
+            or (isinstance(count, numbers.Real) and float(count).is_integer())
+        )
     )
-    if isinstance(count, bool) or not whole or count < least:
+    if not whole or count < least:
         raise ValueError(
             f"{kind} counts must be whole numbers >= {least}, got {count!r}"
         )

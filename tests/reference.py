@@ -26,6 +26,11 @@ vectorised ``FockBasis.index_of``: the oracle of the ladder table, which
 reads its moves off the basis order with no ranking, and the start of
 ``lift_columns_by_scatter``'s trace of one input's column.
 
+``lift_permanent_by_passes`` is the permanent lift's pass loop with a
+fresh array for every power table, product and gather, the byte oracle of
+``photonlift.lift.lift_unitary_permanent``, which writes them all into one
+work block per call. Both read the same stored Glynn plan.
+
 ``write_matrix_one_pass`` formats a whole matrix file in one ``%`` format
 and writes it in one call, the byte oracle of ``photonlift.io.write_matrix``,
 which formats and writes a block of entries at a time.
@@ -38,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 import photonlift.verify as verify
-from photonlift.fock import _ladder_table, _mode_number, _whole_number
+from photonlift.fock import _ladder_table, _mode_number, _photon_number, _whole_number
+from photonlift.lift import _glynn_plan
 from photonlift.matfuncs import _as_square, _exp_i_hermitian, frobenius_norm
 
 
@@ -178,6 +184,43 @@ def lift_columns_by_scatter(matrices, photons: int, state=None) -> np.ndarray:
             block[table.up[mode]] += terms
         block = block / coef
     return block.reshape(len(block), -1)
+
+
+def lift_permanent_by_passes(scattering, photons: int) -> np.ndarray:
+    """The permanent lift of ``scattering``, one fresh array per pass step.
+
+    Takes the Glynn plan's passes in order: a power table by repeated
+    multiplication, a product of gathered powers mode by mode, the weights,
+    and one ``np.add.reduceat`` per pass into the lift's columns; then one
+    division by sqrt(prod_j p_j! prod_l q_l!). Photons at most
+    ``PERMANENT_SIZE_LIMIT``, which ``lift_unitary_permanent`` checks.
+    """
+    matrix = _as_square(scattering)
+    photons = _photon_number(photons)
+    plan = _glynn_plan(_mode_number(matrix.shape[0]), photons)
+    basis = plan.basis
+    if photons == 0:
+        return np.ones((1, 1), dtype=complex)
+    occupations = basis.occupations
+    modes, size = basis.modes, len(basis)
+    sums = matrix @ plan.counts
+    lifted = np.empty((size, size), dtype=complex)
+    for columns, vectors, starts in plan.passes:
+        width = vectors.stop - vectors.start
+        powers = np.empty((modes, photons + 1, width), dtype=complex)
+        powers[:, 0] = 1
+        powers[:, 1] = sums[:, vectors]
+        for k in range(2, photons + 1):
+            np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
+        products = powers[0, occupations[:, 0]]
+        for mode in range(1, modes):
+            products *= powers[mode, occupations[:, mode]]
+        products *= plan.weights[vectors]
+        np.add.reduceat(products, starts, axis=1, out=lifted[:, columns])
+    norms = np.outer(plan.factorials, plan.factorials)
+    np.sqrt(norms, out=norms)
+    lifted /= norms
+    return lifted
 
 
 def write_matrix_one_pass(matrix, path, metadata=None) -> None:

@@ -44,7 +44,7 @@ from photonlift.matfuncs import (
     unitary_logarithm,
 )
 from photonlift.verify import check_diagram, random_hermitian, random_unitary, run_sweep
-from reference import lift_columns_by_scatter
+from reference import lift_columns_by_scatter, lift_permanent_by_passes
 
 # The worked two-mode example lists its three two-photon states in the order
 # (2,0), (0,2), (1,1); this permutation maps canonical indices to that order.
@@ -265,14 +265,16 @@ class TestRealViewWalk:
     @pytest.mark.parametrize("count", [1, 7])
     @pytest.mark.parametrize("modes,photons", [(5, 4), (4, 3), (6, 6)])
     def test_levels_take_the_step_their_size_selects(self, monkeypatch, modes, photons, count):
-        slot_rows = lift_module._slot_rows
+        merged_level = lift_module._merged_level
+        # Level sizes grow with the level, so a block's length names its level.
+        levels = {len(ladder_table(modes, level).basis): level for level in range(photons + 1)}
         merged = []
 
-        def spy(modes, level):
-            merged.append(level)
-            return slot_rows(modes, level)
+        def spy(*args):
+            merged.append(levels[len(args[-1])])
+            return merged_level(*args)
 
-        monkeypatch.setattr(lift_module, "_slot_rows", spy)
+        monkeypatch.setattr(lift_module, "_merged_level", spy)
         matrices = np.stack([np.eye(modes, dtype=complex)] * count)
         lift_block(matrices, photons)
         assert merged == self.merged_levels(modes, photons, count)
@@ -479,6 +481,19 @@ class TestLiftUnitaryPermanent:
         direct = lift_unitary_expansion(permutation, photons)
         viaper = lift_unitary_permanent(permutation, photons)
         assert np.array_equal(direct.matrix, viaper.matrix)
+
+    # The first three take one pass, the last two several.
+    @pytest.mark.parametrize("modes,photons", [(2, 10), (3, 7), (4, 4), (5, 5), (8, 5)])
+    def test_work_block_matches_the_pass_loop_byte_for_byte(self, modes, photons):
+        assert (len(_glynn_plan(modes, photons).passes) > 1) == (modes >= 5)
+        rng = np.random.default_rng([37, modes, photons])
+        permutation = np.eye(modes)[rng.permutation(modes)] * rng.choice([-1, 1], modes)
+        phases = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, modes)))
+        for scattering in (random_unitary(modes, rng), permutation, phases):
+            assert_bit_identical(
+                lift_unitary_permanent(scattering, photons).matrix,
+                lift_permanent_by_passes(scattering, photons),
+            )
 
     def test_peak_memory_is_one_matrix_plus_a_block(self):
         # An unblocked pass over all columns would hold 7e6 complex products
@@ -883,6 +898,18 @@ class TestHamiltonianElement:
         for row, p in enumerate(states):
             for column, q in enumerate(states):
                 assert hamiltonian_element(h_single, p, q) == lifted.matrix[row, column]
+
+    @pytest.mark.parametrize("modes,photons", [(4, 3), (5, 4), (6, 3), (8, 3)])
+    def test_diagonal_sums_the_modes_in_order(self, modes, photons):
+        # Three or more occupied modes of four or more: a pairwise sum of the
+        # modes differs from the ordered one in the last bit for some H.
+        rng = np.random.default_rng([52, modes])
+        for _ in range(8):
+            h_single = random_hermitian(modes, rng)
+            lifted = lift_hamiltonian(h_single, photons)
+            for index, state in enumerate(lifted.basis):
+                expected = hamiltonian_element(h_single, state, state)
+                assert lifted.matrix[index, index] == expected
 
     def test_rejects_incompatible_states(self):
         with pytest.raises(ValueError):
