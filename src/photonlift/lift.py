@@ -350,30 +350,34 @@ def _slot_rows(modes: int, photons: int) -> tuple[np.ndarray, ...]:
 
 def _expansion_lifts(
     matrices, photons: int, out: np.ndarray | None = None
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Full expansion lifts of same-size square complex matrices, in stacked passes.
 
-    ``matrices`` have already been through ``_as_square``; the photon and
-    mode counts are checked here, once, before any work. The k lifts are
-    written into ``out``, a (k, M, M) complex array with C-contiguous
-    slots whose contents do not matter, or into a fresh one when it is
-    None, and come back as its (M, M) slots. A pass lifts as many whole
-    matrices as fit in _STACK_BLOCK entries of its last block (at least
-    one) through one ``_fill_lift_columns`` walk, which writes the pass's
-    slots in place, viewed as its (M, k', M) block. A lift is the same
-    array whether it shares its pass or not, except at m = 1, where the
-    two can differ in the last bit.
+    ``matrices`` is a list of k matrices that have already been through
+    ``_as_square``, or a (k, m, m) complex array, which is read in place.
+    The k lifts are written into ``out``, a (k, M, M) complex array with
+    C-contiguous slots whose contents do not matter, which is returned. A
+    caller that passes ``out`` has had it sized by the ladder table, which
+    checks the photon and mode counts; with ``out`` None the table is
+    looked up here, which checks them once, before any work, and the lifts
+    go into a fresh array. A pass lifts as many whole matrices as fit in
+    _STACK_BLOCK entries of its last block (at least one) through one
+    ``_fill_lift_columns`` walk, which writes the pass's slots in place,
+    viewed as its (M, k', M) block. A lift is the same array whether it
+    shares its pass or not, except at m = 1, where the two can differ in
+    the last bit.
     """
-    size = len(ladder_table(matrices[0].shape[0], photons).basis)
     if out is None:
+        size = len(ladder_table(matrices[0].shape[0], photons).basis)
         out = np.empty((len(matrices), size, size), dtype=complex)
-    per_pass = max(1, _STACK_BLOCK // size**2)
-    for start in range(0, len(matrices), per_pass):
+    per_pass = max(1, _STACK_BLOCK // out.shape[1] ** 2)
+    for start in range(0, len(out), per_pass):
         stop = start + per_pass
         block = out[start:stop].transpose(1, 0, 2)
-        # np.array stacks as np.stack would, at a tenth of the call cost.
-        _fill_lift_columns(np.array(matrices[start:stop]), photons, None, block)
-    return list(out)
+        # np.asarray stacks a list as np.stack would, at a tenth of the call
+        # cost, and reads a stacked array in place.
+        _fill_lift_columns(np.asarray(matrices[start:stop]), photons, None, block)
+    return out
 
 
 def lift_unitary_expansion(scattering, photons: int) -> LiftedUnitary:
@@ -620,36 +624,39 @@ def _fill_hamiltonian(
     # One product, then one sum over the modes in order from 0.0, as
     # hamiltonian_element sums, so the two agree exactly. The terms are
     # C-ordered (m, M), so the sum runs over rows: along a contiguous axis
-    # numpy adds four or more complex terms pairwise.
+    # numpy adds four or more complex terms pairwise. The sum goes straight
+    # into the diagonal, a strided view of the flat matrix.
     terms = np.empty((basis.modes, len(basis)), dtype=complex)
     np.multiply(occupations.T, matrix.diagonal()[:, None], out=terms)
-    np.fill_diagonal(out, np.add.reduce(terms, axis=0, initial=0.0))
-    positions, targets, sources, weights = _one_move_plan(basis.modes, basis.photons)
-    out.reshape(-1)[positions] = weights * matrix[targets, sources]
+    flat = out.reshape(-1)
+    np.add.reduce(terms, axis=0, initial=0.0, out=flat[:: len(basis) + 1])
+    positions, pairs, weights = _one_move_plan(basis.modes, basis.photons)
+    flat[positions] = weights * matrix.take(pairs)
     return LiftedHamiltonian(basis, out)
 
 
 @_stored_plan
 def _one_move_plan(
     modes: int, photons: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each one-move entry of a lifted H goes, and its weight, read-only.
 
     Row k of each array belongs to the k-th ordered mode pair (j, l),
     j != l, and column r to the n - 1 photon state r: the flat position of
     entry (up[j, r], up[l, r]) in the M x M lift, and sqrt(q_l (q_j + 1))
-    for q = r + e_l, the input state. ``targets`` and ``sources`` hold j and
-    l as (m(m - 1), 1) columns, so H[targets, sources] lines up with the
-    weights. The plan depends on (m, n) alone and takes O(m^2 * M')
-    memory, small beside the M x M lift.
+    for q = r + e_l, the input state. ``pairs`` holds the flat position
+    j * m + l of H_jl as an (m(m - 1), 1) column, so H.take(pairs) lines
+    up with the weights. The plan depends on (m, n) alone and takes
+    O(m^2 * M') memory, small beside the M x M lift.
     """
     table = _ladder_table(modes, photons)
     occupations = table.basis.occupations
     targets, sources = np.nonzero(~np.eye(modes, dtype=bool))
     rows, columns = table.up[targets], table.up[sources]
+    pairs = (targets * modes + sources)[:, None]
     targets, sources = targets[:, None], sources[:, None]
     weights = np.sqrt(occupations[columns, sources] * occupations[rows, targets])
-    plan = (rows * len(table.basis) + columns, targets, sources, weights)
+    plan = (rows * len(table.basis) + columns, pairs, weights)
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -722,12 +729,14 @@ def transition_distribution(
     matrix = _as_square(scattering)
     occupation = _photon_counts(input_state)
     photons = sum(occupation)
-    basis = ladder_table(matrix.shape[0], photons).basis
-    if len(occupation) != basis.modes:
+    # The length first: the basis of a wrong-length state's photons can be
+    # far too large to build.
+    if len(occupation) != matrix.shape[0]:
         raise ValueError(
             f"state {occupation} does not belong to the basis with "
-            f"modes={basis.modes}, photons={photons}"
+            f"modes={matrix.shape[0]}, photons={photons}"
         )
+    basis = ladder_table(matrix.shape[0], photons).basis
     amplitudes = np.empty((len(basis), 1, 1), dtype=complex)
     _fill_lift_columns(matrix[None], photons, occupation, amplitudes)
     return {

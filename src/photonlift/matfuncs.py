@@ -119,11 +119,16 @@ def _eigh_hermitian_part(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitian)
 
 
-def _exp_i_eigh(phases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """V e^{i Lambda} V^dag from ``eigh`` output, for one matrix or a stack."""
-    return (vectors * np.exp(1j * phases)[..., None, :]) @ np.swapaxes(
-        vectors.conj(), -1, -2
-    )
+def _exp_i_eigh(
+    phases: np.ndarray, vectors: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """V e^{i Lambda} V^dag from ``eigh`` output, for one matrix or a stack.
+
+    The product is written into ``out`` when it is given, an array of the
+    result's shape whose matrices are C-contiguous.
+    """
+    scaled = vectors * np.exp(1j * phases)[..., None, :]
+    return np.matmul(scaled, vectors.conj().swapaxes(-1, -2), out=out)
 
 
 def _exp_i_hermitian(matrix: np.ndarray) -> np.ndarray:

@@ -14,27 +14,33 @@ finite-difference route to the Hamiltonian lift. All randomness is drawn
 from an explicit seed (DEFAULT_SEED when unspecified) so every report is
 reproducible.
 
-Each check validates its arguments, lifts, and hands the checked arrays and
-their lifts to a private report core (``_diagram_report``,
-``_homomorphism_report``, ``_phase_report``) that holds every residual and
-every pass rule. ``run_sweep`` feeds the same cores from one fused trial:
-one ``rng.random`` call draws the whole trial, one stacked expression
-builds its four Hermitian matrices, one stacked ``eigh`` of them gives
-every m x m exponential, and one stacked expansion lift walks all seven
-matrices the three checks need. At small M a trial's cost is per-call
-overhead, so a fixed number of calls per trial is most of its speed.
+Each check validates its arguments, lifts, and takes its residuals in one
+scratch slot, each norm before the next residual is written:
+``_diagram_report`` for the diagram check, ``_homomorphism_residual`` and
+``_phase_residual`` for the other two. The pass rule of each report type
+has one home, ``_diagram_verdict``, ``_homomorphism_verdict`` and
+``_phase_verdict``, which ``run_sweep`` shares. A sweep trial is one fixed
+run of array calls instead: one ``rng.random`` call draws the whole trial,
+one ``take`` through a stored index gathers its four raw matrices and one
+expression makes them Hermitian, one stacked ``eigh`` gives every m x m
+exponential, written by one ``matmul`` straight into the stack of the
+seven matrices the three checks lift, and one stacked expansion lift walks
+them. Each of the seven residuals then has a slot of its own, so one pass
+takes all seven norms. At small M a trial's cost is per-call overhead, so
+a small, fixed number of calls per trial is most of its speed.
 
-Every M x M array a check writes, the lifts and the scratch array its
-residuals are taken in, is a slot of one array allocated per call (per
-sweep in ``run_sweep``), once every argument is checked; see
-``_work_array``. Nothing is kept between calls, so the checks are safe to
-call concurrently.
+Every M x M array a check writes, the lifts and the slots its residuals
+are taken in, is a slot of one array allocated per call (per sweep in
+``run_sweep``), once every argument is checked; see ``_work_array``.
+Nothing is kept between calls, so the checks are safe to call
+concurrently.
 
-The sparsity count reads an index of the state pairs at most one photon
-move apart, built per (m, n) from the basis occupations alone, so it stays
+The sparsity count zeroes, in the non-zero mask of the lifted H, the
+state pairs at most one photon move apart and counts what is left, from
+an index built per (m, n) from the basis occupations alone, so it stays
 independent of the ladder table that builds the lifted H. The index is
-kept in the plan store of ``fock``, which also keeps the ladder tables and
-the lifts' plans and evicts least recently used plans past one byte
+kept in the plan store of ``fock``, which also keeps the ladder tables
+and the lifts' plans and evicts least recently used plans past one byte
 budget; it shares their storage and nothing else.
 """
 
@@ -167,42 +173,59 @@ def _near_pairs(modes: int, photons: int) -> np.ndarray:
     return near
 
 
-def _count_nonzero_entries(values: np.ndarray) -> int:
-    """Entries of a C-contiguous complex array with a non-zero part, NaN included.
+@_stored_plan
+def _draw_index(modes: int, photons: int) -> np.ndarray:
+    """Where each entry of a sweep trial's four drawn matrices reads its draws.
 
-    Compares the float64 view with 0 and reads each entry's two flags as
-    one uint16: what ``np.count_nonzero`` counts, about nine times faster
-    than it runs on complex input.
+    A trial's 8 m^2 + 1 draws hold the real then the imaginary m x m parts
+    of H, a and b, then the phase, then those of S. Entry [k, i, j] of the
+    read-only (4, m, m, 2) index holds the positions of the real and
+    imaginary draws of entry (i, j) of the k-th matrix (H, a, b, S), so the
+    doubles it gathers, viewed as complex, are the four raw matrices. The
+    index depends on the mode count alone: the sweep asks for it with
+    ``photons`` 0, so one plan serves every photon count.
     """
-    return int(np.count_nonzero(np.not_equal(values.view(float), 0).view(np.uint16)))
+    square = modes * modes
+    starts = np.array([0, 2 * square, 4 * square, 6 * square + 1])
+    entries = np.arange(square).reshape(modes, modes)
+    index = starts[:, None, None, None] + entries[:, :, None] + np.array([0, square])
+    index.flags.writeable = False
+    return index
 
 
 def _count_sparsity_violations(lifted) -> int:
     """Non-zero entries between states more than one photon move apart.
 
     Two states are one move apart when their occupations differ by 2 in L1
-    distance. The count is the non-zero entries of the whole matrix less
-    those at the stored positions of ``_near_pairs``, so a NaN entry counts
-    as non-zero, as ``np.nonzero`` counts it. Those positions come from the
-    basis states themselves, not from the ladder table that built the
-    matrix, so the check stays independent of the construction it checks.
-    A call costs one O(M^2) comparison with zero and a gather of the
-    O(M' m^2) near positions. The index is built once per size, from
-    O(m M') rows, and kept in the plan store of ``fock``.
+    distance. The count is one ``np.count_nonzero`` over the matrix's
+    non-zero mask with the stored positions of ``_near_pairs`` zeroed. The
+    mask compares the float64 view with 0 and reads each entry's two flags
+    as one uint16, so a NaN entry counts as non-zero, as ``np.nonzero``
+    counts it, about nine times faster than ``np.count_nonzero`` runs on
+    complex input. The near positions come from the basis states
+    themselves, not from the ladder table that built the matrix, so the
+    check stays independent of the construction it checks. A call costs
+    one O(M^2) comparison with zero into a mask of 2 M^2 bytes, an eighth
+    of the matrix, and a scatter of zeros to the O(M' m^2) near positions.
+    The index is built once per size, from O(m M') rows, and kept in the
+    plan store of ``fock``.
     """
     matrix = np.ascontiguousarray(lifted.matrix, dtype=complex)
-    near = np.take(matrix, _near_pairs(lifted.basis.modes, lifted.basis.photons))
-    return _count_nonzero_entries(matrix) - _count_nonzero_entries(near)
+    mask = np.not_equal(matrix.view(float), 0).view(np.uint16)
+    mask.reshape(-1)[_near_pairs(lifted.basis.modes, lifted.basis.photons)] = 0
+    return int(np.count_nonzero(mask))
 
 
-def _work_array(slots: int, modes: int, photons: int) -> np.ndarray:
+def _work_array(slots: int, table) -> np.ndarray:
     """``slots`` M x M complex arrays as the slots of one (slots, M, M) array.
 
-    The counts are checked as ``ladder_table`` checks them, before anything
-    is allocated: an empty matrix's mode count is refused here. The contents
-    are undefined, so each slot is written in full before it is read.
+    M is the size of the basis of ``table``, a ladder table, so the photon
+    and mode counts were checked, as ``ladder_table`` checks them, before
+    anything is allocated: an empty matrix's mode count is refused there.
+    The contents are undefined, so each slot is written in full before it
+    is read.
     """
-    size = len(ladder_table(modes, photons).basis)
+    size = len(table.basis)
     # One block, not one array per slot: glibc's free raises its mmap
     # threshold to the size of a freed mmap'd block and its trim threshold
     # to twice that (mallopt(3), "dynamic mmap threshold"). Once a block
@@ -220,6 +243,36 @@ def _distance_to_identity(product: np.ndarray) -> float:
     return frobenius_norm(product)
 
 
+def _diagram_verdict(basis, residuals, violations: int, tol: float) -> DiagramReport:
+    """The diagram report from its five residual norms and sparsity count.
+
+    ``residuals`` are the diagram, unitarity, hermiticity, eigen and
+    eigenbasis residuals, in the order of the report's fields. Holds the
+    check's one pass rule, for ``check_diagram`` and ``run_sweep`` alike.
+    """
+    diagram, unitarity, hermiticity, eigen, eigenbasis = residuals
+    passed = (
+        diagram <= tol
+        and unitarity <= tol
+        and hermiticity <= tol
+        and eigen <= tol
+        and eigenbasis <= tol
+        and violations == 0
+    )
+    return DiagramReport(
+        modes=basis.modes,
+        photons=basis.photons,
+        residual_diagram=diagram,
+        residual_unitarity=unitarity,
+        residual_hermiticity=hermiticity,
+        sparsity_violations=violations,
+        residual_eigen=eigen,
+        residual_eigenbasis=eigenbasis,
+        tolerance=tol,
+        passed=passed,
+    )
+
+
 def _diagram_report(
     lifted_h: LiftedHamiltonian,
     values: np.ndarray,
@@ -228,19 +281,20 @@ def _diagram_report(
     scratch: np.ndarray,
     tol: float,
 ) -> DiagramReport:
-    """The diagram report from checked arrays: every residual and the pass rule.
+    """The report of ``check_diagram`` from its checked arrays.
 
     ``values`` are the eigenvalues lambda of the single-photon H, and
     ``group`` and ``lifted_vectors`` the expansion lifts G = lift_U(e^{iH})
     and W = lift_U(V). The lifted H and W are overwritten. Every residual
     is taken in ``scratch``, a C-contiguous M x M complex array whose
-    contents do not matter, so the report allocates no M x M array.
+    contents do not matter, each norm before the next residual is written,
+    so the report allocates no M x M array.
     """
     lifted = lifted_h.matrix
+    violations = _count_sparsity_violations(lifted_h)
     np.conjugate(lifted.T, out=scratch)
     scratch -= lifted
     residual_hermiticity = frobenius_norm(scratch)
-    violations = _count_sparsity_violations(lifted_h)
     energies = lifted_h.basis.occupations @ values
     np.matmul(lifted, lifted_vectors, out=scratch)
     # The lifted H is not needed past that product, so its array is reused.
@@ -260,26 +314,14 @@ def _diagram_report(
     np.matmul(lifted, lifted_vectors.T, out=scratch)
     scratch -= group
     residual_diagram = frobenius_norm(scratch)
-    passed = (
-        residual_diagram <= tol
-        and residual_unitarity <= tol
-        and residual_hermiticity <= tol
-        and residual_eigen <= tol
-        and residual_eigenbasis <= tol
-        and violations == 0
+    residuals = (
+        residual_diagram,
+        residual_unitarity,
+        residual_hermiticity,
+        residual_eigen,
+        residual_eigenbasis,
     )
-    return DiagramReport(
-        modes=lifted_h.basis.modes,
-        photons=lifted_h.basis.photons,
-        residual_diagram=residual_diagram,
-        residual_unitarity=residual_unitarity,
-        residual_hermiticity=residual_hermiticity,
-        sparsity_violations=violations,
-        residual_eigen=residual_eigen,
-        residual_eigenbasis=residual_eigenbasis,
-        tolerance=tol,
-        passed=passed,
-    )
+    return _diagram_verdict(lifted_h.basis, residuals, violations, tol)
 
 
 def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
@@ -310,11 +352,11 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     against a stored index of the near pairs built from the basis alone (see
     ``_count_sparsity_violations``). Around the four GEMMs, that count is
     one O(M^2) comparison with zero, and each norm one O(M^2) dot with no
-    temporary. The input must be Hermitian within ``tol``. Lambda, V and
-    e^{iH} come from its Hermitian part, (H + H^dag) / 2, so a matrix that
-    is Hermitian only within ``tol`` still gives a unitary G to rounding.
-    Its anti-Hermitian part shows in ``residual_hermiticity``, taken from
-    the lifted H itself, and adds at most half of that to
+    temporary. The input must be Hermitian within ``tol``. Lambda,
+    V and e^{iH} come from its Hermitian part, (H + H^dag) / 2, so a
+    matrix that is Hermitian only within ``tol`` still gives a unitary G to
+    rounding. Its anti-Hermitian part shows in ``residual_hermiticity``,
+    taken from the lifted H itself, and adds at most half of that to
     ``residual_eigen``. A NaN or negative ``tol`` raises ValueError.
 
     Every argument is checked, in the order ``lift_hamiltonian`` checks
@@ -326,7 +368,7 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     matrix, table = _checked_hamiltonian(h_single, photons, tol)
     values, vectors = _eigh_hermitian_part(matrix)
     basis = table.basis
-    work = _work_array(4, basis.modes, basis.photons)
+    work = _work_array(4, table)
     lifted_h = _fill_hamiltonian(matrix, table, work[0])
     group, lifted_vectors = _expansion_lifts(
         [_exp_i_eigh(values, vectors), vectors], basis.photons, work[2:]
@@ -334,24 +376,22 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     return _diagram_report(lifted_h, values, group, lifted_vectors, work[1], tol)
 
 
-def _homomorphism_report(
-    modes: int,
-    photons: int,
-    combined: np.ndarray,
-    lifted_b: np.ndarray,
-    lifted_a: np.ndarray,
-    scratch: np.ndarray,
-    tol: float,
-) -> HomomorphismReport:
-    """The homomorphism report from the lifts of b @ a, b and a.
+def _homomorphism_residual(
+    combined: np.ndarray, lifted_b: np.ndarray, lifted_a: np.ndarray, out: np.ndarray
+) -> None:
+    """Write lift(b) lift(a) - lift(b a) into ``out``, an M x M complex array.
 
-    The product of the lifts is taken in ``scratch``, an M x M complex
-    array whose contents do not matter.
+    Its norm is that of lift(b a) - lift(b) lift(a). ``out`` is none of the
+    three lifts, and its contents do not matter.
     """
-    # separate - combined, in place: the norm is that of combined - separate.
-    np.matmul(lifted_b, lifted_a, out=scratch)
-    scratch -= combined
-    residual = frobenius_norm(scratch)
+    np.matmul(lifted_b, lifted_a, out=out)
+    out -= combined
+
+
+def _homomorphism_verdict(
+    modes: int, photons: int, residual: float, tol: float
+) -> HomomorphismReport:
+    """The homomorphism report, by the check's one pass rule."""
     return HomomorphismReport(
         modes=modes,
         photons=photons,
@@ -375,28 +415,29 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
     _check_tol(tol)
     product = _as_square(b @ a)
     photons = _photon_number(photons)
-    work = _work_array(4, a.shape[0], photons)
+    work = _work_array(4, ladder_table(a.shape[0], photons))
     lifts = _expansion_lifts([product, b, a], photons, work[1:])
-    return _homomorphism_report(a.shape[0], photons, *lifts, work[0], tol)
+    _homomorphism_residual(*lifts, work[0])
+    return _homomorphism_verdict(a.shape[0], photons, frobenius_norm(work[0]), tol)
 
 
-def _phase_report(
-    modes: int,
-    photons: int,
-    phase: float,
-    plain: np.ndarray,
-    shifted: np.ndarray,
-    scratch: np.ndarray,
-    tol: float,
-) -> GlobalPhaseReport:
-    """The global-phase report from the lifts of S and e^{i phase} S.
+def _phase_residual(
+    photons: int, phase: float, plain: np.ndarray, shifted: np.ndarray, out: np.ndarray
+) -> None:
+    """Write lift(e^{i phase} S) - e^{i n phase} lift(S) into ``out``.
 
-    The difference is taken in ``scratch``, an M x M complex array whose
-    contents do not matter.
+    ``plain`` and ``shifted`` are the lifts of S and e^{i phase} S, and
+    ``out`` an M x M complex array whose contents do not matter, neither
+    of them: numpy's complex product can round differently in place.
     """
-    np.multiply(np.exp(1j * photons * phase), plain, out=scratch)
-    np.subtract(shifted, scratch, out=scratch)
-    residual = frobenius_norm(scratch)
+    np.multiply(np.exp(1j * photons * phase), plain, out=out)
+    np.subtract(shifted, out, out=out)
+
+
+def _phase_verdict(
+    modes: int, photons: int, phase: float, residual: float, tol: float
+) -> GlobalPhaseReport:
+    """The global-phase report, by the check's one pass rule."""
     return GlobalPhaseReport(
         modes=modes,
         photons=photons,
@@ -422,9 +463,11 @@ def check_global_phase(
     photons = _photon_number(photons)
     _check_phase(phase)
     rephased = _as_square(np.exp(1j * phase) * matrix)
-    work = _work_array(3, matrix.shape[0], photons)
+    work = _work_array(3, ladder_table(matrix.shape[0], photons))
     lifts = _expansion_lifts([matrix, rephased], photons, work[1:])
-    return _phase_report(matrix.shape[0], photons, phase, *lifts, work[0], tol)
+    _phase_residual(photons, phase, *lifts, work[0])
+    residual = frobenius_norm(work[0])
+    return _phase_verdict(matrix.shape[0], photons, phase, residual, tol)
 
 
 def check_derivative_oracle(h_single, photons: int, step: float) -> float:
@@ -479,21 +522,30 @@ def run_sweep(
     in this order: the real then the imaginary parts of the m x m entries
     of the diagram check's H (2 m^2), then of the Hermitian generators of
     the homomorphism's ``first`` (a) and ``second`` (b), then the phase,
-    then the generator of the phase check's S. They are scaled as
-    ``Generator.uniform`` scales them, -1 + 2u for the entries and
-    -pi + 2 pi u for the phase, so they are the doubles that
-    ``random_hermitian`` and ``rng.uniform`` would draw in that order. The
-    four draws are built in one stacked (raw + raw^dag) / 2, exactly
-    Hermitian and finite, so they go to ``eigh`` as they are, with no
-    Hermitian-part step and no tolerance check: the tolerances were checked
-    before the first draw. The trial then takes one stacked ``eigh``, which
-    gives lambda and V of H and all four m x m exponentials, the lift of H
-    (what ``lift_hamiltonian`` gives), and one stacked expansion lift of
-    [e^{iH}, V, b a, b, a, S, e^{i phase} S]. The reports come from the
-    cores the public checks use, and equal, by ``repr``, what calling those
-    checks one after another on the same draws gives. The lifted H, the
-    scratch array and the seven lifts are the slots of one (9, M, M) array
-    (see ``_work_array``), allocated once the arguments are checked and
+    then the generator of the phase check's S. They stand for the doubles
+    ``Generator.uniform`` makes of them, -1 + 2u for the entries and
+    -pi + 2 pi u for the phase, which ``random_hermitian`` and
+    ``rng.uniform`` would draw in that order. One ``take`` through a stored
+    index (``_draw_index``) gathers u - 1/2 into the four raw matrices, and
+    one expression gives their Hermitian parts (raw + raw^dag) / 2, in steps
+    that are exact, so they equal the public checks' inputs bit for bit.
+    They are exactly Hermitian and finite, so they go to ``eigh`` as they
+    are, with no Hermitian-part step and no tolerance check: the tolerances
+    were checked before the first draw. One stacked ``eigh`` gives lambda
+    and V of H and, through one ``matmul``, all four m x m exponentials,
+    written straight into the stack [V, e^{iH}, a, b, S, b a,
+    e^{i phase} S] that one stacked expansion lift walks. The lift of H is
+    what ``lift_hamiltonian`` gives.
+
+    The seven residuals are those of the public checks, each in a slot of
+    its own, and one pass takes their seven Frobenius norms; the two Gram
+    residuals, W^dag W - I and G^dag G - I, are one stacked product. The
+    reports are built by the pass rules the public checks use and equal,
+    by ``repr``, what calling those checks one after another on the same
+    draws gives. The lifted H, the seven lifts and two more arrays are the
+    ten slots of one (10, M, M) array (see ``_work_array``); the residuals
+    take the two spare slots and five of the lifts' once those are used.
+    The array is allocated once the arguments are checked and
     rewritten by every trial, so no trial allocates an M x M array.
     """
     trials = _whole_number(trials, 1, "trial")
@@ -502,37 +554,67 @@ def run_sweep(
     for bound in (tol, homomorphism_tol, phase_tol):
         _check_tol(bound)
     table = ladder_table(modes, photons)
-    # Slots: the lifted H, the scratch array, then the seven lifts.
-    work = _work_array(9, modes, photons)
+    basis = table.basis
+    size = len(basis)
+    work = _work_array(10, table)
+    # Slot 0 holds the lifted H, and then the trial's spare products.
+    # Slots 1-7 take the lifts of the stack: W and G side by side in 1 and
+    # 2, then lift(a), lift(b), lift(S), lift(b a) and lift(e^{i phase} S).
+    # Slots 3-9 take the seven residuals in report order, each once what it
+    # overwrites is used: the diagram, unitarity, hermiticity, eigen and
+    # eigenbasis residuals, the homomorphism's and the phase check's. The
+    # two Grams (slots 7 and 4) are one stacked product, with conj(W) and
+    # conj(G) in slots 0 and 3.
+    conjugates = work[0:4:3]
+    grams = work[7:3:-3]
+    gram_diagonals = grams.reshape(2, -1)[:, :: size + 1]
+    flat_residuals = work[3:].reshape(7, -1).view(float)
+    index = _draw_index(modes, 0)
+    stack = np.empty((7, modes, modes), dtype=complex)
     rng = np.random.default_rng(seed)
     results: list[tuple[str, int, object]] = []
-    # Each trial's draws: 6 m^2 for H, a and b, the phase, then 2 m^2 for S.
-    cut = 6 * modes**2
+    phase_at = 6 * modes**2
     for trial in range(trials):
-        draws = rng.random(cut + 2 * modes**2 + 1)
-        # rng.uniform(low, high) is low + (high - low) * u: the same doubles.
-        phase = -math.pi + 2 * math.pi * float(draws[cut])
-        parts = np.concatenate((draws[:cut], draws[cut + 1 :]))
-        raw = -1.0 + 2.0 * parts.reshape(4, 2, modes, modes)
-        raw = raw[:, 0] + 1j * raw[:, 1]
-        drawn = (raw + raw.conj().swapaxes(1, 2)) / 2
+        draws = rng.random(8 * modes**2 + 1)
+        # rng.uniform(low, high) is low + (high - low) * u: the same double.
+        phase = -math.pi + 2 * math.pi * float(draws[phase_at])
+        # (raw + raw^dag) / 2 for raw = (-1 + 2u) + i (-1 + 2u'), in exact
+        # steps: with w = u - 1/2 it is w + conj(w)^T, entry by entry
+        # (w_ij + w_ji) + i (w'_ij - w'_ji).
+        draws -= 0.5
+        raw = draws.take(index).view(complex)[..., 0]
+        drawn = raw + raw.swapaxes(1, 2).conj()
         values, vectors = np.linalg.eigh(drawn)
-        exponential, a, b, scattering = _exp_i_eigh(values, vectors)
+        stack[0] = vectors[0]
+        _exp_i_eigh(values, vectors, out=stack[1:5])
+        np.matmul(stack[3], stack[2], out=stack[5])
+        np.multiply(np.exp(1j * phase), stack[4], out=stack[6])
         lifted_h = _fill_hamiltonian(drawn[0], table, work[0])
-        rephased = np.exp(1j * phase) * scattering
-        lifts = _expansion_lifts(
-            [exponential, vectors[0], b @ a, b, a, scattering, rephased],
-            photons,
-            work[2:],
-        )
-        scratch = work[1]
-        diagram = _diagram_report(lifted_h, values[0], *lifts[:2], scratch, tol)
-        homomorphism = _homomorphism_report(
-            modes, photons, *lifts[2:5], scratch, homomorphism_tol
-        )
-        global_phase = _phase_report(
-            modes, photons, phase, *lifts[5:], scratch, phase_tol
-        )
+        lifted = lifted_h.matrix
+        _expansion_lifts(stack, photons, work[1:8])
+        lifted_vectors, group = work[1], work[2]
+        _phase_residual(photons, phase, work[5], work[7], work[9])
+        _homomorphism_residual(work[6], work[4], work[3], work[8])
+        violations = _count_sparsity_violations(lifted_h)
+        np.conjugate(lifted.T, out=work[5])
+        work[5] -= lifted
+        energies = basis.occupations @ values[0]
+        np.matmul(lifted, lifted_vectors, out=work[6])
+        np.multiply(lifted_vectors, energies, out=lifted)
+        work[6] -= lifted
+        # Both Grams X^dag X as one stacked conj(X)^T X, less I.
+        np.conjugate(work[1:3], out=conjugates)
+        np.matmul(conjugates.transpose(0, 2, 1), work[1:3], out=grams)
+        gram_diagonals -= 1
+        # W e^{i mu} W^dag - G, with W conjugated in place for W^dag.
+        np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
+        np.conjugate(lifted_vectors, out=lifted_vectors)
+        np.matmul(lifted, lifted_vectors.T, out=work[3])
+        work[3] -= group
+        norms = np.sqrt(np.vecdot(flat_residuals, flat_residuals)).tolist()
+        diagram = _diagram_verdict(basis, norms[:5], violations, tol)
+        homomorphism = _homomorphism_verdict(modes, photons, norms[5], homomorphism_tol)
+        global_phase = _phase_verdict(modes, photons, phase, norms[6], phase_tol)
         results += [
             ("diagram", trial, diagram),
             ("homomorphism", trial, homomorphism),

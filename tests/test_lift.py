@@ -1024,6 +1024,24 @@ class TestTransitionDistribution:
         with pytest.raises(ValueError, match="does not belong to the basis with modes=2"):
             transition_distribution(balanced_beam_splitter(), counts)
 
+    @pytest.mark.parametrize("counts", [(40,), (400,)])
+    def test_wrong_length_is_refused_before_the_basis_is_built(self, counts):
+        # Ten modes hold C(49, 40) states of 40 photons, 168 GiB as a basis,
+        # and more states of 400 photons than numpy can index.
+        scattering = random_unitary(10, np.random.default_rng(1))
+        message = (
+            rf"^state \({counts[0]},\) does not belong to the basis with "
+            rf"modes=10, photons={counts[0]}$"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                transition_distribution(scattering, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_vacuum_stays_put(self):
         scattering = random_unitary(3, np.random.default_rng(102))
         assert transition_distribution(scattering, (0, 0, 0)) == {(0, 0, 0): 1.0}

@@ -615,6 +615,25 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(**{"modes": 2, "photons": 1, "trials": 1, **arguments})
 
+    @pytest.mark.parametrize("modes,photons,bound", [(10, 3, 11.4), (5, 4, 12.8)])
+    def test_peak_memory_stays_near_ten_matrices(self, modes, photons, bound):
+        # A first sweep builds the plans the store keeps, so the measured
+        # sweep holds its work array and the walk's temporaries alone.
+        run_sweep(modes, photons, 1, seed=104)
+        tracemalloc.start()
+        try:
+            results = run_sweep(modes, photons, 2, seed=104)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
+        assert all(report.passed for _, _, report in results)
+        # The ten slots of the work array (the lifted H, the seven lifts and
+        # two more, which with five of the lifts' slots hold the seven
+        # residuals), beside the lift walk: about 10.9 and 12.3 matrices.
+        # An eleventh slot would pass neither bound.
+        assert peak <= bound * 16 * size**2
+
     @pytest.mark.parametrize("modes,photons", [(1, 2), (2, 3), (3, 2)])
     def test_twenty_trials_equal_the_oracle(self, modes, photons):
         # A draw out of place shifts every later trial's draws.
