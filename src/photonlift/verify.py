@@ -8,7 +8,9 @@ W = lift_U(V) diagonalises lift_H(H) with eigenvalues q . lambda, one per
 basis state q. The check measures how far lift_H(H) W is from
 W diag(q . lambda) and how far W is from unitary; when both are within
 tolerance, W diag(e^{i q . lambda}) W^dag is exp(i lift_H(H)) to rounding,
-so comparing it with the lifted e^{iH} compares the two routes.
+so comparing it with the lifted e^{iH} compares the two routes. Those are
+its three M x M products; how far G = lift_U(e^{iH}) is from unitary is
+bounded from two of their residuals (see ``_diagram_verdict``).
 Companions cover product preservation, global phases, and a
 finite-difference route to the Hamiltonian lift. All randomness is drawn
 from an explicit seed (DEFAULT_SEED when unspecified) so every report is
@@ -25,8 +27,8 @@ one ``take`` through a stored index gathers its four raw matrices and one
 expression makes them Hermitian, one stacked ``eigh`` gives every m x m
 exponential, written by one ``matmul`` straight into the stack of the
 seven matrices the three checks lift, and one stacked expansion lift walks
-them. Each of the seven residuals then has a slot of its own, so one pass
-takes all seven norms. At small M a trial's cost is per-call overhead, so
+them. Each of the six residuals then has a slot of its own, so one pass
+takes all six norms. At small M a trial's cost is per-call overhead, so
 a small, fixed number of calls per trial is most of its speed.
 
 Every M x M array a check writes, the lifts and the slots its residuals
@@ -103,7 +105,10 @@ class DiagramReport:
     the exponential of the lifted H: a complete orthonormal set of its
     eigenvectors with their eigenvalues fixes every function of a Hermitian
     matrix. All residuals are Frobenius norms gated on ``tolerance``, along
-    with zero ``sparsity_violations``.
+    with zero ``sparsity_violations``. ``residual_unitarity`` is not measured:
+    it is an upper bound on ||G^dag G - I||_F, G = lift_U(e^{iH}), from the
+    eigenbasis and diagram residuals (see ``_diagram_verdict``), so the check
+    takes three M x M products.
     """
 
     modes: int
@@ -237,20 +242,23 @@ def _work_array(slots: int, table) -> np.ndarray:
     return np.empty((slots, size, size), dtype=complex)
 
 
-def _distance_to_identity(product: np.ndarray) -> float:
-    """||A - I||_F for a square C-contiguous A, subtracting I in place."""
-    product.reshape(-1)[:: len(product) + 1] -= 1
-    return frobenius_norm(product)
-
-
 def _diagram_verdict(basis, residuals, violations: int, tol: float) -> DiagramReport:
-    """The diagram report from its five residual norms and sparsity count.
+    """The diagram report from its four residual norms and sparsity count.
 
-    ``residuals`` are the diagram, unitarity, hermiticity, eigen and
-    eigenbasis residuals, in the order of the report's fields. Holds the
-    check's one pass rule, for ``check_diagram`` and ``run_sweep`` alike.
+    ``residuals`` are the diagram, hermiticity, eigen and eigenbasis
+    residuals, in the order of the report's fields. Holds the check's one
+    pass rule, for ``check_diagram`` and ``run_sweep`` alike.
+
+    The unitarity residual is the bound e (2 + e) + 2 d (1 + e) + d^2 on
+    ||G^dag G - I||_F, from e = ||W^dag W - I||_F and d = ||D||_F for
+    D = G - W E W^dag, E = diag(e^{i mu}). With A = W^dag W - I,
+    G^dag G - I = (W W^dag - I) + W E^dag A E W^dag + W E^dag W^dag D
+    + D^dag W E W^dag + D^dag D, and ||W W^dag - I||_F = e (W is square)
+    and ||W||_2^2 <= 1 + e bound the terms by e, (1 + e) e, twice (1 + e) d,
+    and d^2. A NaN or infinite residual gives a bound that fails the rule.
     """
-    diagram, unitarity, hermiticity, eigen, eigenbasis = residuals
+    diagram, hermiticity, eigen, eigenbasis = residuals
+    unitarity = eigenbasis * (2 + eigenbasis) + 2 * diagram * (1 + eigenbasis) + diagram**2
     passed = (
         diagram <= tol
         and unitarity <= tol
@@ -288,7 +296,9 @@ def _diagram_report(
     and W = lift_U(V). The lifted H and W are overwritten. Every residual
     is taken in ``scratch``, a C-contiguous M x M complex array whose
     contents do not matter, each norm before the next residual is written,
-    so the report allocates no M x M array.
+    so the report allocates no M x M array. It takes three M x M products,
+    lift_H(H) W, W^dag W and W e^{i mu} W^dag; G's unitarity is bounded
+    from their residuals in ``_diagram_verdict``.
     """
     lifted = lifted_h.matrix
     violations = _count_sparsity_violations(lifted_h)
@@ -301,26 +311,18 @@ def _diagram_report(
     np.multiply(lifted_vectors, energies, out=lifted)
     scratch -= lifted
     residual_eigen = frobenius_norm(scratch)
-    # Gram matrices X^dag X as conj(X)^T X, with conj(X) in the freed array.
+    # The Gram matrix W^dag W as conj(W)^T W, with conj(W) in the freed array.
     np.conjugate(lifted_vectors, out=lifted)
     np.matmul(lifted.T, lifted_vectors, out=scratch)
-    residual_eigenbasis = _distance_to_identity(scratch)
-    np.conjugate(group, out=lifted)
-    np.matmul(lifted.T, group, out=scratch)
-    residual_unitarity = _distance_to_identity(scratch)
+    scratch.reshape(-1)[:: len(scratch) + 1] -= 1
+    residual_eigenbasis = frobenius_norm(scratch)
     # W e^{i mu} W^dag - G; W is conjugated in place, as only W^dag is left to use.
     np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
     np.conjugate(lifted_vectors, out=lifted_vectors)
     np.matmul(lifted, lifted_vectors.T, out=scratch)
     scratch -= group
     residual_diagram = frobenius_norm(scratch)
-    residuals = (
-        residual_diagram,
-        residual_unitarity,
-        residual_hermiticity,
-        residual_eigen,
-        residual_eigenbasis,
-    )
+    residuals = (residual_diagram, residual_hermiticity, residual_eigen, residual_eigenbasis)
     return _diagram_verdict(lifted_h.basis, residuals, violations, tol)
 
 
@@ -344,13 +346,18 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     ``residual_diagram`` = ||G - W diag(e^{i mu}) W^dag||_F compares the two
     routes, and a fault in either lift shows in one of the three residuals.
     G and W come from one stacked call of the expansion lift, so the check
-    runs no M x M eigendecomposition; the dense product and the Gram
-    matrices are O(M^3) GEMMs.
+    runs no M x M eigendecomposition; its three M x M products, the dense
+    product, the Gram matrix and W e^{i mu} W^dag, are O(M^3) GEMMs.
 
-    Also records how unitary G is, how Hermitian the lifted H is, and how
-    many far-apart state pairs picked up a non-zero coupling, counted
-    against a stored index of the near pairs built from the basis alone (see
-    ``_count_sparsity_violations``). Around the four GEMMs, that count is
+    Also records a bound on how far G is from unitary,
+    e (2 + e) + 2 d (1 + e) + d^2 for e = ``residual_eigenbasis`` and
+    d = ``residual_diagram``: with G = W E W^dag + D, E unitary and
+    diagonal, ||W W^dag - I||_F = e and ||W||_2^2 <= 1 + e bound each term
+    of G^dag G - I (see ``_diagram_verdict``). It also records how Hermitian
+    the lifted H is, and how many far-apart state pairs picked up a
+    non-zero coupling, counted against a stored index of the near pairs
+    built from the basis alone (see ``_count_sparsity_violations``).
+    Around the three GEMMs, that count is
     one O(M^2) comparison with zero, and each norm one O(M^2) dot with no
     temporary. The input must be Hermitian within ``tol``. Lambda,
     V and e^{iH} come from its Hermitian part, (H + H^dag) / 2, so a
@@ -537,14 +544,15 @@ def run_sweep(
     e^{i phase} S] that one stacked expansion lift walks. The lift of H is
     what ``lift_hamiltonian`` gives.
 
-    The seven residuals are those of the public checks, each in a slot of
-    its own, and one pass takes their seven Frobenius norms; the two Gram
-    residuals, W^dag W - I and G^dag G - I, are one stacked product. The
+    The six residuals are those of the public checks, each in a slot of
+    its own, and one pass takes their six Frobenius norms. The diagram
+    check's three M x M products are those of ``check_diagram``, and G's
+    unitarity is bounded from their residuals by the same rule. The
     reports are built by the pass rules the public checks use and equal,
     by ``repr``, what calling those checks one after another on the same
-    draws gives. The lifted H, the seven lifts and two more arrays are the
-    ten slots of one (10, M, M) array (see ``_work_array``); the residuals
-    take the two spare slots and five of the lifts' once those are used.
+    draws gives. The lifted H, the seven lifts and one more array are the
+    nine slots of one (9, M, M) array (see ``_work_array``); the residuals
+    take the spare slot and five of the lifts' once those are used.
     The array is allocated once the arguments are checked and
     rewritten by every trial, so no trial allocates an M x M array.
     """
@@ -556,19 +564,15 @@ def run_sweep(
     table = ladder_table(modes, photons)
     basis = table.basis
     size = len(basis)
-    work = _work_array(10, table)
+    work = _work_array(9, table)
     # Slot 0 holds the lifted H, and then the trial's spare products.
     # Slots 1-7 take the lifts of the stack: W and G side by side in 1 and
     # 2, then lift(a), lift(b), lift(S), lift(b a) and lift(e^{i phase} S).
-    # Slots 3-9 take the seven residuals in report order, each once what it
-    # overwrites is used: the diagram, unitarity, hermiticity, eigen and
-    # eigenbasis residuals, the homomorphism's and the phase check's. The
-    # two Grams (slots 7 and 4) are one stacked product, with conj(W) and
-    # conj(G) in slots 0 and 3.
-    conjugates = work[0:4:3]
-    grams = work[7:3:-3]
-    gram_diagonals = grams.reshape(2, -1)[:, :: size + 1]
-    flat_residuals = work[3:].reshape(7, -1).view(float)
+    # Slots 3-8 take the six residuals in report order, each once what it
+    # overwrites is used: the diagram, hermiticity, eigen and eigenbasis
+    # residuals, the homomorphism's and the phase check's.
+    gram_diagonal = work[6].reshape(-1)[:: size + 1]
+    flat_residuals = work[3:].reshape(6, -1).view(float)
     index = _draw_index(modes, 0)
     stack = np.empty((7, modes, modes), dtype=complex)
     rng = np.random.default_rng(seed)
@@ -593,28 +597,28 @@ def run_sweep(
         lifted = lifted_h.matrix
         _expansion_lifts(stack, photons, work[1:8])
         lifted_vectors, group = work[1], work[2]
-        _phase_residual(photons, phase, work[5], work[7], work[9])
-        _homomorphism_residual(work[6], work[4], work[3], work[8])
+        _phase_residual(photons, phase, work[5], work[7], work[8])
+        _homomorphism_residual(work[6], work[4], work[3], work[7])
         violations = _count_sparsity_violations(lifted_h)
-        np.conjugate(lifted.T, out=work[5])
-        work[5] -= lifted
+        np.conjugate(lifted.T, out=work[4])
+        work[4] -= lifted
         energies = basis.occupations @ values[0]
-        np.matmul(lifted, lifted_vectors, out=work[6])
+        np.matmul(lifted, lifted_vectors, out=work[5])
         np.multiply(lifted_vectors, energies, out=lifted)
-        work[6] -= lifted
-        # Both Grams X^dag X as one stacked conj(X)^T X, less I.
-        np.conjugate(work[1:3], out=conjugates)
-        np.matmul(conjugates.transpose(0, 2, 1), work[1:3], out=grams)
-        gram_diagonals -= 1
+        work[5] -= lifted
+        # The Gram matrix W^dag W as conj(W)^T W, less I.
+        np.conjugate(lifted_vectors, out=lifted)
+        np.matmul(lifted.T, lifted_vectors, out=work[6])
+        gram_diagonal -= 1
         # W e^{i mu} W^dag - G, with W conjugated in place for W^dag.
         np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
         np.conjugate(lifted_vectors, out=lifted_vectors)
         np.matmul(lifted, lifted_vectors.T, out=work[3])
         work[3] -= group
         norms = np.sqrt(np.vecdot(flat_residuals, flat_residuals)).tolist()
-        diagram = _diagram_verdict(basis, norms[:5], violations, tol)
-        homomorphism = _homomorphism_verdict(modes, photons, norms[5], homomorphism_tol)
-        global_phase = _phase_verdict(modes, photons, phase, norms[6], phase_tol)
+        diagram = _diagram_verdict(basis, norms[:4], violations, tol)
+        homomorphism = _homomorphism_verdict(modes, photons, norms[4], homomorphism_tol)
+        global_phase = _phase_verdict(modes, photons, phase, norms[5], phase_tol)
         results += [
             ("diagram", trial, diagram),
             ("homomorphism", trial, homomorphism),

@@ -272,6 +272,47 @@ class TestDiagramAgainstEighRoute:
         assert not report.passed and not reference.passed
 
 
+class TestUnitarityBound:
+    """``residual_unitarity`` bounds ||G^dag G - I||_F from the other residuals."""
+
+    SIZES = [(2, 40), (3, 8), (8, 2), (10, 3), (6, 6), (3, 2), (1, 5)]
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_bound_is_at_least_the_measured_residual(self, modes, photons):
+        for seed in range(3):
+            h_single = random_hermitian(modes, np.random.default_rng([105, modes, photons, seed]))
+            report = check_diagram(h_single, photons)
+            reference = diagram_by_eigh(h_single, photons)
+            assert report.passed
+            assert report.residual_unitarity >= reference.residual_unitarity
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("position", [0, 1], ids=["group", "eigenbasis"])
+    def test_a_non_finite_lift_entry_fails(self, monkeypatch, value, position):
+        exact = photonlift.verify._expansion_lifts
+
+        def spoiled(matrices, photons, out=None):
+            lifts = exact(matrices, photons, out)
+            lifts[position][0, 0] = value
+            return lifts
+
+        monkeypatch.setattr(photonlift.verify, "_expansion_lifts", spoiled)
+        # An infinite W meets the lifted H's zeros in lift_H(H) W: 0 * inf.
+        with np.errstate(invalid="ignore"):
+            report = check_diagram(random_hermitian(3, np.random.default_rng(106)), 2)
+        assert not report.residual_unitarity <= report.tolerance
+        assert not report.passed
+
+    @pytest.mark.parametrize("modes,photons", [(3, 2), (4, 3), (10, 3)])
+    def test_a_scaled_group_column_fails_both_residuals(self, monkeypatch, modes, photons):
+        h_single = random_hermitian(modes, np.random.default_rng(97))
+        _scale_one_group_column(monkeypatch)
+        report = check_diagram(h_single, photons)
+        assert report.residual_diagram > report.tolerance
+        assert report.residual_unitarity > report.tolerance
+        assert not report.passed
+
+
 class TestReusedWorkMemory:
     """A check's work array may reuse the pages of the check before it.
 
@@ -615,7 +656,7 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(**{"modes": 2, "photons": 1, "trials": 1, **arguments})
 
-    @pytest.mark.parametrize("modes,photons,bound", [(10, 3, 11.4), (5, 4, 12.8)])
+    @pytest.mark.parametrize("modes,photons,bound", [(10, 3, 10.4), (5, 4, 11.8)])
     def test_peak_memory_stays_near_ten_matrices(self, modes, photons, bound):
         # A first sweep builds the plans the store keeps, so the measured
         # sweep holds its work array and the walk's temporaries alone.
@@ -628,10 +669,10 @@ class TestRunSweep:
             tracemalloc.stop()
         size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
         assert all(report.passed for _, _, report in results)
-        # The ten slots of the work array (the lifted H, the seven lifts and
-        # two more, which with five of the lifts' slots hold the seven
-        # residuals), beside the lift walk: about 10.9 and 12.3 matrices.
-        # An eleventh slot would pass neither bound.
+        # The nine slots of the work array (the lifted H, the seven lifts and
+        # one more, which with five of the lifts' slots holds the six
+        # residuals), beside the lift walk: about 9.9 and 11.3 matrices.
+        # A tenth slot would pass neither bound.
         assert peak <= bound * 16 * size**2
 
     @pytest.mark.parametrize("modes,photons", [(1, 2), (2, 3), (3, 2)])
