@@ -13,11 +13,10 @@ canonical order, p -> p - e_j maps the states with p_j >= 1, in order, onto
 all n - 1 photon states, in order, so the states that raise r -> r + e_j
 are just the rows with a photon in mode j. The table is built in O(modes *
 M) vectorised work and kept, per (modes, photons), in the plan store: the
-lifts of one network size share one table. Besides the moves (``up``) it
-keeps what each lift level needs: the creation coefficients, each state's
-first occupied mode and the position left when that photon is removed. The
-lifts raise photons by scattering through ``up`` and build no masks and run
-no searches per call.
+lifts of one network size share one table. It keeps the moves (``up``)
+and their creation coefficients, and nothing of any one lift's rule. The
+lifts raise photons through ``up`` and build no masks and run no searches
+per call.
 
 ``FockBasis.index_of`` is the only combinatorial ranking left: it finds one
 state's position in O(modes) with no hashing. The lifts do not call it:
@@ -28,9 +27,9 @@ immutable (basis and table arrays are read-only) and safe to share across
 threads.
 
 The plan store keeps every per-size plan of the package: the ladder tables
-here, the column scales, small-level walk plans, Glynn plans and one-move
-plans of ``lift`` and the near-pair indexes of ``verify``. Each builder is
-a function of (modes, photons) decorated with ``_stored_plan``, and its
+here, the walk plans, Glynn plans and one-move plans of ``lift`` and the
+near-pair indexes of ``verify``. Each builder is a function of (modes,
+photons) decorated with ``_stored_plan``, and its
 plans are keyed by (builder, modes, photons) in one dict. The store counts
 the summed ``nbytes`` of each plan's arrays against one budget,
 ``_PLAN_BUDGET``, and evicts the least recently used plans while the total
@@ -276,24 +275,15 @@ class LadderTable:
       for r an n - 1 photon state, shape (modes, M'). Row j is the
       positions of the states with p_j >= 1, in order;
     * ``up_coef[j, r]`` is sqrt(r_j + 1), the creation coefficient of that
-      move, shape (modes, M');
-    * ``first[p]`` is the first occupied mode of state p (0 for the
-      vacuum), shape (M,);
-    * ``first_down[p]`` is the position of p minus its first photon among
-      the n - 1 photon states (-1 for the vacuum), shape (M,); it is the
-      rank of p among the states with a photon in mode ``first[p]``, so
-      ``up[first[p], first_down[p]] == p``;
-    * ``first_coef[p]`` is sqrt(p_l) for l = ``first[p]``, the annihilation
-      coefficient of that photon and so ``up_coef[l, first_down[p]]`` (0 for
-      the vacuum), shape (M,).
+      move, shape (modes, M').
+
+    Which photon a lift removes from each state is the lift's own rule,
+    kept in its walk plans (see ``lift._first_photons``).
     """
 
     basis: FockBasis
     up: np.ndarray
     up_coef: np.ndarray
-    first: np.ndarray
-    first_down: np.ndarray
-    first_coef: np.ndarray
 
 
 def ladder_table(modes: int, photons: int) -> LadderTable:
@@ -323,18 +313,9 @@ def _ladder_table(modes: int, photons: int) -> LadderTable:
     # p = r + e_j has coefficient sqrt(r_j + 1) = sqrt(p_j).
     up = np.stack([np.flatnonzero(column) for column in occupied.T])
     up_coef = np.sqrt(np.take_along_axis(occupations.T, up, axis=1))
-    rows = np.arange(len(basis))
-    first = np.argmax(occupied, axis=1)
-    # For l = first[p], the position of p - e_l is the rank of p among the
-    # states with p_l >= 1. The vacuum, with no photon to remove, gets -1.
-    ranks = occupied.astype(np.intp)
-    np.cumsum(ranks, axis=0, out=ranks)
-    first_down = ranks[rows, first] - 1
-    first_coef = np.sqrt(occupations[rows, first])
-    arrays = (up, up_coef, first, first_down, first_coef)
-    for array in arrays:
-        array.flags.writeable = False
-    return LadderTable(basis, *arrays)
+    up.flags.writeable = False
+    up_coef.flags.writeable = False
+    return LadderTable(basis, up, up_coef)
 
 
 @dataclass(frozen=True)

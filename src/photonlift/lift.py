@@ -4,15 +4,16 @@ The m x m scattering matrix S of a photon-conserving linear network fixes
 the evolution of any number of photons. ``lift_unitary_expansion`` and
 ``lift_unitary_permanent`` are two independent constructions of the lifted
 M x M unitary (M = C(m+n-1, n)). The first is a photon-by-photon recursion
-over stored ladder tables, in O(n * m * M^2), one walk up the levels from
-the vacuum. A small level is seven array operations and one stored plan,
-one gather and one reduce over its slot rows, and a large one a scatter
-per mode. Every full lift goes through ``_expansion_lifts``, which lifts
-a stack of same-size matrices in one walk, with their columns side by
-side, so small lifts share the per-call overhead, in passes of whole
-matrices bounded to about 2^13 complex entries (from M of about 64 on,
-one matrix per pass). The same walk gives one input's column alone, from
-its occupation with no ranking. The second is the closed form
+over stored ladder tables, which give the moves, in O(n * m * M^2), one
+walk up the levels from the vacuum; the photon each column removes is
+this module's rule alone. A small level is seven array operations and one
+stored plan, one gather and one reduce over its slot rows, and a large
+one a scatter per mode. Every full lift goes through ``_expansion_lifts``,
+which lifts a stack of same-size matrices in one walk, with their columns
+side by side, so small lifts share the per-call overhead, in passes of
+whole matrices bounded to about 2^13 complex entries (from M of about 64
+on, one matrix per pass). The same walk gives one input's column alone,
+from its occupation with no ranking. The second is the closed form
 U[p, q] = per(S[p|q]) / sqrt(prod_j p_j! prod_l q_l!), from Glynn's formula
 over repeated columns. One vectorised plan holds the K_q = prod_j (f_j + 1)
 sign-count vectors of every column q (f = q minus its first photon), and the
@@ -135,48 +136,46 @@ def _fill_lift_columns(
     for each mode j, row r of U' times sqrt(r_j + 1) S_jl goes to row
     up[j, r]. Level 1, over the vacuum, is S itself, copied.
 
+    The photon each column removes is ``_first_photons``' rule, read from
+    every level's stored plan, all looked up before level 1: for column q,
+    l, the position of q - e_l and 1 / sqrt(q_l). One gather takes every
+    level's S-weights, S_jl for the l each column adds; U' is needed whole.
     The gathered terms of a level, min(m, level) per block entry, grow with
     the level, so the levels whose terms fit in _GATHER_BLOCK entries are
     levels 2 to some top level. Each takes one merged step,
-    ``_merged_level``: seven array operations besides views, and one stored
-    plan, ``_slot_rows``, which holds its own copies of the table rows it
-    reads and its column scale. The operations are the gather of U' to the
-    level's columns, the level's block, one real product of all modes'
-    sqrt(r_j + 1), one complex product by the S-weights, one ndarray
-    ``take`` of the plan's slot rows, which lays each row's terms into
-    min(m, level) slots in ascending mode order, padded with a zero row,
-    one ``np.add.reduce`` over the slots from 0.0, and the scale. The walk
-    looks up the plans of all merged levels before level 1 and takes
-    their S-weights, S_jl for the l each column adds, in one gather. One
-    terms buffer serves every merged level: its first k * W entries, for
-    the widest merged level, stay zero, and each level lays its products
-    right after them, so its zero row is their last k * W entries. A larger
-    level scatters mode by mode, ``_scattered_level``, into a zero-filled
-    block, one fancy-indexed add per mode, exact since the rows up[j] are
-    distinct; there the merged step's temporaries cost more than its calls
-    save. Both add every entry's terms to +0.0 in ascending mode order, so
-    they give the same block bit for bit, and no entry is ever -0.0, as
-    0.0 + -0.0 is 0.0; level 1 adds 0.0 to its copy of S for the same
-    reason. For every column, l, the position of
-    q - e_l and sqrt(q_l) are the table's ``first``, ``first_down`` and
-    ``first_coef``, and U' is needed whole. One input needs no ranking:
-    the levels below it remove its first photons, emptying its first
-    occupied mode first, so level k adds the k-th photon counted from the
-    last occupied mode, over the one column below, with 1 / sqrt(the
-    photons in that mode so far): the parent and coefficient that
-    ``first_down`` and ``first_coef`` give. The caller has checked the
-    photon and mode counts, so the levels read the store directly. Modes
-    are summed in order and the division by sqrt(q_l) comes last, which
-    keeps lifts of the identity and of permutations exact and makes each
-    matrix's columns, and one input's column, the same whatever else the
-    walk builds.
+    ``_merged_level``: seven array operations besides views, over its plan
+    ``_slot_rows``, which adds its own copies of the table rows it reads to
+    the rule. The operations are the gather of U' to the level's columns,
+    the level's block, one real product of all modes' sqrt(r_j + 1), one
+    complex product by the S-weights, one ndarray ``take`` of the plan's
+    slot rows, which lays each row's terms into min(m, level) slots in
+    ascending mode order, padded with a zero row, one ``np.add.reduce`` over
+    the slots from 0.0, and the scale. One terms buffer serves every merged
+    level: its first k * W entries, for the widest merged level, stay zero,
+    and each level lays its products right after them, so its zero row is
+    their last k * W entries. A larger level scatters mode by mode,
+    ``_scattered_level``, into a zero-filled block, one fancy-indexed add
+    per mode, exact since the rows up[j] are distinct; there the merged
+    step's temporaries cost more than its calls save, and its plan,
+    ``_scatter_plan``, is the rule alone. Both add every entry's terms to
+    +0.0 in ascending mode order, so they give the same block bit for bit,
+    and no entry is ever -0.0, as 0.0 + -0.0 is 0.0; level 1 adds 0.0 to its
+    copy of S for the same reason. One input needs no ranking and no
+    scattered level's plan: the levels below it remove its first photons,
+    emptying its first occupied mode first, so level k adds the k-th photon
+    counted from the last occupied mode, over the one column below, with
+    1 / sqrt(the photons in that mode so far). The caller has checked the
+    photon and mode counts, so the levels read the store directly. Modes are summed
+    in order and the division by sqrt(q_l) comes last, which keeps lifts of
+    the identity and of permutations exact and makes each matrix's columns,
+    and one input's column, the same whatever else the walk builds.
 
     The real factors are applied on float64 views, two real products per
     entry instead of a complex one: the rows of U' (``take`` gives them
     C-contiguous) are scaled by sqrt(r_j + 1) into the terms, and the
     finished block is multiplied in place by 1 / sqrt(q_l), laid out per
-    column as in ``_slot_rows``. numpy divides a complex number by a real
-    one as a product with the reciprocal, so both give what the complex
+    column as in ``_first_photons``. numpy divides a complex number by a
+    real one as a product with the reciprocal, so both give what the complex
     arithmetic gives, bit for bit: no block entry is ever -0.0, and a
     unitary's lift holds no infinities. Costs O(m * M' * k * W) per level.
     Stacking only pays at small M, so ``_expansion_lifts`` splits stacks
@@ -194,12 +193,11 @@ def _fill_lift_columns(
         min(modes, top + 1) * sizes[top + 1] * count * widths[top + 1] <= _GATHER_BLOCK
     ):
         top += 1
-    steps = [_slot_rows(modes, level) for level in range(2, top + 1)]
-    # sources[j, i, l] is S_jl of matrix i.
-    sources = stack.transpose(1, 0, 2)
+    plans = [_slot_rows(modes, level) for level in range(2, top + 1)]
     if state is None:
+        plans += [_scatter_plan(modes, level) for level in range(top + 1, photons + 1)]
         # Level 1's states are e_0, ..., e_{m-1}, in canonical order.
-        picks = np.concatenate([np.arange(modes), *(first for first, *_ in steps)])
+        picks = np.concatenate([np.arange(modes), *(first for first, *_ in plans)])
     else:
         # Level k adds the k-th photon counted from the last occupied mode,
         # with 1 / sqrt(the photons in that mode so far).
@@ -209,9 +207,8 @@ def _fill_lift_columns(
                 picks.append(mode)
                 lowered.append(1 / math.sqrt(held))
     # weights[j, i, c] is S_jl of matrix i for the l that column c adds,
-    # level after level from level 1: the S-weights of every merged level,
-    # or of every level for one input.
-    weights = sources.take(picks, axis=2)
+    # level after level from level 1.
+    weights = stack.transpose(1, 0, 2).take(picks, axis=2)
     # Over the vacuum every term is 1 * S_jl and every scale is 1.
     block = np.add(weights[:, :, : widths[1]], 0.0, out=out if photons == 1 else None)
     if top > 1:
@@ -224,34 +221,27 @@ def _fill_lift_columns(
     offset = widths[1]
     for level in range(2, photons + 1):
         width = widths[level]
-        if level <= top:
-            _, down, coef, slots, scale = steps[level - 2]
-        else:
-            table = _ladder_table(modes, level)
-        if state is not None:
-            shed = block
-            scale = lowered[level - 1]
-            level_weights = weights[:, :, level - 1 : level]
-        elif level <= top:
-            level_weights = weights[:, :, offset : offset + width]
+        level_weights = weights[:, :, offset : offset + width]
+        offset += width
+        if state is None:
+            down, scale = plans[level - 2][1:3]
             shed = block.take(down, axis=2)
-            offset += width
         else:
-            scale = _column_scale(modes, level)
-            level_weights = sources[:, :, table.first]
-            shed = block.take(table.first_down, axis=2)
+            shed, scale = block, lowered[level - 1]
         # The block below lives on in ``shed`` at most.
         if level < photons:
             block = np.empty((sizes[level], count, width), dtype=complex)
         else:
             block = out
         if level <= top:
+            coef, slots = plans[level - 2][3:]
             level_terms = terms[zero - count * width :]
             _merged_level(coef, slots, shed, level_weights, level_terms, scale, block)
             if level == top:
                 # The levels above scatter, with buffers of their own.
                 del terms, level_terms
         else:
+            table = _ladder_table(modes, level)
             _scattered_level(table.up, table.up_coef, shed, level_weights, scale, block)
         del shed
 
@@ -297,36 +287,50 @@ def _scattered_level(up, up_coef, shed, weights, scale, block) -> None:
     real_block *= scale
 
 
-@_stored_plan
-def _column_scale(modes: int, photons: int) -> np.ndarray:
-    """1 / sqrt(q_l) of every column q of a full lift, each twice, read-only.
+def _first_photons(occupations: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(first, down, scale): the photon the walk removes from each state, read-only.
 
-    The layout matches the float64 view of a level's block, where column c
-    is the pair of entries 2c, 2c + 1. ``photons`` is at least 1, so no
-    coefficient is 0. The scatter levels read it; a merged level's plan
-    holds its own. Computing it per call instead leaves small arrays among
-    the large levels' blocks on the heap, which at (3, 40) costs
+    For state p of ``occupations`` (n >= 1 photons) with first occupied
+    mode l, ``first[p]`` is l, ``down[p]`` the position of p - e_l among
+    the n - 1 photon states, its rank among the states with p_l >= 1, and
+    ``scale`` holds 1 / sqrt(p_l) twice, laid out as the float64 view of a
+    level's block, where column c is the pair of entries 2c, 2c + 1.
+    """
+    occupied = occupations > 0
+    first = np.argmax(occupied, axis=1)
+    ranks = occupied.astype(np.intp)
+    np.cumsum(ranks, axis=0, out=ranks)
+    rows = np.arange(len(occupations))
+    down = ranks[rows, first] - 1
+    scale = np.repeat(1 / np.sqrt(occupations[rows, first]), 2)
+    for array in (first, down, scale):
+        array.flags.writeable = False
+    return first, down, scale
+
+
+@_stored_plan
+def _scatter_plan(modes: int, photons: int) -> tuple[np.ndarray, ...]:
+    """The plan of one scattered level of a full walk: its ``_first_photons``.
+
+    Computing the scale per call instead leaves small arrays among the
+    large levels' blocks on the heap, which at (3, 40) costs
     ``check_diagram`` about 5,000 more page faults per call.
     """
-    scale = np.repeat(1 / _ladder_table(modes, photons).first_coef, 2)
-    scale.flags.writeable = False
-    return scale
+    return _first_photons(_ladder_table(modes, photons).basis.occupations)
 
 
 @_stored_plan
 def _slot_rows(modes: int, photons: int) -> tuple[np.ndarray, ...]:
     """The plan of one merged walk level, ``photons`` >= 2, in its own arrays.
 
-    The plan is (first, down, coef, slots, scale). With M states at this
-    level and M' below it, a merged level's terms buffer holds a zero first
-    row and then, in row 1 + j * M' + r, mode j's term for the n - 1 photon
-    state r. ``slots`` (min(m, n), M) lists for column p, in ascending
-    order of its occupied modes j, the row of r = p - e_j, padded with the
-    zero row. ``first`` is the table's first occupied mode of every state,
-    ``down`` its ``first_down``, ``coef`` its ``up_coef`` shaped
-    (m, M', 1, 1) and ``scale`` the level's ``_column_scale``. Every array
-    is its own read-only copy, so the plan shares no buffer with a stored
-    ladder table.
+    The plan is the level's ``_first_photons`` and (coef, slots). With M
+    states at this level and M' below it, a merged level's terms buffer
+    holds a zero first row and then, in row 1 + j * M' + r, mode j's term
+    for the n - 1 photon state r. ``slots`` (min(m, n), M) lists for column
+    p, in ascending order of its occupied modes j, the row of r = p - e_j,
+    padded with the zero row; ``coef`` is the table's ``up_coef`` shaped
+    (m, M', 1, 1). Every array is its own read-only copy, so the plan
+    shares no buffer with a stored ladder table.
     """
     table = _ladder_table(modes, photons)
     lower = table.up.shape[1]
@@ -336,16 +340,10 @@ def _slot_rows(modes: int, photons: int) -> tuple[np.ndarray, ...]:
     held -= 1
     lowered = np.arange(1, modes * lower + 1).reshape(modes, lower)
     slots[held[table.up, np.arange(modes)[:, None]], table.up] = lowered
-    plan = (
-        table.first.copy(),
-        table.first_down.copy(),
-        table.up_coef[:, :, None, None].copy(),
-        slots,
-        np.repeat(1 / table.first_coef, 2),
-    )
-    for array in plan:
+    coef = table.up_coef[:, :, None, None].copy()
+    for array in (coef, slots):
         array.flags.writeable = False
-    return plan
+    return (*_first_photons(table.basis.occupations), coef, slots)
 
 
 def _expansion_lifts(

@@ -23,8 +23,8 @@ for every column or for one input's.
 
 ``rank_occupations`` ranks occupation rows by binomial counting, the
 vectorised ``FockBasis.index_of``: the oracle of the ladder table, which
-reads its moves off the basis order with no ranking, and the start of
-``lift_columns_by_scatter``'s trace of one input's column.
+reads its moves off the basis order with no ranking, and of the walk
+plans' photon removal, which ``lift_columns_by_scatter`` ranks with it.
 
 ``lift_permanent_by_passes`` is the permanent lift's pass loop with a
 fresh array for every power table, product and gather, the byte oracle of
@@ -156,23 +156,28 @@ def lift_columns_by_scatter(matrices, photons: int, state=None) -> np.ndarray:
     Returns the 2-D (M, k * W) block for every column (W = M) or for the
     column of the occupation ``state`` alone (W = 1). The same levels,
     mode order and scatter through the ladder table, so the result must be
-    the same array, bit for bit. A state's column is traced down from its
-    rank by the tables' ``first``, ``first_down`` and ``first_coef``, not
-    from its occupation, so the walk's photon order has its own oracle.
+    the same array, bit for bit. Which photon each column sheds is worked
+    out here from the occupations, not read from the walk's plans: l is the
+    first occupied mode, by ``argmax``, the column below is
+    ``rank_occupations`` of q - e_l, and the divisor is sqrt(q_l). One
+    input's column is traced down from its own occupation by the same rule.
     """
     stack = np.reshape(matrices, (-1, *np.shape(matrices)[-2:]))
     count, modes = stack.shape[:2]
     sources = stack.transpose(1, 0, 2)
-    if state is not None:
-        column = rank_occupations([state], photons)
+    occupations = None if state is None else np.array([state], dtype=np.intp)
     levels = []
     for level in range(photons, 0, -1):
         table = _ladder_table(modes, level)
         if state is None:
-            levels.append((table, table.first, table.first_down, table.first_coef))
-        else:
-            levels.append((table, table.first[column], [0], table.first_coef[column]))
-            column = table.first_down[column]
+            occupations = table.basis.occupations
+        rows = np.arange(len(occupations))
+        first = np.argmax(occupations > 0, axis=1)
+        coef = np.sqrt(occupations[rows, first])
+        occupations = occupations.copy()
+        occupations[rows, first] -= 1
+        gather = rank_occupations(occupations, level - 1) if state is None else [0]
+        levels.append((table, first, gather, coef))
     block = np.ones((1, count, 1), dtype=complex)
     for table, first, gather, coef in reversed(levels):
         shed = block[:, :, gather]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -226,17 +227,6 @@ class TestLadderTable:
                 lowered = apply_annihilation(state, mode)
                 if lowered.state is not None:
                     assert table.up[mode, lower.index_of(lowered.state)] == position
-            occupied = [mode for mode, count in enumerate(state) if count]
-            first = occupied[0] if occupied else 0
-            assert table.first[position] == first
-            lowered = apply_annihilation(state, first)
-            assert table.first_coef[position] == lowered.coefficient
-            if lowered.state is None:
-                assert table.first_down[position] == -1
-            else:
-                assert table.first_down[position] == lower.index_of(lowered.state)
-        assert table.first.shape == table.first_down.shape == (len(basis),)
-        assert table.first_coef.shape == (len(basis),)
         if lower is None:
             assert table.up.shape == table.up_coef.shape == (modes, 0)
             return
@@ -249,14 +239,8 @@ class TestLadderTable:
     def test_is_cached_and_read_only(self):
         table = ladder_table(3, 2)
         assert ladder_table(3, 2) is table
-        for array in (
-            table.basis.occupations,
-            table.up,
-            table.up_coef,
-            table.first,
-            table.first_down,
-            table.first_coef,
-        ):
+        assert [field.name for field in dataclasses.fields(table)] == ["basis", "up", "up_coef"]
+        for array in (table.basis.occupations, table.up, table.up_coef):
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
 
@@ -273,14 +257,6 @@ class TestLadderTable:
             raised[:, mode] += 1
             assert np.array_equal(table.up[mode], rank_occupations(raised, photons))
             assert np.array_equal(table.up_coef[mode], np.sqrt(raised[:, mode]))
-        occupations = table.basis.occupations
-        rows = np.arange(len(occupations))
-        lowered = occupations.copy()
-        lowered[rows, table.first] -= 1
-        assert np.array_equal(
-            table.first_down, rank_occupations(lowered, photons - 1)
-        )
-        assert np.array_equal(table.first_coef, np.sqrt(occupations[rows, table.first]))
 
     def test_cold_bool_count_raises_and_caches_nothing(self):
         _clear_plans()
@@ -349,13 +325,7 @@ class TestLadderTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        arrays = (
-            table.basis.occupations,
-            table.up,
-            table.up_coef,
-            table.first,
-            table.first_down,
-        )
+        arrays = (table.basis.occupations, table.up, table.up_coef)
         assert peak <= 4 * sum(array.nbytes for array in arrays)
 
 

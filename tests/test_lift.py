@@ -18,6 +18,8 @@ from photonlift.fock import (
     MoveKind,
     _clear_plans,
     _ladder_table,
+    apply_annihilation,
+    enumerate_basis,
     ladder_table,
     photon_move_relation,
 )
@@ -44,7 +46,7 @@ from photonlift.matfuncs import (
     unitary_logarithm,
 )
 from photonlift.verify import check_diagram, random_hermitian, random_unitary, run_sweep
-from reference import lift_columns_by_scatter, lift_permanent_by_passes
+from reference import lift_columns_by_scatter, lift_permanent_by_passes, rank_occupations
 
 # The worked two-mode example lists its three two-photon states in the order
 # (2,0), (0,2), (1,1); this permutation maps canonical indices to that order.
@@ -262,6 +264,27 @@ class TestRealViewWalk:
                 lift_columns_by_scatter(matrices, photons, state),
             )
 
+    @pytest.mark.parametrize("modes,photons,merged", [(12, 5, [2, 3, 4]), (20, 4, [2, 3])])
+    def test_one_input_columns_whose_top_levels_scatter(self, modes, photons, merged):
+        assert self.merged_levels(modes, photons, 1, width=1) == merged
+        rng = np.random.default_rng([92, modes, photons])
+        scattering = random_unitary(modes, rng)
+        basis = ladder_table(modes, photons).basis
+        random_state = basis[rng.integers(len(basis))]
+        for state in [basis[0], basis[-1], random_state]:
+            assert_bit_identical(
+                lift_block(scattering[None], photons, state),
+                lift_columns_by_scatter(scattering, photons, state),
+            )
+        column = lift_block(scattering[None], photons, random_state)[:, 0]
+        # Entries against per(S[p|q]) / sqrt(p! q!), with q the input.
+        columns = np.repeat(np.arange(modes), random_state)
+        for row in rng.choice(len(basis), 20, replace=False):
+            output = basis[row]
+            block = scattering[np.ix_(np.repeat(np.arange(modes), output), columns)]
+            norm = math.sqrt(math.prod(map(math.factorial, output + random_state)))
+            assert column[row] == pytest.approx(permanent(block) / norm, rel=0, abs=1e-14)
+
     @pytest.mark.parametrize("count", [1, 7])
     @pytest.mark.parametrize("modes,photons", [(5, 4), (4, 3), (6, 6)])
     def test_levels_take_the_step_their_size_selects(self, monkeypatch, modes, photons, count):
@@ -308,6 +331,76 @@ class TestRealViewWalk:
             lift_block(matrices, 4, (1, 0, 3)),
             lift_columns_by_scatter(matrices, 4, (1, 0, 3)),
         )
+
+
+class TestWalkPlans:
+    """The photon each level's plan removes, against per-state references."""
+
+    @pytest.mark.parametrize(
+        "modes,photons", [(m, n) for m in range(1, 7) for n in range(1, 5)]
+    )
+    def test_agrees_with_per_state_ladder_operators(self, modes, photons):
+        plan = lift_module._scatter_plan(modes, photons)
+        first, down, scale = plan
+        basis = ladder_table(modes, photons).basis
+        lower = enumerate_basis(modes, photons - 1)
+        for position, state in enumerate(basis):
+            mode = next(mode for mode, count in enumerate(state) if count)
+            assert first[position] == mode
+            lowered = apply_annihilation(state, mode)
+            assert down[position] == lower.index_of(lowered.state)
+            assert scale[2 * position] == scale[2 * position + 1] == 1 / lowered.coefficient
+        assert first.shape == down.shape == (len(basis),)
+        assert scale.shape == (2 * len(basis),)
+        if photons >= 2:
+            # A merged level's plan starts with the same rule.
+            for merged, alone in zip(lift_module._slot_rows(modes, photons), plan):
+                assert_bit_identical(merged, alone)
+        for array in plan:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+
+    @pytest.mark.parametrize(
+        "modes,photons", [(2, 30), (2, 300), (3, 40), (16, 4), (20, 5)]
+    )
+    def test_removal_matches_the_ranking_oracle_at_size(self, modes, photons):
+        first, down, scale = lift_module._scatter_plan(modes, photons)
+        occupations = ladder_table(modes, photons).basis.occupations
+        rows = np.arange(len(occupations))
+        # The first occupied mode is the number of empty modes before it.
+        assert np.array_equal(first, (np.cumsum(occupations, axis=1) == 0).sum(axis=1))
+        lowered = occupations.copy()
+        lowered[rows, first] -= 1
+        assert np.array_equal(down, rank_occupations(lowered, photons - 1))
+        assert np.array_equal(scale, np.repeat(1 / np.sqrt(occupations[rows, first]), 2))
+
+
+class TestConjugationAndTransposition:
+    """lift(conj S) = conj lift(S) exactly, and lift(S^T) = lift(S)^T to rounding."""
+
+    SIZES = [(m, n) for m in range(1, 7) for n in range(6)] + [(8, 3), (10, 3)]
+
+    @pytest.mark.parametrize("lift", [lift_unitary_expansion, lift_unitary_permanent])
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_lift_of_the_conjugate_is_the_conjugate_lift(self, lift, modes, photons):
+        scattering = random_unitary(modes, np.random.default_rng([95, modes, photons]))
+        conjugated = lift(scattering.conj(), photons).matrix
+        lifted = lift(scattering, photons).matrix
+        if photons:
+            assert_bit_identical(conjugated, np.conjugate(lifted))
+        else:
+            # The vacuum's lift is 1 for every S; its conjugate has -0.0j.
+            assert_bit_identical(conjugated, lifted)
+
+    @pytest.mark.parametrize("lift", [lift_unitary_expansion, lift_unitary_permanent])
+    @pytest.mark.parametrize("modes,photons", SIZES + [(2, 6), (3, 6), (4, 6)])
+    def test_lift_of_the_transpose_is_the_transposed_lift(self, lift, modes, photons):
+        # Exact arithmetic gives equality; rounding stays within a few eps
+        # up to six photons. Higher occupancy magnifies it (2.9e-14 at
+        # (2, 20)), which the expansion walk's photon-removal rule causes.
+        scattering = random_unitary(modes, np.random.default_rng([96, modes, photons]))
+        gap = lift(scattering.T, photons).matrix - lift(scattering, photons).matrix.T
+        assert np.abs(gap).max() <= 16 * np.finfo(float).eps
 
 
 class TestStackedLifts:
