@@ -26,10 +26,11 @@ is the per-state reference the table is tested against. Everything here is
 immutable (basis and table arrays are read-only) and safe to share across
 threads.
 
-The plan store keeps every per-size plan of the package: the ladder tables
-here, the walk plans, Glynn plans and one-move plans of ``lift`` and the
-near-pair indexes of ``verify``. Each builder is a function of (modes,
-photons) decorated with ``_stored_plan``, and its
+The plan store keeps every per-size plan of the package, from six
+builders: the ladder tables here, the walk plans of ``lift`` (one per
+merged level and one per scattered level of a full walk), its Glynn plans
+and one-move plans, and the near-pair indexes of ``verify``. Each builder
+is a function of (modes, photons) decorated with ``_stored_plan``, and its
 plans are keyed by (builder, modes, photons) in one dict. The store counts
 the summed ``nbytes`` of each plan's arrays against one budget,
 ``_PLAN_BUDGET``, and evicts the least recently used plans while the total

@@ -51,6 +51,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_string_map(value) -> bool:
+    """Whether ``value`` is a dict whose keys and values are all strings."""
+    return isinstance(value, dict) and all(
+        isinstance(key, str) and isinstance(entry, str) for key, entry in value.items()
+    )
+
+
 def read_matrix(path) -> np.ndarray:
     """Load a matrix file; raises OSError for I/O and MatrixFileError for content."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -76,15 +83,8 @@ def read_matrix(path) -> np.ndarray:
         f"data holds {len(data)} entries, expected rows*cols = {rows * cols}",
     )
     if "metadata" in raw and raw["metadata"] is not None:
-        metadata = raw["metadata"]
         _require(
-            isinstance(metadata, dict)
-            and all(
-                isinstance(key, str) and isinstance(value, str)
-                for key, value in metadata.items()
-            ),
-            path,
-            "metadata must map strings to strings",
+            _is_string_map(raw["metadata"]), path, "metadata must map strings to strings"
         )
 
     entries = np.empty(rows * cols, dtype=complex)
@@ -128,13 +128,7 @@ def write_matrix(matrix, path, metadata: dict[str, str] | None = None) -> None:
         raise ValueError(f"rows and cols must be >= 1, got {rows}x{cols}")
     if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
-    if metadata is not None and not (
-        isinstance(metadata, dict)
-        and all(
-            isinstance(key, str) and isinstance(value, str)
-            for key, value in metadata.items()
-        )
-    ):
+    if metadata is not None and not _is_string_map(metadata):
         raise ValueError("metadata must map strings to strings")
 
     if metadata:

@@ -6,7 +6,7 @@ the evolution of any number of photons. ``lift_unitary_expansion`` and
 M x M unitary (M = C(m+n-1, n)). The first is a photon-by-photon recursion
 over stored ladder tables, which give the moves, in O(n * m * M^2), one
 walk up the levels from the vacuum; the photon each column removes is
-this module's rule alone. A small level is seven array operations and one
+this module's rule alone. A small level is eight array operations and one
 stored plan, one gather and one reduce over its slot rows, and a large
 one a scatter per mode. Every full lift goes through ``_expansion_lifts``,
 which lifts a stack of same-size matrices in one walk, with their columns
@@ -138,15 +138,16 @@ def _fill_lift_columns(
 
     The photon each column removes is ``_first_photons``' rule, read from
     every level's stored plan, all looked up before level 1: for column q,
-    l, the position of q - e_l and 1 / sqrt(q_l). One gather takes every
-    level's S-weights, S_jl for the l each column adds; U' is needed whole.
-    The gathered terms of a level, min(m, level) per block entry, grow with
-    the level, so the levels whose terms fit in _GATHER_BLOCK entries are
-    levels 2 to some top level. Each takes one merged step,
-    ``_merged_level``: seven array operations besides views, over its plan
-    ``_slot_rows``, which adds its own copies of the table rows it reads to
-    the rule. The operations are the gather of U' to the level's columns,
-    the level's block, one real product of all modes' sqrt(r_j + 1), one
+    l, the position of q - e_l and 1 / sqrt(q_l). Each level gathers its
+    S-weights, S_jl for the l each column adds, as it runs, so the walk
+    holds no other level's; U' is needed whole. The gathered terms of a
+    level, min(m, level) per block entry, grow with the level, so the
+    levels whose terms fit in _GATHER_BLOCK entries are levels 2 to some
+    top level. Each takes one merged step, ``_merged_level``: eight array
+    operations besides views, over its plan ``_slot_rows``, which adds its
+    own copies of the table rows it reads to the rule. The operations are
+    the gathers of the S-weights and of U' to the level's columns, the
+    level's block, one real product of all modes' sqrt(r_j + 1), one
     complex product by the S-weights, one ndarray ``take`` of the plan's
     slot rows, which lays each row's terms into min(m, level) slots in
     ascending mode order, padded with a zero row, one ``np.add.reduce`` over
@@ -164,11 +165,12 @@ def _fill_lift_columns(
     scattered level's plan: the levels below it remove its first photons,
     emptying its first occupied mode first, so level k adds the k-th photon
     counted from the last occupied mode, over the one column below, with
-    1 / sqrt(the photons in that mode so far). The caller has checked the
-    photon and mode counts, so the levels read the store directly. Modes are summed
-    in order and the division by sqrt(q_l) comes last, which keeps lifts of
-    the identity and of permutations exact and makes each matrix's columns,
-    and one input's column, the same whatever else the walk builds.
+    1 / sqrt(the photons in that mode so far); one gather takes its n
+    levels' S-weights. The caller has checked the photon and mode counts,
+    so the levels read the store directly. Modes are summed in order and
+    the division by sqrt(q_l) comes last, which keeps lifts of the identity
+    and of permutations exact and makes each matrix's columns, and one
+    input's column, the same whatever else the walk builds.
 
     The real factors are applied on float64 views, two real products per
     entry instead of a complex one: the rows of U' (``take`` gives them
@@ -194,10 +196,11 @@ def _fill_lift_columns(
     ):
         top += 1
     plans = [_slot_rows(modes, level) for level in range(2, top + 1)]
+    sources = stack.transpose(1, 0, 2)
     if state is None:
         plans += [_scatter_plan(modes, level) for level in range(top + 1, photons + 1)]
         # Level 1's states are e_0, ..., e_{m-1}, in canonical order.
-        picks = np.concatenate([np.arange(modes), *(first for first, *_ in plans)])
+        weights = sources
     else:
         # Level k adds the k-th photon counted from the last occupied mode,
         # with 1 / sqrt(the photons in that mode so far).
@@ -206,9 +209,7 @@ def _fill_lift_columns(
             for held in range(1, state[mode] + 1):
                 picks.append(mode)
                 lowered.append(1 / math.sqrt(held))
-    # weights[j, i, c] is S_jl of matrix i for the l that column c adds,
-    # level after level from level 1.
-    weights = stack.transpose(1, 0, 2).take(picks, axis=2)
+        weights = sources.take(picks, axis=2)
     # Over the vacuum every term is 1 * S_jl and every scale is 1.
     block = np.add(weights[:, :, : widths[1]], 0.0, out=out if photons == 1 else None)
     if top > 1:
@@ -218,15 +219,14 @@ def _fill_lift_columns(
         zero = count * widths[top]
         terms = np.empty((1 + modes * sizes[top - 1]) * zero, dtype=complex)
         terms[:zero] = 0
-    offset = widths[1]
     for level in range(2, photons + 1):
         width = widths[level]
-        level_weights = weights[:, :, offset : offset + width]
-        offset += width
         if state is None:
-            down, scale = plans[level - 2][1:3]
+            first, down, scale = plans[level - 2][:3]
+            level_weights = sources.take(first, axis=2)
             shed = block.take(down, axis=2)
         else:
+            level_weights = weights[:, :, level - 1 : level]
             shed, scale = block, lowered[level - 1]
         # The block below lives on in ``shed`` at most.
         if level < photons:
@@ -243,7 +243,7 @@ def _fill_lift_columns(
         else:
             table = _ladder_table(modes, level)
             _scattered_level(table.up, table.up_coef, shed, level_weights, scale, block)
-        del shed
+        del shed, level_weights
 
 
 def _merged_level(coef, slots, shed, weights, terms, scale, block) -> None:
@@ -312,9 +312,9 @@ def _first_photons(occupations: np.ndarray) -> tuple[np.ndarray, ...]:
 def _scatter_plan(modes: int, photons: int) -> tuple[np.ndarray, ...]:
     """The plan of one scattered level of a full walk: its ``_first_photons``.
 
-    Computing the scale per call instead leaves small arrays among the
-    large levels' blocks on the heap, which at (3, 40) costs
-    ``check_diagram`` about 5,000 more page faults per call.
+    Working the rule out per call instead costs about 20 us of
+    ``_first_photons`` per scattered level per call at (10, 3), on 220
+    states of 10 modes: about 2-3% of that lift.
     """
     return _first_photons(_ladder_table(modes, photons).basis.occupations)
 

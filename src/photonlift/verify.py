@@ -23,13 +23,13 @@ scratch slot, each norm before the next residual is written:
 has one home, ``_diagram_verdict``, ``_homomorphism_verdict`` and
 ``_phase_verdict``, which ``run_sweep`` shares. A sweep trial is one fixed
 run of array calls instead: one ``rng.random`` call draws the whole trial,
-one ``take`` through a stored index gathers its four raw matrices and one
-expression makes them Hermitian, one stacked ``eigh`` gives every m x m
-exponential, written by one ``matmul`` straight into the stack of the
-seven matrices the three checks lift, and one stacked expansion lift walks
-them. Each of the six residuals then has a slot of its own, so one pass
-takes all six norms. At small M a trial's cost is per-call overhead, so
-a small, fixed number of calls per trial is most of its speed.
+its four raw matrices are views of the draws and two ufunc calls make them
+Hermitian, one stacked ``eigh`` gives every m x m exponential, written by
+one ``matmul`` straight into the stack of the seven matrices the three
+checks lift, and one stacked expansion lift walks them. Each of the six
+residuals then has a slot of its own, so one pass takes all six norms.
+At small M a trial's cost is per-call overhead, so a small, fixed number
+of calls per trial is most of its speed.
 
 Every M x M array a check writes, the lifts and the slots its residuals
 are taken in, is a slot of one array allocated per call (per sweep in
@@ -176,26 +176,6 @@ def _near_pairs(modes: int, photons: int) -> np.ndarray:
     near = np.concatenate([moves, np.arange(size) * (size + 1)])
     near.flags.writeable = False
     return near
-
-
-@_stored_plan
-def _draw_index(modes: int, photons: int) -> np.ndarray:
-    """Where each entry of a sweep trial's four drawn matrices reads its draws.
-
-    A trial's 8 m^2 + 1 draws hold the real then the imaginary m x m parts
-    of H, a and b, then the phase, then those of S. Entry [k, i, j] of the
-    read-only (4, m, m, 2) index holds the positions of the real and
-    imaginary draws of entry (i, j) of the k-th matrix (H, a, b, S), so the
-    doubles it gathers, viewed as complex, are the four raw matrices. The
-    index depends on the mode count alone: the sweep asks for it with
-    ``photons`` 0, so one plan serves every photon count.
-    """
-    square = modes * modes
-    starts = np.array([0, 2 * square, 4 * square, 6 * square + 1])
-    entries = np.arange(square).reshape(modes, modes)
-    index = starts[:, None, None, None] + entries[:, :, None] + np.array([0, square])
-    index.flags.writeable = False
-    return index
 
 
 def _count_sparsity_violations(lifted) -> int:
@@ -532,10 +512,12 @@ def run_sweep(
     then the generator of the phase check's S. They stand for the doubles
     ``Generator.uniform`` makes of them, -1 + 2u for the entries and
     -pi + 2 pi u for the phase, which ``random_hermitian`` and
-    ``rng.uniform`` would draw in that order. One ``take`` through a stored
-    index (``_draw_index``) gathers u - 1/2 into the four raw matrices, and
-    one expression gives their Hermitian parts (raw + raw^dag) / 2, in steps
-    that are exact, so they equal the public checks' inputs bit for bit.
+    ``rng.uniform`` would draw in that order. One ``np.concatenate`` cuts
+    the phase out of u - 1/2, and the rest, viewed as (4, 2, m, m), holds
+    the real and imaginary parts w and w' of the four raw matrices. Then
+    ``np.add`` writes w + w^T and ``np.subtract`` w' - w'^T into the two
+    parts of their Hermitian parts (raw + raw^dag) / 2, in steps that are
+    exact, so they equal the public checks' inputs bit for bit.
     They are exactly Hermitian and finite, so they go to ``eigh`` as they
     are, with no Hermitian-part step and no tolerance check: the tolerances
     were checked before the first draw. One stacked ``eigh`` gives lambda
@@ -573,7 +555,7 @@ def run_sweep(
     # residuals, the homomorphism's and the phase check's.
     gram_diagonal = work[6].reshape(-1)[:: size + 1]
     flat_residuals = work[3:].reshape(6, -1).view(float)
-    index = _draw_index(modes, 0)
+    drawn = np.empty((4, modes, modes), dtype=complex)
     stack = np.empty((7, modes, modes), dtype=complex)
     rng = np.random.default_rng(seed)
     results: list[tuple[str, int, object]] = []
@@ -586,8 +568,10 @@ def run_sweep(
         # steps: with w = u - 1/2 it is w + conj(w)^T, entry by entry
         # (w_ij + w_ji) + i (w'_ij - w'_ji).
         draws -= 0.5
-        raw = draws.take(index).view(complex)[..., 0]
-        drawn = raw + raw.swapaxes(1, 2).conj()
+        parts = np.concatenate((draws[:phase_at], draws[phase_at + 1 :]))
+        real, imaginary = parts.reshape(4, 2, modes, modes).swapaxes(0, 1)
+        np.add(real, real.swapaxes(1, 2), out=drawn.real)
+        np.subtract(imaginary, imaginary.swapaxes(1, 2), out=drawn.imag)
         values, vectors = np.linalg.eigh(drawn)
         stack[0] = vectors[0]
         _exp_i_eigh(values, vectors, out=stack[1:5])

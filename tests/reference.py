@@ -31,6 +31,12 @@ fresh array for every power table, product and gather, the byte oracle of
 ``photonlift.lift.lift_unitary_permanent``, which writes them all into one
 work block per call. Both read the same stored Glynn plan.
 
+``mode_count_distribution`` gives the exact probabilities of each photon
+count in one output mode for a Fock input, in rational arithmetic from the
+standard library alone: the oracle of the marginals of
+``photonlift.lift.transition_distribution``, and at two modes of the whole
+distribution.
+
 ``write_matrix_one_pass`` formats a whole matrix file in one ``%`` format
 and writes it in one call, the byte oracle of ``photonlift.io.write_matrix``,
 which formats and writes a block of entries at a time.
@@ -39,6 +45,7 @@ which formats and writes a block of entries at a time.
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -189,6 +196,37 @@ def lift_columns_by_scatter(matrices, photons: int, state=None) -> np.ndarray:
             block[table.up[mode]] += terms
         block = block / coef
     return block.reshape(len(block), -1)
+
+
+def mode_count_distribution(scattering, state, mode: int) -> list[Fraction]:
+    """Exact P(n_j = c), c = 0..n, for the output mode j = ``mode``.
+
+    The input is the occupation ``state`` of n photons and S the given
+    floating-point ``scattering``, whose |S_jl|^2 are exact rationals
+    from each entry's real and imaginary parts. With
+
+        E_k = [t^k] prod_l sum_a C(q_l, a) (|S_jl|^2 t)^a / a!,
+
+    k! E_k is the mean of C(n_j, k), and inverting those binomial moments gives
+
+        P(n_j = c) = sum_{k >= c} k! E_k C(k, c) (-1)^(k - c).
+
+    The probabilities sum to exactly 1 for any S: that sum is 0! E_0.
+    """
+    series = [Fraction(1)]
+    for entry, held in zip(map(complex, scattering[mode]), state):
+        weight = Fraction(entry.real) ** 2 + Fraction(entry.imag) ** 2
+        factor = [math.comb(held, a) * weight**a / math.factorial(a) for a in range(held + 1)]
+        product = [Fraction(0)] * (len(series) + held)
+        for low, left in enumerate(series):
+            for high, right in enumerate(factor):
+                product[low + high] += left * right
+        series = product
+    moments = [math.factorial(k) * coefficient for k, coefficient in enumerate(series)]
+    return [
+        sum(moments[k] * math.comb(k, c) * (-1) ** (k - c) for k in range(c, len(moments)))
+        for c in range(len(moments))
+    ]
 
 
 def lift_permanent_by_passes(scattering, photons: int) -> np.ndarray:

@@ -46,7 +46,12 @@ from photonlift.matfuncs import (
     unitary_logarithm,
 )
 from photonlift.verify import check_diagram, random_hermitian, random_unitary, run_sweep
-from reference import lift_columns_by_scatter, lift_permanent_by_passes, rank_occupations
+from reference import (
+    lift_columns_by_scatter,
+    lift_permanent_by_passes,
+    mode_count_distribution,
+    rank_occupations,
+)
 
 # The worked two-mode example lists its three two-photon states in the order
 # (2,0), (0,2), (1,1); this permutation maps canonical indices to that order.
@@ -151,6 +156,21 @@ class TestLiftUnitaryExpansion:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             lift_unitary_expansion(np.ones((2, 3)), 1)
+
+    @pytest.mark.parametrize("photons,bound", [(100, 6.4), (300, 5.6)])
+    def test_warm_peak_holds_one_level_of_s_weights(self, photons, bound):
+        # Each level gathers its own S-weights when it runs. Gathering every
+        # level's up front, m * sum_l M_l entries held for the whole walk,
+        # peaked at 7.04 and 6.23 matrices here.
+        scattering = random_unitary(2, np.random.default_rng(24))
+        lift_unitary_expansion(scattering, photons)
+        tracemalloc.start()
+        try:
+            lifted = lift_unitary_expansion(scattering, photons)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * lifted.matrix.nbytes
 
 
 def lift_block(matrices, photons, state=None):
@@ -1134,6 +1154,22 @@ class TestTransitionDistribution:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    @pytest.mark.parametrize(
+        "state",
+        [(1, 1), (1, 1, 1, 1, 1), (20, 20), (30, 30), (8, 8, 8), (3, 0, 2, 1)],
+    )
+    def test_marginals_match_the_exact_mode_counts(self, state):
+        scattering = random_unitary(len(state), np.random.default_rng(5))
+        distribution = transition_distribution(scattering, state)
+        for mode in range(len(state)):
+            exact = mode_count_distribution(scattering, state, mode)
+            assert sum(exact) == 1 and min(exact) >= 0
+            marginal = [0.0] * len(exact)
+            for output, probability in distribution.items():
+                marginal[output[mode]] += probability
+            gap = max(abs(float(p) - q) for p, q in zip(exact, marginal))
+            assert gap <= 1e-11, (mode, gap)
 
     def test_vacuum_stays_put(self):
         scattering = random_unitary(3, np.random.default_rng(102))

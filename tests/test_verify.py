@@ -569,7 +569,7 @@ class TestRunSweep:
     def test_whole_float_trial_count_is_accepted(self):
         assert run_sweep(2, 1, trials=2.0, seed=93) == run_sweep(2, 1, trials=2, seed=93)
 
-    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize(
         "tolerances",
         [{}, {"tol": 1e-7, "homomorphism_tol": 3e-9, "phase_tol": 0.0}],
