@@ -10,32 +10,32 @@ W diag(q . lambda) and how far W is from unitary; when both are within
 tolerance, W diag(e^{i q . lambda}) W^dag is exp(i lift_H(H)) to rounding,
 so comparing it with the lifted e^{iH} compares the two routes. Those are
 its three M x M products; how far G = lift_U(e^{iH}) is from unitary is
-bounded from two of their residuals (see ``_diagram_verdict``).
+bounded from two of their residuals (see ``_diagram_report``).
 Companions cover product preservation, global phases, and a
 finite-difference route to the Hamiltonian lift. All randomness is drawn
 from an explicit seed (DEFAULT_SEED when unspecified) so every report is
 reproducible.
 
-Each check validates its arguments, lifts, and takes its residuals in one
-scratch slot, each norm before the next residual is written:
-``_diagram_report`` for the diagram check, ``_homomorphism_residual`` and
-``_phase_residual`` for the other two. The pass rule of each report type
-has one home, ``_diagram_verdict``, ``_homomorphism_verdict`` and
-``_phase_verdict``, which ``run_sweep`` shares. A sweep trial is one fixed
-run of array calls instead: one ``rng.random`` call draws the whole trial,
-its four raw matrices are views of the draws and two ufunc calls make them
+Each check validates its arguments, lifts, and hands the lifts to its one
+report function: ``_diagram_report``, ``_homomorphism_report`` or
+``_phase_report``. A report function writes each residual into one
+scratch slot and takes its norm, one BLAS dot of the slot's float64 view,
+before the next residual is written; it also holds its check's pass rule.
+``run_sweep`` calls the same three functions, so the public checks and the
+sweep share one residual path. Around them a sweep trial is one fixed run
+of array calls: one ``rng.random`` call draws the whole trial, its four
+raw matrices are views of the draws and two ufunc calls make them
 Hermitian, one stacked ``eigh`` gives every m x m exponential, written by
 one ``matmul`` straight into the stack of the seven matrices the three
-checks lift, and one stacked expansion lift walks them. Each of the six
-residuals then has a slot of its own, so one pass takes all six norms.
-At small M a trial's cost is per-call overhead, so a small, fixed number
-of calls per trial is most of its speed.
+checks lift, and one stacked expansion lift walks them. At small M a
+trial's cost is per-call overhead, so a small, fixed number of calls per
+trial is most of its speed.
 
-Every M x M array a check writes, the lifts and the slots its residuals
-are taken in, is a slot of one array allocated per call (per sweep in
-``run_sweep``), once every argument is checked; see ``_work_array``.
-Nothing is kept between calls, so the checks are safe to call
-concurrently.
+Every M x M array a check writes, the lifts and the scratch slot its
+residuals are taken in, is a slot of one array allocated per call (per
+sweep in ``run_sweep``), once every argument is checked; see
+``_work_array``. Nothing is kept between calls, so the checks are safe to
+call concurrently.
 
 The sparsity count zeroes, in the non-zero mask of the lifted H, the
 state pairs at most one photon move apart and counts what is left, from
@@ -107,7 +107,7 @@ class DiagramReport:
     matrix. All residuals are Frobenius norms gated on ``tolerance``, along
     with zero ``sparsity_violations``. ``residual_unitarity`` is not measured:
     it is an upper bound on ||G^dag G - I||_F, G = lift_U(e^{iH}), from the
-    eigenbasis and diagram residuals (see ``_diagram_verdict``), so the check
+    eigenbasis and diagram residuals (see ``_diagram_report``), so the check
     takes three M x M products.
     """
 
@@ -222,43 +222,16 @@ def _work_array(slots: int, table) -> np.ndarray:
     return np.empty((slots, size, size), dtype=complex)
 
 
-def _diagram_verdict(basis, residuals, violations: int, tol: float) -> DiagramReport:
-    """The diagram report from its four residual norms and sparsity count.
+def _slot_norm(flat: np.ndarray) -> float:
+    """The Frobenius norm of a slot from its flat float64 view, as one BLAS dot.
 
-    ``residuals`` are the diagram, hermiticity, eigen and eigenbasis
-    residuals, in the order of the report's fields. Holds the check's one
-    pass rule, for ``check_diagram`` and ``run_sweep`` alike.
-
-    The unitarity residual is the bound e (2 + e) + 2 d (1 + e) + d^2 on
-    ||G^dag G - I||_F, from e = ||W^dag W - I||_F and d = ||D||_F for
-    D = G - W E W^dag, E = diag(e^{i mu}). With A = W^dag W - I,
-    G^dag G - I = (W W^dag - I) + W E^dag A E W^dag + W E^dag W^dag D
-    + D^dag W E W^dag + D^dag D, and ||W W^dag - I||_F = e (W is square)
-    and ||W||_2^2 <= 1 + e bound the terms by e, (1 + e) e, twice (1 + e) d,
-    and d^2. A NaN or infinite residual gives a bound that fails the rule.
+    ``frobenius_norm`` takes the same dot of the same view, so the two give
+    the same bits, NaN, infinities and overflow to inf included. This one
+    skips its layout and dtype steps, and the method call skips the
+    dispatch of ``np.dot``: at small M a sweep trial takes six norms, and
+    these per-call costs are a few percent of the trial.
     """
-    diagram, hermiticity, eigen, eigenbasis = residuals
-    unitarity = eigenbasis * (2 + eigenbasis) + 2 * diagram * (1 + eigenbasis) + diagram**2
-    passed = (
-        diagram <= tol
-        and unitarity <= tol
-        and hermiticity <= tol
-        and eigen <= tol
-        and eigenbasis <= tol
-        and violations == 0
-    )
-    return DiagramReport(
-        modes=basis.modes,
-        photons=basis.photons,
-        residual_diagram=diagram,
-        residual_unitarity=unitarity,
-        residual_hermiticity=hermiticity,
-        sparsity_violations=violations,
-        residual_eigen=eigen,
-        residual_eigenbasis=eigenbasis,
-        tolerance=tol,
-        passed=passed,
-    )
+    return math.sqrt(flat.dot(flat))
 
 
 def _diagram_report(
@@ -277,33 +250,63 @@ def _diagram_report(
     is taken in ``scratch``, a C-contiguous M x M complex array whose
     contents do not matter, each norm before the next residual is written,
     so the report allocates no M x M array. It takes three M x M products,
-    lift_H(H) W, W^dag W and W e^{i mu} W^dag; G's unitarity is bounded
-    from their residuals in ``_diagram_verdict``.
+    lift_H(H) W, W^dag W and W e^{i mu} W^dag. The check's one pass rule,
+    for ``check_diagram`` and ``run_sweep`` alike, gates every residual
+    on ``tol`` along with zero sparsity violations.
+
+    The unitarity residual is the bound e (2 + e) + 2 d (1 + e) + d^2 on
+    ||G^dag G - I||_F, from e = ||W^dag W - I||_F and d = ||D||_F for
+    D = G - W E W^dag, E = diag(e^{i mu}). With A = W^dag W - I,
+    G^dag G - I = (W W^dag - I) + W E^dag A E W^dag + W E^dag W^dag D
+    + D^dag W E W^dag + D^dag D, and ||W W^dag - I||_F = e (W is square)
+    and ||W||_2^2 <= 1 + e bound the terms by e, (1 + e) e, twice (1 + e) d,
+    and d^2. A NaN or infinite residual gives a bound that fails the rule.
     """
     lifted = lifted_h.matrix
+    flat = scratch.ravel().view(float)
     violations = _count_sparsity_violations(lifted_h)
     np.conjugate(lifted.T, out=scratch)
     scratch -= lifted
-    residual_hermiticity = frobenius_norm(scratch)
+    hermiticity = _slot_norm(flat)
     energies = lifted_h.basis.occupations @ values
     np.matmul(lifted, lifted_vectors, out=scratch)
     # The lifted H is not needed past that product, so its array is reused.
     np.multiply(lifted_vectors, energies, out=lifted)
     scratch -= lifted
-    residual_eigen = frobenius_norm(scratch)
-    # The Gram matrix W^dag W as conj(W)^T W, with conj(W) in the freed array.
+    eigen = _slot_norm(flat)
+    # The Gram matrix W^dag W as conj(W)^T W, with conj(W) in the freed
+    # array, less I in the real parts of its diagonal.
     np.conjugate(lifted_vectors, out=lifted)
     np.matmul(lifted.T, lifted_vectors, out=scratch)
-    scratch.reshape(-1)[:: len(scratch) + 1] -= 1
-    residual_eigenbasis = frobenius_norm(scratch)
+    flat[:: 2 * len(scratch) + 2] -= 1
+    eigenbasis = _slot_norm(flat)
     # W e^{i mu} W^dag - G; W is conjugated in place, as only W^dag is left to use.
     np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
     np.conjugate(lifted_vectors, out=lifted_vectors)
     np.matmul(lifted, lifted_vectors.T, out=scratch)
     scratch -= group
-    residual_diagram = frobenius_norm(scratch)
-    residuals = (residual_diagram, residual_hermiticity, residual_eigen, residual_eigenbasis)
-    return _diagram_verdict(lifted_h.basis, residuals, violations, tol)
+    diagram = _slot_norm(flat)
+    unitarity = eigenbasis * (2 + eigenbasis) + 2 * diagram * (1 + eigenbasis) + diagram**2
+    passed = (
+        diagram <= tol
+        and unitarity <= tol
+        and hermiticity <= tol
+        and eigen <= tol
+        and eigenbasis <= tol
+        and violations == 0
+    )
+    return DiagramReport(
+        modes=lifted_h.basis.modes,
+        photons=lifted_h.basis.photons,
+        residual_diagram=diagram,
+        residual_unitarity=unitarity,
+        residual_hermiticity=hermiticity,
+        sparsity_violations=violations,
+        residual_eigen=eigen,
+        residual_eigenbasis=eigenbasis,
+        tolerance=tol,
+        passed=passed,
+    )
 
 
 def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
@@ -333,7 +336,7 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     e (2 + e) + 2 d (1 + e) + d^2 for e = ``residual_eigenbasis`` and
     d = ``residual_diagram``: with G = W E W^dag + D, E unitary and
     diagonal, ||W W^dag - I||_F = e and ||W||_2^2 <= 1 + e bound each term
-    of G^dag G - I (see ``_diagram_verdict``). It also records how Hermitian
+    of G^dag G - I (see ``_diagram_report``). It also records how Hermitian
     the lifted H is, and how many far-apart state pairs picked up a
     non-zero coupling, counted against a stored index of the near pairs
     built from the basis alone (see ``_count_sparsity_violations``).
@@ -350,7 +353,9 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     them, before anything M x M is allocated. Then the lifted H, G, W and
     the scratch array every residual is taken in are the four slots of one
     (4, M, M) array (see ``_work_array``), so the check allocates no other
-    M x M array. Its peak is those four beside the lift walk of W.
+    M x M array. Its peak is those four beside the lift walk of W. The
+    residuals and the pass rule are ``_diagram_report``'s, which every
+    ``run_sweep`` trial calls too.
     """
     matrix, table = _checked_hamiltonian(h_single, photons, tol)
     values, vectors = _eigh_hermitian_part(matrix)
@@ -363,25 +368,22 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     return _diagram_report(lifted_h, values, group, lifted_vectors, work[1], tol)
 
 
-def _homomorphism_residual(
-    combined: np.ndarray, lifted_b: np.ndarray, lifted_a: np.ndarray, out: np.ndarray
-) -> None:
-    """Write lift(b) lift(a) - lift(b a) into ``out``, an M x M complex array.
-
-    Its norm is that of lift(b a) - lift(b) lift(a). ``out`` is none of the
-    three lifts, and its contents do not matter.
-    """
-    np.matmul(lifted_b, lifted_a, out=out)
-    out -= combined
-
-
-def _homomorphism_verdict(
-    modes: int, photons: int, residual: float, tol: float
+def _homomorphism_report(
+    basis, combined, lifted_b, lifted_a, scratch: np.ndarray, tol: float
 ) -> HomomorphismReport:
-    """The homomorphism report, by the check's one pass rule."""
+    """The report of ``check_homomorphism`` from the lifts of b a, b and a.
+
+    The residual ||lift(b) lift(a) - lift(b a)||_F is taken in ``scratch``,
+    a C-contiguous M x M complex array over ``basis`` that is none of the
+    three lifts and whose contents do not matter. Holds the check's one
+    pass rule, for ``check_homomorphism`` and ``run_sweep`` alike.
+    """
+    np.matmul(lifted_b, lifted_a, out=scratch)
+    scratch -= combined
+    residual = _slot_norm(scratch.ravel().view(float))
     return HomomorphismReport(
-        modes=modes,
-        photons=photons,
+        modes=basis.modes,
+        photons=basis.photons,
         residual=residual,
         tolerance=tol,
         passed=residual <= tol,
@@ -393,7 +395,9 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
 
     ``first`` acts first, ``second`` after it, matching operator order. The
     three lifts share stacked passes (see ``lift._expansion_lifts``), and
-    they and the product of two of them are the slots of one array.
+    they and the product of two of them are the slots of one array. The
+    residual and the pass rule are ``_homomorphism_report``'s, which every
+    ``run_sweep`` trial calls too.
     """
     a = _as_square(first)
     b = _as_square(second)
@@ -402,32 +406,29 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
     _check_tol(tol)
     product = _as_square(b @ a)
     photons = _photon_number(photons)
-    work = _work_array(4, ladder_table(a.shape[0], photons))
+    table = ladder_table(a.shape[0], photons)
+    work = _work_array(4, table)
     lifts = _expansion_lifts([product, b, a], photons, work[1:])
-    _homomorphism_residual(*lifts, work[0])
-    return _homomorphism_verdict(a.shape[0], photons, frobenius_norm(work[0]), tol)
+    return _homomorphism_report(table.basis, *lifts, work[0], tol)
 
 
-def _phase_residual(
-    photons: int, phase: float, plain: np.ndarray, shifted: np.ndarray, out: np.ndarray
-) -> None:
-    """Write lift(e^{i phase} S) - e^{i n phase} lift(S) into ``out``.
-
-    ``plain`` and ``shifted`` are the lifts of S and e^{i phase} S, and
-    ``out`` an M x M complex array whose contents do not matter, neither
-    of them: numpy's complex product can round differently in place.
-    """
-    np.multiply(np.exp(1j * photons * phase), plain, out=out)
-    np.subtract(shifted, out, out=out)
-
-
-def _phase_verdict(
-    modes: int, photons: int, phase: float, residual: float, tol: float
+def _phase_report(
+    basis, phase: float, plain, shifted, scratch: np.ndarray, tol: float
 ) -> GlobalPhaseReport:
-    """The global-phase report, by the check's one pass rule."""
+    """The report of ``check_global_phase`` from the lifts of S and e^{i phase} S.
+
+    The residual ||lift(e^{i phase} S) - e^{i n phase} lift(S)||_F is taken
+    in ``scratch``, a C-contiguous M x M complex array over ``basis``
+    whose contents do not matter. It is neither lift: numpy's complex
+    product can round differently in place. Holds the check's one pass
+    rule, for ``check_global_phase`` and ``run_sweep`` alike.
+    """
+    np.multiply(np.exp(1j * basis.photons * phase), plain, out=scratch)
+    np.subtract(shifted, scratch, out=scratch)
+    residual = _slot_norm(scratch.ravel().view(float))
     return GlobalPhaseReport(
-        modes=modes,
-        photons=photons,
+        modes=basis.modes,
+        photons=basis.photons,
         phase=phase,
         residual=residual,
         tolerance=tol,
@@ -443,18 +444,18 @@ def check_global_phase(
     S and e^{i phase} S are lifted in shared stacked passes (see
     ``lift._expansion_lifts``), and they and the difference are the slots
     of one array. A NaN or infinite ``phase`` raises ValueError before
-    anything is lifted.
+    anything is lifted. The residual and the pass rule are
+    ``_phase_report``'s, which every ``run_sweep`` trial calls too.
     """
     matrix = _as_square(scattering)
     _check_tol(tol)
     photons = _photon_number(photons)
     _check_phase(phase)
     rephased = _as_square(np.exp(1j * phase) * matrix)
-    work = _work_array(3, ladder_table(matrix.shape[0], photons))
+    table = ladder_table(matrix.shape[0], photons)
+    work = _work_array(3, table)
     lifts = _expansion_lifts([matrix, rephased], photons, work[1:])
-    _phase_residual(photons, phase, *lifts, work[0])
-    residual = frobenius_norm(work[0])
-    return _phase_verdict(matrix.shape[0], photons, phase, residual, tol)
+    return _phase_report(table.basis, phase, *lifts, work[0], tol)
 
 
 def check_derivative_oracle(h_single, photons: int, step: float) -> float:
@@ -464,8 +465,10 @@ def check_derivative_oracle(h_single, photons: int, step: float) -> float:
     lifting exp(i H t). A central difference with step ``step`` therefore
     approximates i times the direct construction with O(step^2) error; the
     returned Frobenius residual shrinks fourfold when the step halves.
+    H must be Hermitian within 1e-9, as ``lift_hamiltonian`` requires by
+    default, and is refused before anything is lifted.
     """
-    matrix = _as_square(h_single)
+    matrix, _ = _checked_hamiltonian(h_single, photons, 1e-9)
     if not 0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
     forward = lift_unitary_expansion(_exp_i_hermitian(step * matrix), photons)
@@ -500,9 +503,10 @@ def run_sweep(
     Returns (kind, trial, report) triples in a deterministic order for the
     given seed. Aggregation (e.g. all-passed) is order-independent. Every
     argument is checked before the first draw. ``trials`` and ``modes``
-    must be whole numbers >= 1 and ``photons`` a whole number >= 0: 2.0
-    counts as 2, while booleans, fractions and strings raise ValueError, so
-    an empty sweep never passes. A NaN or negative tolerance raises
+    must be whole numbers >= 1, and ``photons`` and ``seed`` whole numbers
+    >= 0: 2.0 counts as 2, while booleans, fractions, strings and None
+    raise ValueError, so an empty sweep never passes and no sweep draws
+    from an unseeded generator. A NaN or negative tolerance raises
     ValueError too, as the public checks raise it.
 
     Each trial draws its 8 m^2 + 1 doubles u with one ``rng.random`` call,
@@ -526,35 +530,29 @@ def run_sweep(
     e^{i phase} S] that one stacked expansion lift walks. The lift of H is
     what ``lift_hamiltonian`` gives.
 
-    The six residuals are those of the public checks, each in a slot of
-    its own, and one pass takes their six Frobenius norms. The diagram
-    check's three M x M products are those of ``check_diagram``, and G's
-    unitarity is bounded from their residuals by the same rule. The
-    reports are built by the pass rules the public checks use and equal,
-    by ``repr``, what calling those checks one after another on the same
-    draws gives. The lifted H, the seven lifts and one more array are the
-    nine slots of one (9, M, M) array (see ``_work_array``); the residuals
-    take the spare slot and five of the lifts' once those are used.
-    The array is allocated once the arguments are checked and
-    rewritten by every trial, so no trial allocates an M x M array.
+    The lifted H and the seven lifts are the first eight slots of one
+    (9, M, M) array (see ``_work_array``), and slot 8 is the one scratch
+    slot every residual passes through. The reports come from the three
+    report functions the public checks call, ``_diagram_report``,
+    ``_homomorphism_report`` and ``_phase_report``, so the sweep has no
+    residual code of its own, and they equal, by ``repr``, what calling
+    those checks one after another on the same draws gives. The array is
+    allocated once the arguments are checked and rewritten by every trial,
+    so no trial allocates an M x M array.
     """
     trials = _whole_number(trials, 1, "trial")
     modes = _mode_number(modes)
     photons = _photon_number(photons)
+    seed = _whole_number(seed, 0, "seed")
     for bound in (tol, homomorphism_tol, phase_tol):
         _check_tol(bound)
     table = ladder_table(modes, photons)
     basis = table.basis
-    size = len(basis)
     work = _work_array(9, table)
-    # Slot 0 holds the lifted H, and then the trial's spare products.
-    # Slots 1-7 take the lifts of the stack: W and G side by side in 1 and
-    # 2, then lift(a), lift(b), lift(S), lift(b a) and lift(e^{i phase} S).
-    # Slots 3-8 take the six residuals in report order, each once what it
-    # overwrites is used: the diagram, hermiticity, eigen and eigenbasis
-    # residuals, the homomorphism's and the phase check's.
-    gram_diagonal = work[6].reshape(-1)[:: size + 1]
-    flat_residuals = work[3:].reshape(6, -1).view(float)
+    # Slot 0 holds the lifted H, and slots 1-7 the lifts of the stack: W
+    # and G side by side in 1 and 2, then lift(a), lift(b), lift(S),
+    # lift(b a) and lift(e^{i phase} S). Slot 8 is the scratch slot.
+    lifted_vectors, group, lifted_a, lifted_b, plain, combined, shifted, scratch = work[1:]
     drawn = np.empty((4, modes, modes), dtype=complex)
     stack = np.empty((7, modes, modes), dtype=complex)
     rng = np.random.default_rng(seed)
@@ -578,31 +576,12 @@ def run_sweep(
         np.matmul(stack[3], stack[2], out=stack[5])
         np.multiply(np.exp(1j * phase), stack[4], out=stack[6])
         lifted_h = _fill_hamiltonian(drawn[0], table, work[0])
-        lifted = lifted_h.matrix
         _expansion_lifts(stack, photons, work[1:8])
-        lifted_vectors, group = work[1], work[2]
-        _phase_residual(photons, phase, work[5], work[7], work[8])
-        _homomorphism_residual(work[6], work[4], work[3], work[7])
-        violations = _count_sparsity_violations(lifted_h)
-        np.conjugate(lifted.T, out=work[4])
-        work[4] -= lifted
-        energies = basis.occupations @ values[0]
-        np.matmul(lifted, lifted_vectors, out=work[5])
-        np.multiply(lifted_vectors, energies, out=lifted)
-        work[5] -= lifted
-        # The Gram matrix W^dag W as conj(W)^T W, less I.
-        np.conjugate(lifted_vectors, out=lifted)
-        np.matmul(lifted.T, lifted_vectors, out=work[6])
-        gram_diagonal -= 1
-        # W e^{i mu} W^dag - G, with W conjugated in place for W^dag.
-        np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
-        np.conjugate(lifted_vectors, out=lifted_vectors)
-        np.matmul(lifted, lifted_vectors.T, out=work[3])
-        work[3] -= group
-        norms = np.sqrt(np.vecdot(flat_residuals, flat_residuals)).tolist()
-        diagram = _diagram_verdict(basis, norms[:4], violations, tol)
-        homomorphism = _homomorphism_verdict(modes, photons, norms[4], homomorphism_tol)
-        global_phase = _phase_verdict(modes, photons, phase, norms[5], phase_tol)
+        diagram = _diagram_report(lifted_h, values[0], group, lifted_vectors, scratch, tol)
+        homomorphism = _homomorphism_report(
+            basis, combined, lifted_b, lifted_a, scratch, homomorphism_tol
+        )
+        global_phase = _phase_report(basis, phase, plain, shifted, scratch, phase_tol)
         results += [
             ("diagram", trial, diagram),
             ("homomorphism", trial, homomorphism),

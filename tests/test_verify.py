@@ -7,12 +7,18 @@ import pytest
 import photonlift.fock
 import photonlift.lift
 import photonlift.verify
-from photonlift.lift import LiftedHamiltonian, balanced_beam_splitter, lift_hamiltonian
+from photonlift.lift import (
+    LiftedHamiltonian,
+    balanced_beam_splitter,
+    lift_hamiltonian,
+    lift_unitary_expansion,
+)
 from photonlift.matfuncs import (
     NotHermitianError,
     _as_square,
     _eigh_hermitian_part,
     _exp_i_eigh,
+    frobenius_norm,
     is_hermitian,
     is_unitary,
     unitary_logarithm,
@@ -525,6 +531,21 @@ class TestDerivativeOracle:
         with pytest.raises(ValueError):
             check_derivative_oracle(np.zeros((2, 2)), 2, step)
 
+    def test_refuses_a_non_hermitian_h_before_any_lift(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lift_unitary_expansion(*args, **kwargs)
+
+        monkeypatch.setattr(photonlift.verify, "lift_unitary_expansion", spy)
+        with pytest.raises(NotHermitianError, match="tolerance 1e-09"):
+            check_derivative_oracle([[0, 1], [0, 0]], 3, 1e-4)
+        assert calls == []
+        # The spy sees the lifts of a Hermitian H, so it covers the oracle's.
+        check_derivative_oracle(np.zeros((2, 2)), 3, 1e-4)
+        assert len(calls) == 2
+
 
 class TestRandomGenerators:
     def test_random_hermitian_is_exactly_hermitian(self):
@@ -568,6 +589,20 @@ class TestRunSweep:
 
     def test_whole_float_trial_count_is_accepted(self):
         assert run_sweep(2, 1, trials=2.0, seed=93) == run_sweep(2, 1, trials=2, seed=93)
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "3", -1])
+    def test_rejects_seeds_that_are_not_whole_numbers_from_0(self, monkeypatch, seed):
+        def no_work_array(*args):
+            raise AssertionError("allocated before checking the seed")
+
+        monkeypatch.setattr(photonlift.verify, "_work_array", no_work_array)
+        with pytest.raises(ValueError, match="seed counts must be whole numbers >= 0"):
+            run_sweep(2, 1, 1, seed=seed)
+
+    def test_whole_seeds_of_any_number_type_are_accepted(self):
+        expected = run_sweep(2, 1, 2, seed=7)
+        assert run_sweep(2, 1, 2, seed=7.0) == expected
+        assert run_sweep(2, 1, 2, seed=np.int64(7)) == expected
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize(
@@ -680,3 +715,82 @@ class TestRunSweep:
         # A draw out of place shifts every later trial's draws.
         fused = run_sweep(modes, photons, 20, seed=95)
         assert repr(fused) == repr(sweep_by_checks(modes, photons, 20, seed=95))
+
+
+class TestReportFunctions:
+    """The three report functions are the one residual path of both sides.
+
+    Each fault adds 0.5 to entry (0, 0) of one lift a report function
+    receives, so the residual it takes reads about 0.5, in the public check
+    and in every sweep trial alike.
+    """
+
+    # kind -> (report function, position of the faulted lift, residual field)
+    FAULTS = {
+        "diagram": ("_diagram_report", 2, "residual_diagram"),
+        "homomorphism": ("_homomorphism_report", 1, "residual"),
+        "global_phase": ("_phase_report", 3, "residual"),
+    }
+
+    @staticmethod
+    def public_check(kind):
+        rng = np.random.default_rng(105)
+        if kind == "diagram":
+            return check_diagram(random_hermitian(3, rng), 2)
+        if kind == "homomorphism":
+            return check_homomorphism(random_unitary(3, rng), random_unitary(3, rng), 2)
+        return check_global_phase(random_unitary(3, rng), 0.3, 2)
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_a_fault_reaches_the_public_check_and_the_sweep(self, monkeypatch, kind):
+        name, position, field = self.FAULTS[kind]
+        report = getattr(photonlift.verify, name)
+
+        def faulted(*args):
+            args[position][0, 0] += 0.5
+            return report(*args)
+
+        assert self.public_check(kind).passed
+        monkeypatch.setattr(photonlift.verify, name, faulted)
+        public = self.public_check(kind)
+        assert not public.passed
+        assert getattr(public, field) == pytest.approx(0.5, abs=1e-6)
+        results = run_sweep(3, 2, 2, seed=106)
+        for swept_kind, _, swept in results:
+            if swept_kind == kind:
+                assert not swept.passed
+                assert getattr(swept, field) == pytest.approx(0.5, abs=1e-6)
+            else:
+                assert swept.passed
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [-0.0, complex(-0.0, -0.0)],
+            [5e-324, complex(0.0, -5e-324)],
+            [complex(float("nan"), 1.0), 2.0],
+            [float("inf"), complex(1.0, float("-inf"))],
+            [float("-inf"), complex(float("nan"), float("inf"))],
+            [1e200, complex(1e-300, -1e200)],
+            [1e154, complex(1e154, 1e154)],
+        ],
+        ids=repr,
+    )
+    def test_slot_norm_is_frobenius_norm_bit_for_bit(self, entries):
+        slot = np.zeros((3, 3), dtype=complex)
+        slot.reshape(-1)[[0, 4, 5, 8][: len(entries)]] = entries
+        slot[1, 0] = 0.25 - 3j
+        # Squares past the float range warn as they overflow to inf.
+        with np.errstate(over="ignore"):
+            norm = photonlift.verify._slot_norm(slot.reshape(-1).view(float))
+            expected = frobenius_norm(slot)
+        assert type(norm) is float
+        assert np.float64(norm).tobytes() == np.float64(expected).tobytes()
+
+    def test_slot_norm_is_frobenius_norm_bit_for_bit_on_random_slots(self):
+        rng = np.random.default_rng(107)
+        for size in (1, 2, 7, 20, 60):
+            slot = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            slot *= 10.0 ** rng.integers(-150, 150)
+            norm = photonlift.verify._slot_norm(slot.reshape(-1).view(float))
+            assert norm.hex() == frobenius_norm(slot).hex()
