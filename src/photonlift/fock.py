@@ -26,10 +26,10 @@ is the per-state reference the table is tested against. Everything here is
 immutable (basis and table arrays are read-only) and safe to share across
 threads.
 
-The plan store keeps every per-size plan of the package, from six
-builders: the ladder tables here, the walk plans of ``lift`` (one per
-merged level and one per scattered level of a full walk), its Glynn plans
-and one-move plans, and the near-pair indexes of ``verify``. Each builder
+The plan store keeps every per-size plan of the package, from five
+builders: the ladder tables here, the walk plans of ``lift`` (one plan per
+walk level), its Glynn plans and one-move plans, and the near-pair
+indexes of ``verify``. Each builder
 is a function of (modes, photons) decorated with ``_stored_plan``, and its
 plans are keyed by (builder, modes, photons) in one dict. The store counts
 the summed ``nbytes`` of each plan's arrays against one budget,
@@ -158,11 +158,13 @@ def dimension(modes: int, photons: int) -> int:
     return size
 
 
-def _whole_number(count, least: int, kind: str) -> int:
+def _whole_number(count, least: int, rule: str) -> int:
     """``count`` as an int; booleans, fractions and counts below ``least`` raise.
 
     Every basis is built through this rule, so 2.0 and 2 give the same basis
-    and True never stands in for 1.
+    and True never stands in for 1. ``rule`` is the refusal's whole subject
+    phrase, such as "photon counts must be whole numbers", which the
+    message completes with the bound and the value.
     """
     # An exact int, the common case, skips the slower ABC checks.
     whole = type(count) is int or (
@@ -173,18 +175,16 @@ def _whole_number(count, least: int, kind: str) -> int:
         )
     )
     if not whole or count < least:
-        raise ValueError(
-            f"{kind} counts must be whole numbers >= {least}, got {count!r}"
-        )
+        raise ValueError(f"{rule} >= {least}, got {count!r}")
     return int(count)
 
 
 def _photon_number(count) -> int:
-    return _whole_number(count, 0, "photon")
+    return _whole_number(count, 0, "photon counts must be whole numbers")
 
 
 def _mode_number(count) -> int:
-    return _whole_number(count, 1, "mode")
+    return _whole_number(count, 1, "mode counts must be whole numbers")
 
 
 @dataclass(frozen=True, eq=False)

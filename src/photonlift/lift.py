@@ -137,40 +137,40 @@ def _fill_lift_columns(
     up[j, r]. Level 1, over the vacuum, is S itself, copied.
 
     The photon each column removes is ``_first_photons``' rule, read from
-    every level's stored plan, all looked up before level 1: for column q,
-    l, the position of q - e_l and 1 / sqrt(q_l). Each level gathers its
-    S-weights, S_jl for the l each column adds, as it runs, so the walk
-    holds no other level's; U' is needed whole. The gathered terms of a
-    level, min(m, level) per block entry, grow with the level, so the
-    levels whose terms fit in _GATHER_BLOCK entries are levels 2 to some
-    top level. Each takes one merged step, ``_merged_level``: eight array
+    every level's stored plan ``_slot_rows``, all looked up before level 1:
+    for column q, l, the position of q - e_l and 1 / sqrt(q_l). Each level
+    gathers its S-weights, S_jl for the l each column adds, as it runs, so
+    the walk holds no other level's; U' is needed whole. The gathered terms
+    of a level, min(m, level) per block entry, grow with the level, so the
+    levels whose terms fit in _GATHER_BLOCK entries are levels 2 to some top
+    level. Each takes one merged step, ``_merged_level``: eight array
     operations besides views, over its plan ``_slot_rows``, which adds its
     own copies of the table rows it reads to the rule. The operations are
     the gathers of the S-weights and of U' to the level's columns, the
-    level's block, one real product of all modes' sqrt(r_j + 1), one
-    complex product by the S-weights, one ndarray ``take`` of the plan's
-    slot rows, which lays each row's terms into min(m, level) slots in
-    ascending mode order, padded with a zero row, one ``np.add.reduce`` over
-    the slots from 0.0, and the scale. One terms buffer serves every merged
-    level: its first k * W entries, for the widest merged level, stay zero,
-    and each level lays its products right after them, so its zero row is
-    their last k * W entries. A larger level scatters mode by mode,
+    level's block, one real product of all modes' sqrt(r_j + 1), one complex
+    product by the S-weights, one ndarray ``take`` of the plan's slot rows,
+    which lays each row's terms into min(m, level) slots in ascending mode
+    order, padded with a zero row, one ``np.add.reduce`` over the slots from
+    0.0, and the scale. One terms buffer serves every merged level: its
+    first k * W entries, for the widest merged level, stay zero, and each
+    level lays its products right after them, so its zero row is their last
+    k * W entries. A larger level scatters mode by mode,
     ``_scattered_level``, into a zero-filled block, one fancy-indexed add
     per mode, exact since the rows up[j] are distinct; there the merged
-    step's temporaries cost more than its calls save, and its plan,
-    ``_scatter_plan``, is the rule alone. Both add every entry's terms to
-    +0.0 in ascending mode order, so they give the same block bit for bit,
-    and no entry is ever -0.0, as 0.0 + -0.0 is 0.0; level 1 adds 0.0 to its
-    copy of S for the same reason. One input needs no ranking and no
-    scattered level's plan: the levels below it remove its first photons,
-    emptying its first occupied mode first, so level k adds the k-th photon
-    counted from the last occupied mode, over the one column below, with
-    1 / sqrt(the photons in that mode so far); one gather takes its n
-    levels' S-weights. The caller has checked the photon and mode counts,
-    so the levels read the store directly. Modes are summed in order and
-    the division by sqrt(q_l) comes last, which keeps lifts of the identity
-    and of permutations exact and makes each matrix's columns, and one
-    input's column, the same whatever else the walk builds.
+    step's temporaries cost more than its calls save, and only the rule of
+    its plan is read. Both add every entry's terms to +0.0 in ascending mode
+    order, so they give the same block bit for bit, and no entry is ever
+    -0.0, as 0.0 + -0.0 is 0.0; level 1 adds 0.0 to its copy of S for the
+    same reason. One input needs no ranking and no scattered level's plan:
+    the levels below it remove its first photons, emptying its first
+    occupied mode first, so level k adds the k-th photon counted from the
+    last occupied mode, over the one column below, with 1 / sqrt(the photons
+    in that mode so far); one gather takes its n levels' S-weights. The
+    caller has checked the photon and mode counts, so the levels read the
+    store directly. Modes are summed in order and the division by sqrt(q_l)
+    comes last, which keeps lifts of the identity and of permutations exact
+    and makes each matrix's columns, and one input's column, the same
+    whatever else the walk builds.
 
     The real factors are applied on float64 views, two real products per
     entry instead of a complex one: the rows of U' (``take`` gives them
@@ -195,10 +195,12 @@ def _fill_lift_columns(
         min(modes, top + 1) * sizes[top + 1] * count * widths[top + 1] <= _GATHER_BLOCK
     ):
         top += 1
-    plans = [_slot_rows(modes, level) for level in range(2, top + 1)]
+    # A full walk reads every level's rule from its plan; one input's column
+    # reads only its merged levels' slot rows.
+    last = photons if state is None else top
+    plans = [_slot_rows(modes, level) for level in range(2, last + 1)]
     sources = stack.transpose(1, 0, 2)
     if state is None:
-        plans += [_scatter_plan(modes, level) for level in range(top + 1, photons + 1)]
         # Level 1's states are e_0, ..., e_{m-1}, in canonical order.
         weights = sources
     else:
@@ -309,28 +311,23 @@ def _first_photons(occupations: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @_stored_plan
-def _scatter_plan(modes: int, photons: int) -> tuple[np.ndarray, ...]:
-    """The plan of one scattered level of a full walk: its ``_first_photons``.
-
-    Working the rule out per call instead costs about 20 us of
-    ``_first_photons`` per scattered level per call at (10, 3), on 220
-    states of 10 modes: about 2-3% of that lift.
-    """
-    return _first_photons(_ladder_table(modes, photons).basis.occupations)
-
-
-@_stored_plan
 def _slot_rows(modes: int, photons: int) -> tuple[np.ndarray, ...]:
-    """The plan of one merged walk level, ``photons`` >= 2, in its own arrays.
+    """The plan of one walk level, ``photons`` >= 1, in its own arrays.
 
-    The plan is the level's ``_first_photons`` and (coef, slots). With M
-    states at this level and M' below it, a merged level's terms buffer
-    holds a zero first row and then, in row 1 + j * M' + r, mode j's term
-    for the n - 1 photon state r. ``slots`` (min(m, n), M) lists for column
-    p, in ascending order of its occupied modes j, the row of r = p - e_j,
+    The plan is the level's ``_first_photons`` and (coef, slots). A full
+    walk reads the rule of every level 2..n from it, merged or scattered;
+    one input's column reads only its merged levels' plans. With M states
+    at this level and M' below it, a merged level's terms buffer holds a
+    zero first row and then, in row 1 + j * M' + r, mode j's term for the
+    n - 1 photon state r. ``slots`` (min(m, n), M) lists for column p, in
+    ascending order of its occupied modes j, the row of r = p - e_j,
     padded with the zero row; ``coef`` is the table's ``up_coef`` shaped
     (m, M', 1, 1). Every array is its own read-only copy, so the plan
-    shares no buffer with a stored ladder table.
+    shares no buffer with a stored ladder table. A scattered level never
+    reads (coef, slots): their O(min(m, n) M + m M') entries are small
+    beside the M x M block that level writes (5 KB against 230 KB at
+    (8, 3)). Working the rule out per call instead would cost about 20 us
+    of ``_first_photons`` per level at (10, 3), 2-3% of that lift.
     """
     table = _ladder_table(modes, photons)
     lower = table.up.shape[1]

@@ -65,8 +65,9 @@ from .lift import (
     _checked_hamiltonian,
     _expansion_lifts,
     _fill_hamiltonian,
+    # No check here calls it; kept as ``verify.lift_hamiltonian`` for
+    # callers that read it from this module.
     lift_hamiltonian,
-    lift_unitary_expansion,
 )
 from .matfuncs import (
     _as_square,
@@ -466,15 +467,18 @@ def check_derivative_oracle(h_single, photons: int, step: float) -> float:
     approximates i times the direct construction with O(step^2) error; the
     returned Frobenius residual shrinks fourfold when the step halves.
     H must be Hermitian within 1e-9, as ``lift_hamiltonian`` requires by
-    default, and is refused before anything is lifted.
+    default, and is refused before anything is lifted. Then the lifted H
+    and the lifts at +step and -step are the three slots of one (3, M, M)
+    array (see ``_work_array``), the pair lifted in one stacked walk.
     """
-    matrix, _ = _checked_hamiltonian(h_single, photons, 1e-9)
+    matrix, table = _checked_hamiltonian(h_single, photons, 1e-9)
     if not 0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
-    forward = lift_unitary_expansion(_exp_i_hermitian(step * matrix), photons)
-    backward = lift_unitary_expansion(_exp_i_hermitian(-step * matrix), photons)
-    difference = (forward.matrix - backward.matrix) / (2 * step)
-    direct = lift_hamiltonian(matrix, photons).matrix
+    work = _work_array(3, table)
+    direct = _fill_hamiltonian(matrix, table, work[0]).matrix
+    pair = [_exp_i_hermitian(step * matrix), _exp_i_hermitian(-step * matrix)]
+    forward, backward = _expansion_lifts(pair, table.basis.photons, work[1:])
+    difference = (forward - backward) / (2 * step)
     return frobenius_norm(difference - 1j * direct)
 
 
@@ -540,10 +544,10 @@ def run_sweep(
     allocated once the arguments are checked and rewritten by every trial,
     so no trial allocates an M x M array.
     """
-    trials = _whole_number(trials, 1, "trial")
+    trials = _whole_number(trials, 1, "trial counts must be whole numbers")
     modes = _mode_number(modes)
     photons = _photon_number(photons)
-    seed = _whole_number(seed, 0, "seed")
+    seed = _whole_number(seed, 0, "seed must be a whole number")
     for bound in (tol, homomorphism_tol, phase_tol):
         _check_tol(bound)
     table = ladder_table(modes, photons)

@@ -108,7 +108,7 @@ def sweep_by_checks(
     Draws what ``run_sweep`` draws, in the same order, and leaves the
     checks of photons and tolerances to the check that first receives them.
     """
-    trials = _whole_number(trials, 1, "trial")
+    trials = _whole_number(trials, 1, "trial counts must be whole numbers")
     modes = _mode_number(modes)
     rng = np.random.default_rng(seed)
     results: list[tuple[str, int, object]] = []
@@ -212,20 +212,43 @@ def mode_count_distribution(scattering, state, mode: int) -> list[Fraction]:
         P(n_j = c) = sum_{k >= c} k! E_k C(k, c) (-1)^(k - c).
 
     The probabilities sum to exactly 1 for any S: that sum is 0! E_0.
+
+    Every part of a float is an integer over a power of two, so the whole
+    sum runs in Python ints: |S_jl|^2 = w_l / 4^e over one common 4^e.
+    The moments m_k = 4^(e k) k! E_k multiply as exponential generating
+    functions, m_k = sum_a C(k, a) C(q_l, a) w_l^a m'_(k - a) per mode, and
+    each probability is an integer over 4^(e n), reduced by ``Fraction``.
     """
-    series = [Fraction(1)]
-    for entry, held in zip(map(complex, scattering[mode]), state):
-        weight = Fraction(entry.real) ** 2 + Fraction(entry.imag) ** 2
-        factor = [math.comb(held, a) * weight**a / math.factorial(a) for a in range(held + 1)]
-        product = [Fraction(0)] * (len(series) + held)
-        for low, left in enumerate(series):
+    # Each part is num / 2^r; as_integer_ratio gives the power of two as is.
+    ratios = [
+        part.as_integer_ratio()
+        for entry in map(complex, scattering[mode])
+        for part in (entry.real, entry.imag)
+    ]
+    shifts = [denominator.bit_length() - 1 for _, denominator in ratios]
+    shift = max(shifts)
+    squares = [
+        numerator**2 << 2 * (shift - own) for (numerator, _), own in zip(ratios, shifts)
+    ]
+    moments = [1]
+    for real, imaginary, held in zip(squares[::2], squares[1::2], state):
+        weight = real + imaginary
+        factor = [math.comb(held, a) * weight**a for a in range(held + 1)]
+        product = [0] * (len(moments) + held)
+        for low, left in enumerate(moments):
             for high, right in enumerate(factor):
-                product[low + high] += left * right
-        series = product
-    moments = [math.factorial(k) * coefficient for k, coefficient in enumerate(series)]
+                product[low + high] += math.comb(low + high, high) * left * right
+        moments = product
+    photons = len(moments) - 1
+    unit = 4**shift
+    # m_k / 4^(e k) over the common denominator 4^(e n).
+    scaled = [moment * unit ** (photons - k) for k, moment in enumerate(moments)]
     return [
-        sum(moments[k] * math.comb(k, c) * (-1) ** (k - c) for k in range(c, len(moments)))
-        for c in range(len(moments))
+        Fraction(
+            sum(scaled[k] * math.comb(k, c) * (-1) ** (k - c) for k in range(c, photons + 1)),
+            unit**photons,
+        )
+        for c in range(photons + 1)
     ]
 
 

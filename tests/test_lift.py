@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import photonlift.fock as fock_module
 import photonlift.lift as lift_module
 import photonlift.matfuncs as matfuncs_module
+import photonlift.verify as verify_module
 from photonlift.fock import (
     MoveKind,
     _clear_plans,
@@ -360,7 +361,7 @@ class TestWalkPlans:
         "modes,photons", [(m, n) for m in range(1, 7) for n in range(1, 5)]
     )
     def test_agrees_with_per_state_ladder_operators(self, modes, photons):
-        plan = lift_module._scatter_plan(modes, photons)
+        plan = lift_module._slot_rows(modes, photons)[:3]
         first, down, scale = plan
         basis = ladder_table(modes, photons).basis
         lower = enumerate_basis(modes, photons - 1)
@@ -372,10 +373,6 @@ class TestWalkPlans:
             assert scale[2 * position] == scale[2 * position + 1] == 1 / lowered.coefficient
         assert first.shape == down.shape == (len(basis),)
         assert scale.shape == (2 * len(basis),)
-        if photons >= 2:
-            # A merged level's plan starts with the same rule.
-            for merged, alone in zip(lift_module._slot_rows(modes, photons), plan):
-                assert_bit_identical(merged, alone)
         for array in plan:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
@@ -384,7 +381,7 @@ class TestWalkPlans:
         "modes,photons", [(2, 30), (2, 300), (3, 40), (16, 4), (20, 5)]
     )
     def test_removal_matches_the_ranking_oracle_at_size(self, modes, photons):
-        first, down, scale = lift_module._scatter_plan(modes, photons)
+        first, down, scale = lift_module._slot_rows(modes, photons)[:3]
         occupations = ladder_table(modes, photons).basis.occupations
         rows = np.arange(len(occupations))
         # The first occupied mode is the number of empty modes before it.
@@ -759,6 +756,23 @@ class TestPlanStore:
         second = lift_unitary_expansion(scattering, photons)
         assert builds == []
         assert second.matrix.tobytes() == first.matrix.tobytes()
+
+    def test_one_walk_plan_per_level(self):
+        # Level 3 of a full (10, 3) walk scatters, and one input's column
+        # merges it: both read the one plan of that level.
+        others = {
+            fock_module._ladder_table.__wrapped__,
+            lift_module._glynn_plan.__wrapped__,
+            lift_module._one_move_plan.__wrapped__,
+            verify_module._near_pairs.__wrapped__,
+        }
+        _clear_plans()
+        rng = np.random.default_rng(10)
+        check_diagram(random_hermitian(10, rng), 3)
+        transition_distribution(random_unitary(10, rng), (1, 0, 0, 2, 0, 0, 0, 0, 0, 0))
+        walk = {key for key in fock_module._plans if key[0] not in others}
+        slot_rows = lift_module._slot_rows.__wrapped__
+        assert walk == {(slot_rows, 10, 2), (slot_rows, 10, 3)}
 
     def test_small_budget_evicts_and_changes_no_result(self, monkeypatch):
         _clear_plans()
@@ -1170,6 +1184,20 @@ class TestTransitionDistribution:
                 marginal[output[mode]] += probability
             gap = max(abs(float(p) - q) for p, q in zip(exact, marginal))
             assert gap <= 1e-11, (mode, gap)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the expansion walk's rounding grows with the "
+        "photons piled into few modes; at (75, 75) a marginal is 7.8e-4 off",
+    )
+    def test_marginal_matches_the_exact_mode_counts_at_high_occupancy(self):
+        state = (75, 75)
+        scattering = random_unitary(2, np.random.default_rng(5))
+        exact = mode_count_distribution(scattering, state, 0)
+        marginal = [0.0] * len(exact)
+        for output, probability in transition_distribution(scattering, state).items():
+            marginal[output[0]] += probability
+        assert max(abs(float(p) - q) for p, q in zip(exact, marginal)) <= 1e-11
 
     def test_vacuum_stays_put(self):
         scattering = random_unitary(3, np.random.default_rng(102))

@@ -11,7 +11,6 @@ from photonlift.lift import (
     LiftedHamiltonian,
     balanced_beam_splitter,
     lift_hamiltonian,
-    lift_unitary_expansion,
 )
 from photonlift.matfuncs import (
     NotHermitianError,
@@ -533,18 +532,20 @@ class TestDerivativeOracle:
 
     def test_refuses_a_non_hermitian_h_before_any_lift(self, monkeypatch):
         calls = []
+        exact = photonlift.verify._expansion_lifts
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return lift_unitary_expansion(*args, **kwargs)
+        def spy(matrices, *args, **kwargs):
+            calls.append(len(matrices))
+            return exact(matrices, *args, **kwargs)
 
-        monkeypatch.setattr(photonlift.verify, "lift_unitary_expansion", spy)
+        monkeypatch.setattr(photonlift.verify, "_expansion_lifts", spy)
         with pytest.raises(NotHermitianError, match="tolerance 1e-09"):
             check_derivative_oracle([[0, 1], [0, 0]], 3, 1e-4)
         assert calls == []
-        # The spy sees the lifts of a Hermitian H, so it covers the oracle's.
+        # The spy sees the lifts of a Hermitian H, so it covers the oracle's:
+        # one stacked call lifts the pair at +step and -step.
         check_derivative_oracle(np.zeros((2, 2)), 3, 1e-4)
-        assert len(calls) == 2
+        assert calls == [2]
 
 
 class TestRandomGenerators:
@@ -572,6 +573,15 @@ class TestRunSweep:
         assert kinds == {"diagram", "homomorphism", "global_phase"}
         assert all(report.passed for _, _, report in results)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the expansion walk's rounding grows with the "
+        "photons piled into few modes; at (2, 60) the homomorphism and phase "
+        "residuals exceed their tolerances",
+    )
+    def test_all_checks_pass_at_sixty_photons_in_two_modes(self):
+        assert all(report.passed for _, _, report in run_sweep(2, 60, 1, seed=1))
+
     def test_deterministic_for_fixed_seed(self):
         first = run_sweep(2, 2, trials=3, seed=92)
         second = run_sweep(2, 2, trials=3, seed=92)
@@ -596,7 +606,7 @@ class TestRunSweep:
             raise AssertionError("allocated before checking the seed")
 
         monkeypatch.setattr(photonlift.verify, "_work_array", no_work_array)
-        with pytest.raises(ValueError, match="seed counts must be whole numbers >= 0"):
+        with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
             run_sweep(2, 1, 1, seed=seed)
 
     def test_whole_seeds_of_any_number_type_are_accepted(self):
