@@ -3,94 +3,75 @@
 Lift an m-mode single-photon scattering matrix, or its effective
 Hamiltonian, to the full n-photon description on the occupation-number
 basis, and check numerically that exponentiating and lifting commute.
+
+The public names are re-exported lazily (PEP 562): ``import photonlift``
+loads no submodule, and the first access to a name imports its home
+module and keeps the name here, so later accesses are plain lookups.
+``from photonlift import ...`` and ``from photonlift import *`` see every
+name of ``__all__``, ``dir()`` lists them and the five submodules, and
+``photonlift.fock`` and the others import on first access too.
 """
 
-from .fock import (
-    FockBasis,
-    MoveKind,
-    OccupationState,
-    bunched_first_order,
-    dimension,
-    enumerate_basis,
-    photon_move_relation,
-)
-from .io import MatrixFileError, read_matrix, write_matrix
-from .lift import (
-    LiftedHamiltonian,
-    LiftedUnitary,
-    balanced_beam_splitter,
-    global_phase_lift,
-    hamiltonian_element,
-    lift_hamiltonian,
-    lift_unitary_expansion,
-    lift_unitary_permanent,
-    transition_distribution,
-)
-from .matfuncs import (
-    PERMANENT_SIZE_LIMIT,
-    NotHermitianError,
-    NotUnitaryError,
-    frobenius_norm,
-    is_hermitian,
-    is_unitary,
-    matrix_exponential,
-    permanent,
-    unitary_logarithm,
-)
-from .verify import (
-    DEFAULT_SEED,
-    DiagramReport,
-    GlobalPhaseReport,
-    HomomorphismReport,
-    check_derivative_oracle,
-    check_diagram,
-    check_global_phase,
-    check_homomorphism,
-    random_hermitian,
-    random_unitary,
-    run_sweep,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PERMANENT_SIZE_LIMIT",
-    "DEFAULT_SEED",
-    "OccupationState",
-    "FockBasis",
-    "MoveKind",
-    "LiftedUnitary",
-    "LiftedHamiltonian",
-    "DiagramReport",
-    "HomomorphismReport",
-    "GlobalPhaseReport",
-    "MatrixFileError",
-    "NotUnitaryError",
-    "NotHermitianError",
-    "dimension",
-    "enumerate_basis",
-    "photon_move_relation",
-    "bunched_first_order",
-    "frobenius_norm",
-    "is_unitary",
-    "is_hermitian",
-    "matrix_exponential",
-    "unitary_logarithm",
-    "permanent",
-    "lift_unitary_expansion",
-    "lift_unitary_permanent",
-    "lift_hamiltonian",
-    "hamiltonian_element",
-    "global_phase_lift",
-    "transition_distribution",
-    "balanced_beam_splitter",
-    "check_diagram",
-    "check_homomorphism",
-    "check_global_phase",
-    "check_derivative_oracle",
-    "random_hermitian",
-    "random_unitary",
-    "run_sweep",
-    "read_matrix",
-    "write_matrix",
-]
+# Each public name and the submodule that defines it, in ``__all__`` order.
+_HOMES = {
+    "PERMANENT_SIZE_LIMIT": "matfuncs",
+    "DEFAULT_SEED": "verify",
+    "OccupationState": "fock",
+    "FockBasis": "fock",
+    "MoveKind": "fock",
+    "LiftedUnitary": "lift",
+    "LiftedHamiltonian": "lift",
+    "DiagramReport": "verify",
+    "HomomorphismReport": "verify",
+    "GlobalPhaseReport": "verify",
+    "MatrixFileError": "io",
+    "NotUnitaryError": "matfuncs",
+    "NotHermitianError": "matfuncs",
+    "dimension": "fock",
+    "enumerate_basis": "fock",
+    "photon_move_relation": "fock",
+    "bunched_first_order": "fock",
+    "frobenius_norm": "matfuncs",
+    "is_unitary": "matfuncs",
+    "is_hermitian": "matfuncs",
+    "matrix_exponential": "matfuncs",
+    "unitary_logarithm": "matfuncs",
+    "permanent": "matfuncs",
+    "lift_unitary_expansion": "lift",
+    "lift_unitary_permanent": "lift",
+    "lift_hamiltonian": "lift",
+    "hamiltonian_element": "lift",
+    "global_phase_lift": "lift",
+    "transition_distribution": "lift",
+    "balanced_beam_splitter": "lift",
+    "check_diagram": "verify",
+    "check_homomorphism": "verify",
+    "check_global_phase": "verify",
+    "check_derivative_oracle": "verify",
+    "random_hermitian": "verify",
+    "random_unitary": "verify",
+    "run_sweep": "verify",
+    "read_matrix": "io",
+    "write_matrix": "io",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        value = getattr(_import_module(f".{_HOMES[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _HOMES.values():
+        # Importing a submodule binds it here as well.
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_HOMES.values()})

@@ -21,8 +21,12 @@ large for a float64 on reading.
 The writer checks the whole matrix before it opens the file, then formats
 and writes the entries a fixed block at a time, so beyond the matrix it
 holds one boolean finite mask (a sixteenth of a complex matrix) and
-O(block) memory. The reader parses the whole file with ``json.load`` and
-peaks at about twelve times the matrix.
+O(block) memory. An entry whose two parts are +0.0 (all 128 bits zero)
+goes into its block's text as the constant ``[0.0, 0.0]`` that formatting
+would give, so a sparse lift, mostly such entries, formats only its
+non-zero ones; -0.0 is formatted as any other float. The reader parses
+the whole file with ``json.load`` and peaks at about twelve times the
+matrix.
 """
 
 import cmath
@@ -114,8 +118,9 @@ def read_matrix(path) -> np.ndarray:
 # Entries formatted and written per block: a block's floats, format
 # arguments and text take about 0.13 MB whatever the matrix size.
 _WRITE_BLOCK = 1024
-_ENTRY_TEMPLATE = "  [%r, %r]"
-_BLOCK_TEMPLATE = ",\n".join([_ENTRY_TEMPLATE] * _WRITE_BLOCK)
+# An entry's part of a block template, indexed by whether it is non-zero:
+# the text %r gives when both parts are +0.0, or the entry template.
+_ENTRY_CHOICES = np.array(["  [0.0, 0.0]", "  [%r, %r]"], dtype=object)
 
 
 def write_matrix(matrix, path, metadata: dict[str, str] | None = None) -> None:
@@ -142,10 +147,12 @@ def write_matrix(matrix, path, metadata: dict[str, str] | None = None) -> None:
             # writes float.__repr__, the shortest string that reads back to
             # the same double, which is also what json.dumps writes.
             block = out.flat[start : start + _WRITE_BLOCK]
-            if len(block) == _WRITE_BLOCK:
-                template = _BLOCK_TEMPLATE
-            else:
-                template = ",\n".join([_ENTRY_TEMPLATE] * len(block))
+            # +0.0 is the one float64 whose bits are all zero; -0.0 is not.
+            bits = block.view(np.uint64)
+            nonzero = np.logical_or(bits[0::2], bits[1::2])
+            # Zero entries go into the template as text, unformatted.
+            template = ",\n".join(_ENTRY_CHOICES[nonzero.view(np.int8)].tolist())
+            block = block[nonzero]
             if start:
                 handle.write(",\n")
             handle.write(template % tuple(block.view(np.float64).tolist()))

@@ -469,7 +469,8 @@ def check_derivative_oracle(h_single, photons: int, step: float) -> float:
     H must be Hermitian within 1e-9, as ``lift_hamiltonian`` requires by
     default, and is refused before anything is lifted. Then the lifted H
     and the lifts at +step and -step are the three slots of one (3, M, M)
-    array (see ``_work_array``), the pair lifted in one stacked walk.
+    array (see ``_work_array``), the pair lifted in one stacked walk, and
+    the residual is taken in those slots, with no M x M array beside them.
     """
     matrix, table = _checked_hamiltonian(h_single, photons, 1e-9)
     if not 0 < step <= 1e-3:
@@ -478,8 +479,12 @@ def check_derivative_oracle(h_single, photons: int, step: float) -> float:
     direct = _fill_hamiltonian(matrix, table, work[0]).matrix
     pair = [_exp_i_hermitian(step * matrix), _exp_i_hermitian(-step * matrix)]
     forward, backward = _expansion_lifts(pair, table.basis.photons, work[1:])
-    difference = (forward - backward) / (2 * step)
-    return frobenius_norm(difference - 1j * direct)
+    # In place: the difference quotient in forward, i times H in backward.
+    np.subtract(forward, backward, out=forward)
+    forward /= 2 * step
+    np.multiply(1j, direct, out=backward)
+    forward -= backward
+    return frobenius_norm(forward)
 
 
 def random_hermitian(modes: int, rng: "np.random.Generator") -> np.ndarray:

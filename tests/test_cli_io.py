@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 import photonlift
+import photonlift.lift
 from photonlift import cli
 from photonlift.cli import main
+from photonlift.fock import bunched_first_order
 from photonlift.io import _WRITE_BLOCK, MatrixFileError, read_matrix, write_matrix
 from photonlift.lift import balanced_beam_splitter, lift_hamiltonian
 from photonlift.matfuncs import unitary_logarithm
+from photonlift.verify import random_hermitian
 from reference import write_matrix_one_pass
 
 GOLDEN_TWO_PHOTON_LOG = np.array(
@@ -258,6 +261,57 @@ class TestStreamedWriter:
             assert {flat[end - 1].real, flat[end].real} <= {-0.0, 5e-324, 1e16}
             assert {flat[end - 1].imag, flat[end].imag} <= {-0.0, 5e-324, 1e16}
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # Each signed-zero and one-part-zero form beside +0+0j, over
+            # two whole blocks and a partial last one.
+            np.resize(
+                [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                 complex(0.0, 0.75), complex(-1e-300, 0.0), 0j, complex(5e-324, 0.0)],
+                2 * _WRITE_BLOCK + 5,
+            ),
+            np.zeros(_WRITE_BLOCK),
+            np.zeros(_WRITE_BLOCK + 7),
+            np.concatenate([np.zeros(_WRITE_BLOCK - 1), [complex(-0.0, 0.0)]]),
+            np.concatenate([np.arange(_WRITE_BLOCK), np.zeros(_WRITE_BLOCK + 3)]),
+        ],
+        ids=["signed-zeros", "zero-block", "zero-partial-block", "last-entry-nonzero",
+             "dense-then-zero"],
+    )
+    def test_zero_entries_match_one_pass(self, tmp_path, entries):
+        matrix = np.asarray(entries, dtype=complex).reshape(1, -1)
+        write_matrix(matrix, tmp_path / "streamed.json")
+        write_matrix_one_pass(matrix, tmp_path / "one_pass.json")
+        assert (tmp_path / "streamed.json").read_bytes() == (
+            tmp_path / "one_pass.json"
+        ).read_bytes()
+        assert read_matrix(tmp_path / "streamed.json").tobytes() == matrix.tobytes()
+
+    def test_one_nonzero_entry_in_a_zero_block(self, tmp_path):
+        for position in (0, 1, _WRITE_BLOCK // 2, _WRITE_BLOCK - 1):
+            matrix = np.zeros((4, _WRITE_BLOCK // 2), dtype=complex)
+            matrix.flat[_WRITE_BLOCK + position] = complex(-0.5, 1e16)
+            write_matrix(matrix, tmp_path / "streamed.json")
+            write_matrix_one_pass(matrix, tmp_path / "one_pass.json")
+            text = (tmp_path / "streamed.json").read_text()
+            assert text == (tmp_path / "one_pass.json").read_text()
+            assert text.count("[-0.5, 1e+16]") == 1
+
+    def test_sparse_lifted_hamiltonian_matches_one_pass(self, tmp_path):
+        # The bunched (8,4) lift: 7,050 non-zero entries of 108,900.
+        h_single = random_hermitian(8, np.random.default_rng(3))
+        lifted = lift_hamiltonian(h_single, 4)
+        order = bunched_first_order(lifted.basis)
+        matrix = lifted.matrix[np.ix_(order, order)]
+        assert np.count_nonzero(matrix) == 7050
+        metadata = {"modes": "8", "photons": "4", "order": "bunched"}
+        write_matrix(matrix, tmp_path / "streamed.json", metadata)
+        write_matrix_one_pass(matrix, tmp_path / "one_pass.json", metadata)
+        assert (tmp_path / "streamed.json").read_bytes() == (
+            tmp_path / "one_pass.json"
+        ).read_bytes()
+
     @pytest.mark.parametrize("size", [120, 240])
     def test_peak_memory_is_a_block_beyond_the_finite_mask(self, tmp_path, size):
         # One pass would hold about ten times the matrix: a float list, its
@@ -437,7 +491,7 @@ class TestLiftUnitaryCommand:
         def exhausted(matrix, photons):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "lift_unitary_expansion", exhausted)
+        monkeypatch.setattr(photonlift.lift, "lift_unitary_expansion", exhausted)
         source = write_beam_splitter(tmp_path / "bs.json")
         code = main(
             ["lift-u", "--photons", "40", "--input", source, "--output",
@@ -512,7 +566,7 @@ class TestLiftHamiltonianCommand:
         def exhausted(matrix, photons, tol):
             raise MemoryError("Unable to allocate")
 
-        monkeypatch.setattr(cli, "lift_hamiltonian", exhausted)
+        monkeypatch.setattr(photonlift.lift, "lift_hamiltonian", exhausted)
         source = tmp_path / "h.json"
         write_matrix(np.eye(3), source)
         code = main(
@@ -533,7 +587,7 @@ class TestLiftHamiltonianCommand:
             lifts.append(lift_hamiltonian(matrix, photons, tol=tol))
             return lifts[-1]
 
-        monkeypatch.setattr(cli, "lift_hamiltonian", recorded_lift)
+        monkeypatch.setattr(photonlift.lift, "lift_hamiltonian", recorded_lift)
         monkeypatch.setattr(
             cli, "write_matrix", lambda matrix, path, metadata: written.append(matrix)
         )
@@ -908,6 +962,116 @@ class TestLazyScipyImport:
             assert "scipy.linalg" in sys.modules, "not loaded by expm"
             """
         )
+
+
+class TestLazyModuleImport:
+    def test_package_import_loads_no_submodule(self):
+        run_fresh(
+            """
+            import sys
+            import photonlift
+            loaded = [name for name in sys.modules if name.startswith("photonlift.")]
+            assert loaded == [], loaded
+            """
+        )
+
+    def test_cli_import_loads_io_and_matfuncs_only(self):
+        run_fresh(
+            """
+            import sys
+            import photonlift.cli
+            loaded = sorted(name for name in sys.modules if name.startswith("photonlift."))
+            assert loaded == ["photonlift.cli", "photonlift.io", "photonlift.matfuncs"], loaded
+            """
+        )
+
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        run_fresh(
+            """
+            import sys
+            from photonlift.cli import main
+            from photonlift.io import write_matrix
+
+            folder = sys.argv[1]
+            write_matrix([[0.0, 1.0], [1.0, 0.0]], folder + "/s.json")
+            write_matrix([[1.0, 0.5], [0.5, -1.0]], folder + "/h.json")
+            log = ["log", "--input", folder + "/s.json", "--output", folder + "/l.json"]
+            assert main(log) == 0
+            for module in ("photonlift.fock", "photonlift.lift", "photonlift.verify"):
+                assert module not in sys.modules, module
+            for argv in (
+                ["basis", "--modes", "3", "--photons", "2"],
+                ["lift-u", "--photons", "2", "--input", folder + "/s.json",
+                 "--output", folder + "/u.json"],
+                ["lift-u", "--photons", "2", "--input", folder + "/s.json",
+                 "--output", folder + "/p.json", "--method", "permanent"],
+                ["lift-h", "--photons", "2", "--input", folder + "/h.json",
+                 "--output", folder + "/hu.json", "--order", "bunched"],
+                ["demo-hom"],
+            ):
+                assert main(argv) == 0, argv
+                assert "photonlift.verify" not in sys.modules, argv
+            assert main(["verify", "--photons", "2", "--trials", "1"]) == 0
+            assert "photonlift.verify" in sys.modules
+            """,
+            str(tmp_path),
+        )
+
+    def test_public_names_resolve_to_their_home_modules(self):
+        run_fresh(
+            """
+            import importlib
+            import photonlift
+
+            listed = dir(photonlift)
+            names = photonlift.__all__
+            assert len(set(names)) == len(names)
+            homes = ["fock", "io", "lift", "matfuncs", "verify"]
+            assert set(names) | set(homes) <= set(listed), set(names) - set(listed)
+            star = {}
+            exec("from photonlift import *", star)
+            assert set(star) - {"__builtins__"} == set(names)
+            for name in names:
+                owners = [
+                    importlib.import_module("photonlift." + home)
+                    for home in homes
+                    if name in importlib.import_module("photonlift." + home).__all__
+                ]
+                assert len(owners) == 1, (name, owners)
+                assert getattr(photonlift, name) is getattr(owners[0], name), name
+                assert star[name] is getattr(owners[0], name), name
+            for home in homes:
+                assert getattr(photonlift, home) is importlib.import_module("photonlift." + home)
+            try:
+                photonlift.no_such_name
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc)
+            else:
+                raise AssertionError("photonlift.no_such_name resolved")
+            """
+        )
+
+    def test_submodules_load_on_first_attribute_access(self):
+        run_fresh(
+            """
+            import sys
+            import photonlift
+
+            # Each module's own imports come earlier in this order, so every
+            # access is the first load of that module.
+            for home in ["fock", "io", "matfuncs", "lift", "verify"]:
+                full = "photonlift." + home
+                assert full not in sys.modules, home
+                module = getattr(photonlift, home)
+                assert module is sys.modules[full], home
+                assert module.__name__ == full, home
+            """
+        )
+
+    def test_verify_sweep_seed_defaults_to_default_seed(self, capsys):
+        assert main(["verify", "--photons", "1", "--trials", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"seed={photonlift.DEFAULT_SEED} " in out
 
 
 class TestLazyNumpyRandomImport:

@@ -11,12 +11,14 @@ from photonlift.lift import (
     LiftedHamiltonian,
     balanced_beam_splitter,
     lift_hamiltonian,
+    lift_unitary_expansion,
 )
 from photonlift.matfuncs import (
     NotHermitianError,
     _as_square,
     _eigh_hermitian_part,
     _exp_i_eigh,
+    _exp_i_hermitian,
     frobenius_norm,
     is_hermitian,
     is_unitary,
@@ -524,6 +526,31 @@ class TestDerivativeOracle:
         coarse = check_derivative_oracle(h_single, 2, 1e-3)
         fine = check_derivative_oracle(h_single, 2, 5e-4)
         assert 3.5 <= coarse / fine <= 4.5
+
+    def test_equals_the_out_of_place_difference_bit_for_bit(self):
+        h_single = random_hermitian(4, np.random.default_rng(96))
+        step = 1e-4
+        forward = lift_unitary_expansion(_exp_i_hermitian(step * h_single), 3).matrix
+        backward = lift_unitary_expansion(_exp_i_hermitian(-step * h_single), 3).matrix
+        direct = lift_hamiltonian(h_single, 3).matrix
+        expected = frobenius_norm((forward - backward) / (2 * step) - 1j * direct)
+        assert check_derivative_oracle(h_single, 3, step) == expected
+
+    def test_peak_memory_stays_within_four_matrices(self):
+        # A first call builds the plans the store keeps.
+        h_single = random_hermitian(10, np.random.default_rng(95))
+        check_derivative_oracle(h_single, 3, 1e-4)
+        tracemalloc.start()
+        try:
+            check_derivative_oracle(h_single, 3, 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(lift_hamiltonian(np.zeros((10, 10)), 3).basis)
+        # The three slots of the work array (the lifted H and the lifts at
+        # +step and -step), beside the lift walk: about 3.8 matrices. The
+        # residual is taken in the slots; one more matrix would not pass.
+        assert peak <= 4.0 * 16 * size**2
 
     @pytest.mark.parametrize("step", [0.0, -1e-4, 2e-3])
     def test_rejects_bad_steps(self, step):
