@@ -145,15 +145,18 @@ def dimension(modes: int, photons: int) -> int:
     Equals C(modes + photons - 1, photons), the size of the occupation
     basis. Both counts go through the whole-number rules of
     ``enumerate_basis``. Raises OverflowError instead of returning a count
-    too large to index with 64-bit integers.
+    too large to index with 64-bit integers. Its message gives the count as
+    a power of ten, since a count of more than 4,300 digits cannot be
+    formatted as an int.
     """
     modes = _mode_number(modes)
     photons = _photon_number(photons)
     size = math.comb(modes + photons - 1, photons)
     if size > MAX_DIMENSION:
         raise OverflowError(
-            f"basis for modes={modes}, photons={photons} has {size} states, "
-            f"exceeding the supported limit {MAX_DIMENSION}"
+            f"basis for modes={modes}, photons={photons} has about "
+            f"10^{math.log10(size):.2f} states, exceeding the supported limit "
+            f"{MAX_DIMENSION}"
         )
     return size
 
@@ -185,6 +188,11 @@ def _photon_number(count) -> int:
 
 def _mode_number(count) -> int:
     return _whole_number(count, 1, "mode counts must be whole numbers")
+
+
+def _photon_counts(state) -> OccupationState:
+    """``state``'s counts as ints, each through the whole-number rule."""
+    return tuple(map(_photon_number, state))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +229,7 @@ class FockBasis:
         booleans, fractions and negative counts raise ValueError, and 2.0
         counts as 2.
         """
-        state = tuple(map(_photon_number, state))
+        state = _photon_counts(state)
         if len(state) != self.modes or sum(state) != self.photons:
             raise ValueError(
                 f"state {state} does not belong to the basis with "
@@ -279,7 +287,7 @@ class LadderTable:
       move, shape (modes, M').
 
     Which photon a lift removes from each state is the lift's own rule,
-    kept in its walk plans (see ``lift._first_photons``).
+    kept in slot 0 of its walk plans (see ``lift._slot_rows``).
     """
 
     basis: FockBasis
@@ -337,7 +345,12 @@ def _check_mode(state: OccupationState, mode: int) -> None:
 
 
 def apply_creation(state: OccupationState, mode: int) -> LadderResult:
-    """Add one photon to ``mode``: coefficient sqrt(count + 1)."""
+    """Add one photon to ``mode``: coefficient sqrt(count + 1).
+
+    Counts follow the whole-number rule of ``enumerate_basis``: booleans,
+    fractions and negative counts raise ValueError, and 2.0 counts as 2.
+    """
+    state = _photon_counts(state)
     _check_mode(state, mode)
     raised = list(state)
     raised[mode] += 1
@@ -345,7 +358,11 @@ def apply_creation(state: OccupationState, mode: int) -> LadderResult:
 
 
 def apply_annihilation(state: OccupationState, mode: int) -> LadderResult:
-    """Remove one photon from ``mode``: coefficient sqrt(count), 0 on vacuum."""
+    """Remove one photon from ``mode``: coefficient sqrt(count), 0 on vacuum.
+
+    Counts follow the whole-number rule, as in ``apply_creation``.
+    """
+    state = _photon_counts(state)
     _check_mode(state, mode)
     if state[mode] == 0:
         return LadderResult(0.0, None)
@@ -374,13 +391,14 @@ class MoveRelation:
 
 
 def photon_move_relation(p: OccupationState, q: OccupationState) -> MoveRelation:
-    """Classify the pair as identical, one photon moved, or farther apart."""
-    p = tuple(p)
-    q = tuple(q)
+    """Classify the pair as identical, one photon moved, or farther apart.
+
+    Counts follow the whole-number rule, as in ``apply_creation``.
+    """
+    p = _photon_counts(p)
+    q = _photon_counts(q)
     if len(p) != len(q):
         raise ValueError(f"mode counts differ: {len(p)} vs {len(q)}")
-    if any(count < 0 for count in p) or any(count < 0 for count in q):
-        raise ValueError("occupation counts must be non-negative")
     if sum(p) != sum(q):
         raise ValueError(f"photon totals differ: {sum(p)} vs {sum(q)}")
     gained = [mode for mode, (a, b) in enumerate(zip(p, q)) if a - b > 0]

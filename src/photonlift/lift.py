@@ -4,16 +4,19 @@ The m x m scattering matrix S of a photon-conserving linear network fixes
 the evolution of any number of photons. ``lift_unitary_expansion`` and
 ``lift_unitary_permanent`` are two independent constructions of the lifted
 M x M unitary (M = C(m+n-1, n)). The first is a photon-by-photon recursion
-over stored ladder tables, which give the moves, in O(n * m * M^2), one
-walk up the levels from the vacuum; the photon each column removes is
-this module's rule alone. A small level is eight array operations and one
-stored plan, one gather and one reduce over its slot rows, and a large
-one a scatter per mode. Every full lift goes through ``_expansion_lifts``,
-which lifts a stack of same-size matrices in one walk, with their columns
-side by side, so small lifts share the per-call overhead, in passes of
-whole matrices bounded to about 2^13 complex entries (from M of about 64
-on, one matrix per pass). The same walk gives one input's column alone,
-from its occupation with no ranking. The second is the closed form
+over stored ladder tables, which give the moves, in O(n * m * M^2): one
+loop up the levels from the vacuum, where every level reads which photon
+each of its columns removes, gathers its S-weights and the columns below,
+and takes one step. The removal rule is this module's alone, kept in slot
+0 of each level's stored plan. A small level's step is eight array
+operations, one gather and one reduce over the plan's slot rows, and a
+large one's a scatter per mode. Every full lift goes through
+``_expansion_lifts``, which lifts a stack of same-size matrices in one
+walk, with their columns side by side, so small lifts share the per-call
+overhead, in passes of whole matrices bounded to about 2^13 complex
+entries (from M of about 64 on, one matrix per pass). One input's column
+takes the same loop, its rule read off its occupation with no ranking.
+The second is the closed form
 U[p, q] = per(S[p|q]) / sqrt(prod_j p_j! prod_l q_l!), from Glynn's formula
 over repeated columns. One vectorised plan holds the K_q = prod_j (f_j + 1)
 sign-count vectors of every column q (f = q minus its first photon), and the
@@ -47,6 +50,7 @@ from .fock import (
     OccupationState,
     _ladder_table,
     _mode_number,
+    _photon_counts,
     _photon_number,
     _stored_plan,
     enumerate_basis,
@@ -81,8 +85,11 @@ _GLYNN_BLOCK = 2**16
 
 # Complex entries in the last-level block of one stacked expansion-lift
 # pass. Below this, lifting several matrices in one walk of the levels
-# saves per-call overhead; above it, the wider blocks cost more in memory
-# traffic than they save, so each pass holds one matrix.
+# saves per-call overhead; above it, each pass holds one matrix. The bound
+# holds memory, not time: one pass over a whole stack of 2 to 7 matrices
+# took 0.8 to 1.1 times as long from (4, 4) to (12, 4), but its walk
+# temporaries raise the warm run_sweep peak from 9.86 to 14.63 lifts'
+# worth at (10, 3) and from 11.22 to 20.24 at (5, 4).
 _STACK_BLOCK = 2**13
 
 # Complex entries in the gathered terms of one merged expansion-lift level,
@@ -136,18 +143,27 @@ def _fill_lift_columns(
     for each mode j, row r of U' times sqrt(r_j + 1) S_jl goes to row
     up[j, r]. Level 1, over the vacuum, is S itself, copied.
 
-    The photon each column removes is ``_first_photons``' rule, read from
-    every level's stored plan ``_slot_rows``, all looked up before level 1:
-    for column q, l, the position of q - e_l and 1 / sqrt(q_l). Each level
-    gathers its S-weights, S_jl for the l each column adds, as it runs, so
-    the walk holds no other level's; U' is needed whole. The gathered terms
-    of a level, min(m, level) per block entry, grow with the level, so the
-    levels whose terms fit in _GATHER_BLOCK entries are levels 2 to some top
-    level. Each takes one merged step, ``_merged_level``: eight array
-    operations besides views, over its plan ``_slot_rows``, which adds its
-    own copies of the table rows it reads to the rule. The operations are
-    the gathers of the S-weights and of U' to the level's columns, the
-    level's block, one real product of all modes' sqrt(r_j + 1), one complex
+    Every level 2..n does the same three things. It reads one rule triple
+    (first, down, scale): for each of its columns q, the mode l of the
+    photon q adds, the column q - e_l of the block below and 1 / sqrt(q_l).
+    It takes its S-weights, S_jl for those l, with ``sources.take(first)``
+    and the columns below with ``block.take(down)``, as it runs, so the walk
+    holds no other level's weights; U' is needed whole. Then it takes its
+    merged or scattered step. A full walk's triples are its levels' stored
+    plans ``_slot_rows``, all looked up before level 1. One input needs no
+    ranking: the levels below it remove its first photons, emptying its
+    first occupied mode first, so level k adds the k-th photon counted from
+    the last occupied mode, and its triple is ([l], [0], 1 / sqrt(the
+    photons in mode l so far)) over the one column below. It looks up only
+    its merged levels' plans, for their slot rows.
+
+    The gathered terms of a level, min(m, level) per block entry, grow with
+    the level, so the levels whose terms fit in _GATHER_BLOCK entries are
+    levels 2 to some top level. Each takes one merged step,
+    ``_merged_level``: eight array operations besides views, over its plan
+    ``_slot_rows``, which adds its own copies of the table rows it reads to
+    the rule. The operations are the two ``take`` of the rule, the level's
+    block, one real product of all modes' sqrt(r_j + 1), one complex
     product by the S-weights, one ndarray ``take`` of the plan's slot rows,
     which lays each row's terms into min(m, level) slots in ascending mode
     order, padded with a zero row, one ``np.add.reduce`` over the slots from
@@ -157,31 +173,27 @@ def _fill_lift_columns(
     k * W entries. A larger level scatters mode by mode,
     ``_scattered_level``, into a zero-filled block, one fancy-indexed add
     per mode, exact since the rows up[j] are distinct; there the merged
-    step's temporaries cost more than its calls save, and only the rule of
-    its plan is read. Both add every entry's terms to +0.0 in ascending mode
-    order, so they give the same block bit for bit, and no entry is ever
-    -0.0, as 0.0 + -0.0 is 0.0; level 1 adds 0.0 to its copy of S for the
-    same reason. One input needs no ranking and no scattered level's plan:
-    the levels below it remove its first photons, emptying its first
-    occupied mode first, so level k adds the k-th photon counted from the
-    last occupied mode, over the one column below, with 1 / sqrt(the photons
-    in that mode so far); one gather takes its n levels' S-weights. The
-    caller has checked the photon and mode counts, so the levels read the
-    store directly. Modes are summed in order and the division by sqrt(q_l)
-    comes last, which keeps lifts of the identity and of permutations exact
-    and makes each matrix's columns, and one input's column, the same
-    whatever else the walk builds.
+    step's temporaries cost more than its calls save. Both add every
+    entry's terms to +0.0 in ascending mode order, so they give the same
+    block bit for bit, and no entry is ever -0.0, as 0.0 + -0.0 is 0.0;
+    level 1 adds 0.0 to its copy of S, or of S's column l, for the same
+    reason. The caller has checked the photon and mode counts, so the
+    levels read the store directly. Modes are summed in order and the
+    division by sqrt(q_l) comes last, which keeps lifts of the identity and
+    of permutations exact and makes each matrix's columns, and one input's
+    column, the same whatever else the walk builds.
 
     The real factors are applied on float64 views, two real products per
     entry instead of a complex one: the rows of U' (``take`` gives them
     C-contiguous) are scaled by sqrt(r_j + 1) into the terms, and the
     finished block is multiplied in place by 1 / sqrt(q_l), laid out per
-    column as in ``_first_photons``. numpy divides a complex number by a
-    real one as a product with the reciprocal, so both give what the complex
+    column as in the plan's scale. numpy divides a complex number by a real
+    one as a product with the reciprocal, so both give what the complex
     arithmetic gives, bit for bit: no block entry is ever -0.0, and a
     unitary's lift holds no infinities. Costs O(m * M' * k * W) per level.
-    Stacking only pays at small M, so ``_expansion_lifts`` splits stacks
-    into passes bounded by _STACK_BLOCK.
+    A stack's walk temporaries grow with its width, so ``_expansion_lifts``
+    splits stacks into passes bounded by _STACK_BLOCK, which holds the peak
+    memory of a warm verify sweep near ten lifts.
     """
     count, modes = stack.shape[:2]
     if not photons:
@@ -202,18 +214,20 @@ def _fill_lift_columns(
     sources = stack.transpose(1, 0, 2)
     if state is None:
         # Level 1's states are e_0, ..., e_{m-1}, in canonical order.
-        weights = sources
+        lowest = sources
+        rules = [plan[:3] for plan in plans]
     else:
-        # Level k adds the k-th photon counted from the last occupied mode,
-        # with 1 / sqrt(the photons in that mode so far).
-        picks, lowered = [], []
-        for mode in reversed(range(modes)):
-            for held in range(1, state[mode] + 1):
-                picks.append(mode)
-                lowered.append(1 / math.sqrt(held))
-        weights = sources.take(picks, axis=2)
+        # Level k adds the k-th photon counted from the last occupied mode to
+        # the one column below, with 1 / sqrt(the photons in that mode so far);
+        # level 1 adds the first to the vacuum.
+        rules = [
+            ([mode], [0], 1 / math.sqrt(held))
+            for mode in reversed(range(modes))
+            for held in range(1, state[mode] + 1)
+        ]
+        lowest = sources.take(rules.pop(0)[0], axis=2)
     # Over the vacuum every term is 1 * S_jl and every scale is 1.
-    block = np.add(weights[:, :, : widths[1]], 0.0, out=out if photons == 1 else None)
+    block = np.add(lowest, 0.0, out=out if photons == 1 else None)
     if top > 1:
         # One terms buffer for every merged level. Its first ``zero`` entries
         # stay zero: each level's zero row is their last k * W, and its
@@ -221,15 +235,10 @@ def _fill_lift_columns(
         zero = count * widths[top]
         terms = np.empty((1 + modes * sizes[top - 1]) * zero, dtype=complex)
         terms[:zero] = 0
-    for level in range(2, photons + 1):
+    for level, (first, down, scale) in enumerate(rules, start=2):
         width = widths[level]
-        if state is None:
-            first, down, scale = plans[level - 2][:3]
-            level_weights = sources.take(first, axis=2)
-            shed = block.take(down, axis=2)
-        else:
-            level_weights = weights[:, :, level - 1 : level]
-            shed, scale = block, lowered[level - 1]
+        level_weights = sources.take(first, axis=2)
+        shed = block.take(down, axis=2)
         # The block below lives on in ``shed`` at most.
         if level < photons:
             block = np.empty((sizes[level], count, width), dtype=complex)
@@ -289,45 +298,26 @@ def _scattered_level(up, up_coef, shed, weights, scale, block) -> None:
     real_block *= scale
 
 
-def _first_photons(occupations: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(first, down, scale): the photon the walk removes from each state, read-only.
-
-    For state p of ``occupations`` (n >= 1 photons) with first occupied
-    mode l, ``first[p]`` is l, ``down[p]`` the position of p - e_l among
-    the n - 1 photon states, its rank among the states with p_l >= 1, and
-    ``scale`` holds 1 / sqrt(p_l) twice, laid out as the float64 view of a
-    level's block, where column c is the pair of entries 2c, 2c + 1.
-    """
-    occupied = occupations > 0
-    first = np.argmax(occupied, axis=1)
-    ranks = occupied.astype(np.intp)
-    np.cumsum(ranks, axis=0, out=ranks)
-    rows = np.arange(len(occupations))
-    down = ranks[rows, first] - 1
-    scale = np.repeat(1 / np.sqrt(occupations[rows, first]), 2)
-    for array in (first, down, scale):
-        array.flags.writeable = False
-    return first, down, scale
-
-
 @_stored_plan
 def _slot_rows(modes: int, photons: int) -> tuple[np.ndarray, ...]:
     """The plan of one walk level, ``photons`` >= 1, in its own arrays.
 
-    The plan is the level's ``_first_photons`` and (coef, slots). A full
-    walk reads the rule of every level 2..n from it, merged or scattered;
-    one input's column reads only its merged levels' plans. With M states
-    at this level and M' below it, a merged level's terms buffer holds a
-    zero first row and then, in row 1 + j * M' + r, mode j's term for the
-    n - 1 photon state r. ``slots`` (min(m, n), M) lists for column p, in
-    ascending order of its occupied modes j, the row of r = p - e_j,
+    The plan is (first, down, scale, coef, slots). A full walk reads the
+    rule (first, down, scale) of every level 2..n from it, merged or
+    scattered; one input's column reads only its merged levels' plans. With
+    M states at this level and M' below it, a merged level's terms buffer
+    holds a zero first row and then, in row 1 + j * M' + r, mode j's term
+    for the n - 1 photon state r. ``slots`` (min(m, n), M) lists for column
+    p, in ascending order of its occupied modes j, the row of r = p - e_j,
     padded with the zero row; ``coef`` is the table's ``up_coef`` shaped
-    (m, M', 1, 1). Every array is its own read-only copy, so the plan
-    shares no buffer with a stored ladder table. A scattered level never
-    reads (coef, slots): their O(min(m, n) M + m M') entries are small
-    beside the M x M block that level writes (5 KB against 230 KB at
-    (8, 3)). Working the rule out per call instead would cost about 20 us
-    of ``_first_photons`` per level at (10, 3), 2-3% of that lift.
+    (m, M', 1, 1). Slot 0 is the photon the walk removes from p, that of
+    its first occupied mode l: ``first[p]`` is l, ``down[p]`` the position
+    of p - e_l, and ``scale`` holds 1 / sqrt(p_l) twice, laid out as the
+    float64 view of a level's block, where column c is the pair of entries
+    2c, 2c + 1. Every array is its own read-only copy, so the plan shares
+    no buffer with a stored ladder table. A scattered level never reads
+    (coef, slots): their O(min(m, n) M + m M') entries are small beside the
+    M x M block that level writes (5 KB against 230 KB at (8, 3)).
     """
     table = _ladder_table(modes, photons)
     lower = table.up.shape[1]
@@ -337,10 +327,15 @@ def _slot_rows(modes: int, photons: int) -> tuple[np.ndarray, ...]:
     held -= 1
     lowered = np.arange(1, modes * lower + 1).reshape(modes, lower)
     slots[held[table.up, np.arange(modes)[:, None]], table.up] = lowered
+    # Slot 0 of column p is mode l's row 1 + l * M' + (p - e_l), l the first
+    # occupied mode, and up_coef[l, p - e_l] is sqrt(p_l).
+    first, down = np.divmod(slots[0] - 1, lower)
+    scale = np.repeat(1 / table.up_coef[first, down], 2)
     coef = table.up_coef[:, :, None, None].copy()
-    for array in (coef, slots):
+    plan = (first, down, scale, coef, slots)
+    for array in plan:
         array.flags.writeable = False
-    return (*_first_photons(table.basis.occupations), coef, slots)
+    return plan
 
 
 def _expansion_lifts(
@@ -661,11 +656,13 @@ def hamiltonian_element(h_single, output_state, input_state) -> complex:
     """Single entry of the lifted Hamiltonian without building the matrix.
 
     ``output_state`` and ``input_state`` play the roles of bra and ket; the
-    single-photon matrix is assumed Hermitian.
+    single-photon matrix is assumed Hermitian. Counts follow the
+    whole-number rule of the lifts: booleans, fractions and negative counts
+    raise ValueError, and 2.0 counts as 2.
     """
     matrix = _as_square(h_single)
-    p = tuple(output_state)
-    q = tuple(input_state)
+    p = _photon_counts(output_state)
+    q = _photon_counts(input_state)
     if len(q) != matrix.shape[0]:
         raise ValueError(
             f"states of length {len(q)} incompatible with a "
@@ -702,10 +699,6 @@ def global_phase_lift(phase: float, photons: int) -> float:
     if reduced <= -math.pi:
         reduced += math.tau
     return reduced
-
-
-def _photon_counts(input_state) -> OccupationState:
-    return tuple(_photon_number(count) for count in input_state)
 
 
 def transition_distribution(

@@ -377,6 +377,13 @@ class TestBasisCommand:
             "index=2 occupation=1,1",
         ]
 
+    def test_huge_basis_exits_1_naming_the_limit(self, capsys):
+        # C(19999, 10000) has 6,019 digits, past what an int may format.
+        assert main(["basis", "--modes", "10000", "--photons", "10000"]) == 1
+        err = capsys.readouterr().err
+        assert "exceeding the supported limit" in err
+        assert "10^6018.05 states" in err
+
 
 class TestLiftUnitaryCommand:
     def test_identity_three_photons(self, tmp_path, capsys):

@@ -64,6 +64,13 @@ class TestDimension:
         with pytest.raises(OverflowError):
             dimension(60, 60)
 
+    @pytest.mark.parametrize("build", [dimension, enumerate_basis, ladder_table])
+    def test_overflow_past_the_int_formatting_limit_is_reported(self, build):
+        # C(19999, 10000) has 6,019 digits, more than an int may format.
+        message = r"about 10\^6018\.05 states, exceeding the supported limit"
+        with pytest.raises(OverflowError, match=message):
+            build(10**4, 10**4)
+
 
 class TestEnumerateBasis:
     def test_two_modes_two_photons_order(self):
@@ -179,6 +186,18 @@ class TestLadderOperators:
         assert result.state == (1, 0, 1)
         assert result.coefficient == 1.0
 
+    @pytest.mark.parametrize("state", [(True, 1), (1, False), (1.5, 0.5), (-1, 2)])
+    @pytest.mark.parametrize("apply", [apply_creation, apply_annihilation])
+    def test_counts_follow_the_whole_number_rule(self, apply, state):
+        with pytest.raises(ValueError, match="photon counts must be whole numbers"):
+            apply(state, 0)
+
+    @pytest.mark.parametrize("apply", [apply_creation, apply_annihilation])
+    def test_whole_float_counts_count_as_ints(self, apply):
+        result = apply((2.0, 1.0), 0)
+        assert result == apply((2, 1), 0)
+        assert all(type(count) is int for count in result.state)
+
     @pytest.mark.parametrize("mode", [-1, 2])
     def test_mode_out_of_range(self, mode):
         with pytest.raises(ValueError):
@@ -210,6 +229,23 @@ class TestPhotonMoveRelation:
     def test_rejects_mismatched_totals(self):
         with pytest.raises(ValueError):
             photon_move_relation((1, 0), (1, 1))
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ((True, 1), (1, 1)),
+            ((1, 1), (2, False)),
+            ((2.5, 0.5), (1.5, 1.5)),
+            ((1, 0.5), (1, 0.5)),
+            ((-1, 2), (0, 1)),
+        ],
+    )
+    def test_counts_follow_the_whole_number_rule(self, p, q):
+        with pytest.raises(ValueError, match="photon counts must be whole numbers"):
+            photon_move_relation(p, q)
+
+    def test_whole_float_counts_count_as_ints(self):
+        assert photon_move_relation((2.0, 0.0), (1, 1)) == photon_move_relation((2, 0), (1, 1))
 
 
 class TestLadderTable:

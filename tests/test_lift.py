@@ -774,6 +774,22 @@ class TestPlanStore:
         slot_rows = lift_module._slot_rows.__wrapped__
         assert walk == {(slot_rows, 10, 2), (slot_rows, 10, 3)}
 
+    @pytest.mark.parametrize(
+        "modes,state,merged",
+        [
+            (20, (0, 2, 0, 1) + (0,) * 15 + (1,), [2, 3]),
+            (12, (1, 0, 2, 0, 0, 2) + (0,) * 6, [2, 3, 4]),
+        ],
+    )
+    def test_one_column_builds_no_plan_above_its_merged_levels(self, modes, state, merged):
+        # The levels above scatter and read their rule off the occupation, so
+        # one input builds no O(min(m, n) M) plan for them.
+        _clear_plans()
+        transition_distribution(random_unitary(modes, np.random.default_rng(modes)), state)
+        slot_rows = lift_module._slot_rows.__wrapped__
+        walk = {key for key in fock_module._plans if key[0] is slot_rows}
+        assert walk == {(slot_rows, modes, level) for level in merged}
+
     def test_small_budget_evicts_and_changes_no_result(self, monkeypatch):
         _clear_plans()
         kept = [lifts_and_reports(*job) for job in self.JOBS]
@@ -1043,6 +1059,29 @@ class TestHamiltonianElement:
             hamiltonian_element(GOLDEN_COUPLER_LOG, (1, 0), (1, 1))
         with pytest.raises(ValueError):
             hamiltonian_element(GOLDEN_COUPLER_LOG, (1, 0, 1), (1, 1, 0))
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ((2.5, 0.5), (1.5, 1.5)),
+            ((True, 1), (1, 1)),
+            ((2, 0), (1, True)),
+            ((0.5, 0.5), (0.5, 0.5)),
+            ((-1, 1), (0, 0)),
+        ],
+    )
+    def test_counts_follow_the_whole_number_rule(self, p, q):
+        # The lifts refuse the same counts, so no entry stands for a state
+        # that no basis holds.
+        with pytest.raises(ValueError, match="photon counts must be whole numbers"):
+            hamiltonian_element(np.ones((2, 2)), p, q)
+
+    def test_whole_float_counts_count_as_ints(self):
+        for p, q in [((2, 0), (1, 1)), ((1, 1), (1, 1))]:
+            as_floats = tuple(map(float, p)), tuple(map(float, q))
+            assert hamiltonian_element(GOLDEN_COUPLER_LOG, *as_floats) == hamiltonian_element(
+                GOLDEN_COUPLER_LOG, p, q
+            )
 
 
 class TestGlobalPhaseLift:
