@@ -179,9 +179,13 @@ def _fill_lift_columns(
     level 1 adds 0.0 to its copy of S, or of S's column l, for the same
     reason. The caller has checked the photon and mode counts, so the
     levels read the store directly. Modes are summed in order and the
-    division by sqrt(q_l) comes last, which keeps lifts of the identity and
-    of permutations exact and makes each matrix's columns, and one input's
-    column, the same whatever else the walk builds.
+    division by sqrt(q_l) comes last, which makes each matrix's columns, and
+    one input's column, the same whatever else the walk builds. It keeps
+    lifts of the identity and of permutations exact only while every
+    occupation is at most 14: the division is a product with the stored
+    1 / sqrt(q_l), and fl(sqrt(a)) fl(1 / fl(sqrt(a))) first differs from 1
+    at a = 15, so from 15 photons in one mode such lifts are off in the
+    last bit.
 
     The real factors are applied on float64 views, two real products per
     entry instead of a complex one: the rows of U' (``take`` gives them

@@ -34,8 +34,16 @@ trial is most of its speed.
 Every M x M array a check writes, the lifts and the scratch slot its
 residuals are taken in, is a slot of one array allocated per call (per
 sweep in ``run_sweep``), once every argument is checked; see
-``_work_array``. Nothing is kept between calls, so the checks are safe to
-call concurrently.
+``_work_array``. ``check_diagram`` takes four slots while its stack
+[e^{iH}, V] fits in one pass of the expansion lift (M <= 64). Past that
+each lift takes a pass of its own anyway, so it takes three: W is lifted
+alone, and G after the three products, into the slot of the lifted H,
+which the last product freed. ``_diagram_report`` receives G as a
+function of that slot; the sweep's function returns its stacked G. The
+split falls at the pass boundary because at m = 1 a lone lift can differ
+from a stacked one in the last bit, and the sweep's reports must equal
+the public checks'. Nothing is kept between calls, so the checks are safe
+to call concurrently.
 
 The sparsity count zeroes, in the non-zero mask of the lifted H, the
 state pairs at most one photon move apart and counts what is left, from
@@ -47,6 +55,7 @@ budget; it shares their storage and nothing else.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +69,7 @@ from .fock import (
     ladder_table,
 )
 from .lift import (
+    _STACK_BLOCK,
     LiftedHamiltonian,
     _check_phase,
     _checked_hamiltonian,
@@ -209,7 +219,9 @@ def _work_array(slots: int, table) -> np.ndarray:
     and mode counts were checked, as ``ladder_table`` checks them, before
     anything is allocated: an empty matrix's mode count is refused there.
     The contents are undefined, so each slot is written in full before it
-    is read.
+    is read. A slot may serve twice: past 64 states ``check_diagram``
+    lifts G into the slot of the lifted H once its last product has freed
+    it, so three slots serve where four did.
     """
     size = len(table.basis)
     # One block, not one array per slot: glibc's free raises its mmap
@@ -238,7 +250,7 @@ def _slot_norm(flat: np.ndarray) -> float:
 def _diagram_report(
     lifted_h: LiftedHamiltonian,
     values: np.ndarray,
-    group: np.ndarray,
+    group: Callable[[np.ndarray], np.ndarray],
     lifted_vectors: np.ndarray,
     scratch: np.ndarray,
     tol: float,
@@ -246,14 +258,17 @@ def _diagram_report(
     """The report of ``check_diagram`` from its checked arrays.
 
     ``values`` are the eigenvalues lambda of the single-photon H, and
-    ``group`` and ``lifted_vectors`` the expansion lifts G = lift_U(e^{iH})
-    and W = lift_U(V). The lifted H and W are overwritten. Every residual
-    is taken in ``scratch``, a C-contiguous M x M complex array whose
-    contents do not matter, each norm before the next residual is written,
-    so the report allocates no M x M array. It takes three M x M products,
-    lift_H(H) W, W^dag W and W e^{i mu} W^dag. The check's one pass rule,
-    for ``check_diagram`` and ``run_sweep`` alike, gates every residual
-    on ``tol`` along with zero sparsity violations.
+    ``lifted_vectors`` the expansion lift W = lift_U(V). ``group`` returns
+    the expansion lift G = lift_U(e^{iH}) when given the M x M array of the
+    lifted H, which the last product has freed by then; it may lift G into
+    that array or return a G lifted before. The lifted H and W are
+    overwritten. Every residual is taken in ``scratch``, a C-contiguous
+    M x M complex array whose contents do not matter, each norm before the
+    next residual is written, so the report allocates no M x M array. It
+    takes three M x M products, lift_H(H) W, W^dag W and W e^{i mu} W^dag.
+    The check's one pass rule, for ``check_diagram`` and ``run_sweep``
+    alike, gates every residual on ``tol`` along with zero sparsity
+    violations.
 
     The unitarity residual is the bound e (2 + e) + 2 d (1 + e) + d^2 on
     ||G^dag G - I||_F, from e = ||W^dag W - I||_F and d = ||D||_F for
@@ -285,7 +300,7 @@ def _diagram_report(
     np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
     np.conjugate(lifted_vectors, out=lifted_vectors)
     np.matmul(lifted, lifted_vectors.T, out=scratch)
-    scratch -= group
+    scratch -= group(lifted)
     diagram = _slot_norm(flat)
     unitarity = eigenbasis * (2 + eigenbasis) + 2 * diagram * (1 + eigenbasis) + diagram**2
     passed = (
@@ -329,8 +344,8 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     orthonormal set of its eigenvectors and their eigenvalues. So
     ``residual_diagram`` = ||G - W diag(e^{i mu}) W^dag||_F compares the two
     routes, and a fault in either lift shows in one of the three residuals.
-    G and W come from one stacked call of the expansion lift, so the check
-    runs no M x M eigendecomposition; its three M x M products, the dense
+    G and W come from the expansion lift, so the check runs no M x M
+    eigendecomposition; its three M x M products, the dense
     product, the Gram matrix and W e^{i mu} W^dag, are O(M^3) GEMMs.
 
     Also records a bound on how far G is from unitary,
@@ -351,21 +366,41 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     ``residual_eigen``. A NaN or negative ``tol`` raises ValueError.
 
     Every argument is checked, in the order ``lift_hamiltonian`` checks
-    them, before anything M x M is allocated. Then the lifted H, G, W and
-    the scratch array every residual is taken in are the four slots of one
-    (4, M, M) array (see ``_work_array``), so the check allocates no other
-    M x M array. Its peak is those four beside the lift walk of W. The
-    residuals and the pass rule are ``_diagram_report``'s, which every
-    ``run_sweep`` trial calls too.
+    them, before anything M x M is allocated. Then every M x M array the
+    check writes is a slot of one array (see ``_work_array``), and the
+    slots follow the passes of ``lift._expansion_lifts``. When the stack
+    [e^{iH}, V] fits in one pass (M <= 64), G and W are lifted in it, and
+    the lifted H, the scratch array every residual is taken in, G and W are
+    the four slots of one (4, M, M) array. Larger stacks take a pass per
+    matrix anyway, so the check takes three slots: W is lifted alone, the
+    lifted H filled, and after the three products G is lifted into the
+    slot of the lifted H, which the last of them, W e^{i mu} W^dag, has
+    freed. The peak is then three M x M arrays beside the lift walk of G,
+    not four. The split falls at the pass boundary because at m = 1 a lone
+    lift can differ from a stacked one in the last bit; above it both
+    orders lift G and W alone, so the reports are the same bits either
+    way. The residuals and the pass rule are ``_diagram_report``'s, which
+    every ``run_sweep`` trial calls too.
     """
     matrix, table = _checked_hamiltonian(h_single, photons, tol)
     values, vectors = _eigh_hermitian_part(matrix)
-    basis = table.basis
-    work = _work_array(4, table)
+    exponential = _exp_i_eigh(values, vectors)
+    photons = table.basis.photons
+    if _STACK_BLOCK // len(table.basis) ** 2 < 2:
+        work = _work_array(3, table)
+        (lifted_vectors,) = _expansion_lifts([vectors], photons, work[2:])
+
+        def group(freed):
+            return _expansion_lifts([exponential], photons, freed[None])[0]
+
+    else:
+        work = _work_array(4, table)
+        stacked, lifted_vectors = _expansion_lifts([exponential, vectors], photons, work[2:])
+
+        def group(freed):
+            return stacked
+
     lifted_h = _fill_hamiltonian(matrix, table, work[0])
-    group, lifted_vectors = _expansion_lifts(
-        [_exp_i_eigh(values, vectors), vectors], basis.photons, work[2:]
-    )
     return _diagram_report(lifted_h, values, group, lifted_vectors, work[1], tol)
 
 
@@ -586,7 +621,9 @@ def run_sweep(
         np.multiply(np.exp(1j * phase), stack[4], out=stack[6])
         lifted_h = _fill_hamiltonian(drawn[0], table, work[0])
         _expansion_lifts(stack, photons, work[1:8])
-        diagram = _diagram_report(lifted_h, values[0], group, lifted_vectors, scratch, tol)
+        diagram = _diagram_report(
+            lifted_h, values[0], lambda freed: group, lifted_vectors, scratch, tol
+        )
         homomorphism = _homomorphism_report(
             basis, combined, lifted_b, lifted_a, scratch, homomorphism_tol
         )

@@ -71,6 +71,35 @@ class TestDimension:
         with pytest.raises(OverflowError, match=message):
             build(10**4, 10**4)
 
+    def test_overflow_is_reported_without_forming_the_count(self):
+        # C(1999999, 10^6) has 602,057 digits; forming it took 36 s.
+        message = r"about 10\^602056\.44 states, exceeding the supported limit"
+        with pytest.raises(OverflowError, match=message):
+            dimension(10**6, 10**6)
+
+    def test_every_count_near_the_limit_is_decided_exactly(self):
+        # The smaller of n and m - 1 decides: C(66, 33) fits, C(68, 34) does not.
+        assert math.comb(66, 33) <= fock_module.MAX_DIMENSION < math.comb(68, 34)
+        for modes in range(1, 72):
+            for photons in range(72):
+                size = math.comb(modes + photons - 1, photons)
+                if size <= fock_module.MAX_DIMENSION:
+                    assert dimension(modes, photons) == size
+                else:
+                    message = rf"about 10\^{math.log10(size):.2f} states"
+                    with pytest.raises(OverflowError, match=message):
+                        dimension(modes, photons)
+
+    @pytest.mark.parametrize(
+        "modes,photons", [(40, 10**18), (10**18, 40), (10**15, 34), (10**400, 40), (40, 10**400)]
+    )
+    def test_overflow_names_the_size_at_huge_counts(self, modes, photons):
+        # Counts near 10^18 lose every digit of a difference of two lgamma values.
+        size = math.comb(modes + photons - 1, min(photons, modes - 1))
+        message = rf"about 10\^{math.log10(size):.2f} states"
+        with pytest.raises(OverflowError, match=message):
+            dimension(modes, photons)
+
 
 class TestEnumerateBasis:
     def test_two_modes_two_photons_order(self):

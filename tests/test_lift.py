@@ -112,11 +112,42 @@ def two_photon_hamiltonian_closed_form(h_single):
     )
 
 
+# The walk scales by a stored 1 / sqrt(q_l), and fl(sqrt(a)) fl(1 / fl(sqrt(a)))
+# first differs from 1 at a = 15, so its identity and permutation lifts are
+# exact only while every occupation is at most 14 (ROADMAP item 1).
+INEXACT_FROM_FIFTEEN = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the walk's stored 1 / sqrt(q_l) is inexact from 15 "
+    "photons in one mode, so identity and permutation lifts are off in the last bit",
+)
+
+
 class TestLiftUnitaryExpansion:
-    @pytest.mark.parametrize("modes,photons", [(2, 0), (2, 3), (3, 2), (4, 1)])
+    @pytest.mark.parametrize(
+        "modes,photons",
+        [(2, 0), (3, 2), (4, 1)]
+        + [(modes, photons) for modes in (1, 2) for photons in range(1, 15)]
+        + [
+            pytest.param(1, 15, marks=INEXACT_FROM_FIFTEEN),
+            pytest.param(2, 15, marks=INEXACT_FROM_FIFTEEN),
+        ],
+    )
     def test_identity_lifts_to_identity_exactly(self, modes, photons):
         lifted = lift_unitary_expansion(np.eye(modes), photons)
         assert np.array_equal(lifted.matrix, np.eye(len(lifted.basis)))
+
+    @pytest.mark.parametrize(
+        "photons",
+        list(range(15))
+        + [
+            pytest.param(15, marks=INEXACT_FROM_FIFTEEN),
+            pytest.param(60, marks=INEXACT_FROM_FIFTEEN),
+        ],
+    )
+    def test_swap_lifts_to_the_reversed_basis_exactly(self, photons):
+        # The swap sends (n - i, i), state i of the canonical order, to (i, n - i).
+        lifted = lift_unitary_expansion([[0, 1], [1, 0]], photons)
+        assert np.array_equal(lifted.matrix, np.eye(photons + 1)[::-1])
 
     def test_beam_splitter_two_photons_golden(self):
         lifted = lift_unitary_expansion(balanced_beam_splitter(), 2)

@@ -105,9 +105,12 @@ class TestCheckDiagram:
         position = fields.index("tolerance")
         assert fields[position - 2 : position] == ["residual_eigen", "residual_eigenbasis"]
 
-    @pytest.mark.parametrize("modes,photons", [(10, 3), (6, 6)])
-    def test_peak_memory_stays_near_six_matrices(self, modes, photons):
+    @pytest.mark.parametrize("modes,photons,bound", [(10, 3, 4.0), (6, 6, 4.9)])
+    def test_peak_memory_stays_near_six_matrices(self, modes, photons, bound):
         h_single = random_hermitian(modes, np.random.default_rng(94))
+        # A first call fills the plan store, which every later call reads, so
+        # the peak measured is the check's own whatever ran before it.
+        check_diagram(h_single, photons)
         tracemalloc.start()
         try:
             report = check_diagram(h_single, photons)
@@ -116,9 +119,15 @@ class TestCheckDiagram:
             tracemalloc.stop()
         size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
         assert report.passed
-        # The four slots of the check's work array (the lifted H, the scratch
-        # array, G and W), beside the lift walk that writes W.
-        assert peak <= 6.0 * 16 * size**2
+        # Past 64 states each lift takes a pass of its own, so the check's
+        # work array has three slots, the lifted H, the scratch array and W,
+        # and G is lifted after the three products into the slot of the
+        # lifted H, which the last of them freed. The peak is those three
+        # beside the lift walk of G: 3.81 M x M arrays at (10, 3), 4.65 at
+        # (6, 6). Up to 64 states G and W share a pass, since at m = 1 a
+        # lone lift can differ from a stacked one in the last bit, and a
+        # fourth slot holds G.
+        assert peak <= bound * 16 * size**2
 
     @pytest.mark.parametrize("h_single", [np.eye(2), np.zeros((3, 3))])
     def test_nan_tol_names_the_tolerance_for_hermitian_input(self, h_single):
@@ -228,14 +237,29 @@ def _perturb_one_move_pair(monkeypatch):
 
 
 def _scale_one_group_column(monkeypatch):
-    """Patch verify._expansion_lifts to scale one column of its first lift."""
-    exact = photonlift.verify._expansion_lifts
+    """Patch verify._expansion_lifts to scale one column of G = lift_U(e^{iH}).
+
+    G is the first lift of a call unless that call lifts the eigenvectors V
+    alone, as ``check_diagram`` does above 64 states before it lifts G on
+    its own: the V that verify's ``_eigh_hermitian_part`` returns are
+    recorded, and a call whose first matrix is one of them is left exact.
+    """
+    exact_lifts = photonlift.verify._expansion_lifts
+    exact_eigh = photonlift.verify._eigh_hermitian_part
+    eigenvectors = []
+
+    def recorded(matrix):
+        values, vectors = exact_eigh(matrix)
+        eigenvectors.append(vectors)
+        return values, vectors
 
     def scaled(matrices, photons, out=None):
-        lifts = exact(matrices, photons, out)
-        lifts[0][:, len(lifts[0]) // 2] *= 1 + FAULT
+        lifts = exact_lifts(matrices, photons, out)
+        if not any(matrices[0] is vectors for vectors in eigenvectors):
+            lifts[0][:, len(lifts[0]) // 2] *= 1 + FAULT
         return lifts
 
+    monkeypatch.setattr(photonlift.verify, "_eigh_hermitian_part", recorded)
     monkeypatch.setattr(photonlift.verify, "_expansion_lifts", scaled)
 
 
@@ -334,9 +358,10 @@ class TestReusedWorkMemory:
     def fresh_report(h_single, photons):
         """The report from a fresh lifted H and NaN-filled lift and scratch arrays.
 
-        G and W are lifted in one stacked pass, as ``check_diagram`` lifts
-        them: at m = 1 a stacked lift can differ from a single one in the
-        last bit. An entry the lift failed to write would stay NaN.
+        G and W are lifted in one stacked call, as ``check_diagram`` lifts
+        them up to 64 states: at m = 1 a stacked lift can differ from a
+        single one in the last bit. Above 64 states each takes a pass of its
+        own in either order. An entry the lift failed to write would stay NaN.
         """
         matrix = _as_square(h_single)
         lifted_h = lift_hamiltonian(matrix, photons, tol=1e-8)
@@ -347,7 +372,7 @@ class TestReusedWorkMemory:
             [_exp_i_eigh(values, vectors), vectors], photons, work[1:]
         )
         return photonlift.verify._diagram_report(
-            lifted_h, values, group, lifted_vectors, work[0], 1e-8
+            lifted_h, values, lambda freed: group, lifted_vectors, work[0], 1e-8
         )
 
     @pytest.mark.parametrize("modes,photons", SIZES)
@@ -759,7 +784,8 @@ class TestReportFunctions:
 
     Each fault adds 0.5 to entry (0, 0) of one lift a report function
     receives, so the residual it takes reads about 0.5, in the public check
-    and in every sweep trial alike.
+    and in every sweep trial alike. ``_diagram_report`` receives G as a
+    function of a freed slot, so its fault is in the G that function returns.
     """
 
     # kind -> (report function, position of the faulted lift, residual field)
@@ -783,8 +809,17 @@ class TestReportFunctions:
         name, position, field = self.FAULTS[kind]
         report = getattr(photonlift.verify, name)
 
+        def fault(lift):
+            lift[0, 0] += 0.5
+            return lift
+
         def faulted(*args):
-            args[position][0, 0] += 0.5
+            args = list(args)
+            if kind == "diagram":
+                group = args[position]
+                args[position] = lambda freed: fault(group(freed))
+            else:
+                fault(args[position])
             return report(*args)
 
         assert self.public_check(kind).passed
