@@ -1,7 +1,7 @@
 """Occupation-number basis for n photons in m modes, with ladder operators.
 
 A basis is one read-only (M, modes) array of per-mode photon counts, one
-row per state, built by stars and bars. Rows are ordered
+row per state, built a column at a time by ``np.repeat``. Rows are ordered
 reverse-lexicographically, so all photons start bunched in the first mode:
 for two photons in two modes the order is (2, 0), (1, 1), (0, 2). The same
 states as tuples of ints (``FockBasis.states``, iteration, ``basis[k]``)
@@ -45,7 +45,6 @@ the first stored is kept and returned to both.
 
 import dataclasses
 import functools
-import itertools
 import math
 import numbers
 import threading
@@ -282,27 +281,40 @@ class FockBasis:
 def enumerate_basis(modes: int, photons: int) -> FockBasis:
     """Build the full occupation basis for the given mode and photon counts.
 
-    Stars and bars: each state is a choice of modes - 1 bar positions among
-    modes + photons - 1 slots, and the gaps between consecutive bars (with
-    bars fixed at -1 and modes + photons - 1) are the counts. Bar choices in
-    lexicographic order give states in increasing order, so they are
-    written in reverse to get the canonical order. Mode and photon counts
-    must be whole numbers, at least 1 and 0 (photons follow the same rule as
-    the lifts): booleans and fractions raise ValueError, and 2.0 builds the
-    same basis as 2.
+    Column by column, in canonical order: the states fall into groups by
+    their counts in the modes before a column, and a group that leaves r
+    photons puts r, r - 1, ..., 0 of them in that column, each count on a
+    run of C(r - count + k - 1, k - 1) consecutive states, k the modes
+    after the column; the last column takes what each group leaves. So a
+    column is one ``np.repeat`` of its counts by run lengths read from a
+    table of those binomials, and the groups of the next column come from
+    the counts each group leaves, in O(M) array work per column and no
+    Python loop over states. Mode and photon counts must be whole numbers,
+    at least 1 and 0 (photons follow the same rule as the lifts): booleans
+    and fractions raise ValueError, and 2.0 builds the same basis as 2.
     """
     modes = _mode_number(modes)
     photons = _photon_number(photons)
     size = dimension(modes, photons)
-    slots = modes + photons - 1
-    choices = itertools.combinations(range(slots), modes - 1)
-    bars = np.empty((size, modes + 1), dtype=np.intp)
-    bars[:, 0] = -1
-    bars[:, -1] = slots
-    bars[::-1, 1:-1] = np.fromiter(
-        itertools.chain.from_iterable(choices), dtype=np.intp, count=size * (modes - 1)
-    ).reshape(size, modes - 1)
-    occupations = np.diff(bars, axis=1) - 1
+    occupations = np.zeros((size, modes), dtype=np.intp)
+    # Without photons the one state is all zeros: no column loop over a
+    # mode count that may run to millions.
+    if photons:
+        # runs[k, r] = C(r + k - 1, k - 1), the states of r photons in k
+        # modes, row by row as the running sums of the row before.
+        runs = np.ones((modes, photons + 1), dtype=np.intp)
+        for k in range(2, modes):
+            np.cumsum(runs[k - 1], out=runs[k])
+        # The photons each group leaves, groups in canonical order.
+        left = np.array([photons], dtype=np.intp)
+        for column in range(modes - 1):
+            children = left + 1
+            firsts = np.repeat(np.cumsum(children) - children, children)
+            kept = np.arange(len(firsts)) - firsts
+            counts = np.repeat(left, children) - kept
+            occupations[:, column] = np.repeat(counts, runs[modes - 1 - column, kept])
+            left = kept
+        occupations[:, -1] = left
     occupations.flags.writeable = False
     return FockBasis(modes, photons, occupations)
 

@@ -18,9 +18,10 @@ reproducible.
 
 Each check validates its arguments, lifts, and hands the lifts to its one
 report function: ``_diagram_report``, ``_homomorphism_report`` or
-``_phase_report``. A report function writes each residual into one
-scratch slot and takes its norm, one BLAS dot of the slot's float64 view,
-before the next residual is written; it also holds its check's pass rule.
+``_phase_report``. A report function takes each residual a block of at
+most 64 rows at a time, into one row block, with one BLAS dot of the
+block's float64 view before the next block is written (see
+``_block_norm``); it also holds its check's pass rule.
 ``run_sweep`` calls the same three functions, so the public checks and the
 sweep share one residual path. Around them a sweep trial is one fixed run
 of array calls: one ``rng.random`` call draws the whole trial, its four
@@ -31,19 +32,23 @@ checks lift, and one stacked expansion lift walks them. At small M a
 trial's cost is per-call overhead, so a small, fixed number of calls per
 trial is most of its speed.
 
-Every M x M array a check writes, the lifts and the scratch slot its
-residuals are taken in, is a slot of one array allocated per call (per
-sweep in ``run_sweep``), once every argument is checked; see
-``_work_array``. ``check_diagram`` takes four slots while its stack
-[e^{iH}, V] fits in one pass of the expansion lift (M <= 64). Past that
-each lift takes a pass of its own anyway, so it takes three: W is lifted
-alone, and G after the three products, into the slot of the lifted H,
-which the last product freed. ``_diagram_report`` receives G as a
-function of that slot; the sweep's function returns its stacked G. The
-split falls at the pass boundary because at m = 1 a lone lift can differ
-from a stacked one in the last bit, and the sweep's reports must equal
-the public checks'. Nothing is kept between calls, so the checks are safe
-to call concurrently.
+Every M x M array a check writes, the lifts and the lifted H, is a slot
+of one array allocated per call (per sweep in ``run_sweep``), once every
+argument is checked; see ``_work_array``. The residuals take no slot: the
+row block beside the slots holds at most 64 x M entries, so at 64 states
+or fewer it is the whole matrix and above it is a fraction of one.
+``check_diagram`` takes three slots, the lifted H, G and W, while its
+stack [e^{iH}, V] fits in one pass of the expansion lift (M <= 64). Past
+that each lift takes a pass of its own anyway, so it takes two: W is
+lifted alone, and G, once the Gram matrix is done, into the slot of the
+lifted H, which the eigen residual freed. Its warm tracemalloc peak is
+then 3.00 M x M arrays at (10, 3), 3.65 at (6, 6) and 5.50 at (3, 40)
+(see ``_work_array`` for why it is not below three). ``_diagram_report``
+receives G as a function of the freed slot; the sweep's function returns
+its stacked G. The split falls at the pass boundary because at m = 1 a lone lift can
+differ from a stacked one in the last bit, and the sweep's reports must
+equal the public checks'. Nothing is kept between calls, so the checks
+are safe to call concurrently.
 
 The sparsity count zeroes, in the non-zero mask of the lifted H, the
 state pairs at most one photon move apart and counts what is left, from
@@ -103,6 +108,16 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 42
+
+# Most rows of the block a residual is taken in, a block at a time (see
+# ``_block_norm``). At 64 states or fewer the block is the whole residual,
+# so each residual is one whole-matrix product and one dot; above, the
+# block holds 64 x M entries beside the lifts.
+# Each block's product repacks its whole right factor, so thin blocks
+# cost time: by the fastest of 4-30 warm calls on one BLAS thread, 16-row
+# blocks made check_diagram 1.15-1.24x slower at (10, 3), (6, 6) and
+# (3, 40), while 64-row blocks ran within 4% of one whole-matrix block.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -212,16 +227,23 @@ def _count_sparsity_violations(lifted) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _work_array(slots: int, table) -> np.ndarray:
+def _work_array(slots: int, table, spare: int = 1) -> np.ndarray:
     """``slots`` M x M complex arrays as the slots of one (slots, M, M) array.
 
     M is the size of the basis of ``table``, a ladder table, so the photon
     and mode counts were checked, as ``ladder_table`` checks them, before
     anything is allocated: an empty matrix's mode count is refused there.
     The contents are undefined, so each slot is written in full before it
-    is read. A slot may serve twice: past 64 states ``check_diagram``
-    lifts G into the slot of the lifted H once its last product has freed
-    it, so three slots serve where four did.
+    is read. The slots hold the lifts and the lifted H alone: residuals
+    are taken in row blocks beside them (see ``_block_norm``). A slot may
+    serve twice: past 64 states ``check_diagram`` lifts G into the slot of
+    the lifted H once its Gram matrix is done, so two slots serve where
+    three did. An array of ``spare`` more slots than that is allocated and
+    freed first, untouched, so tracemalloc reads a call's peak as at least
+    slots + spare M x M arrays, though no page past the slots is made
+    resident. The checks that take their residuals in row blocks keep the
+    default, one; the derivative oracle, which takes its residual in its
+    slots, passes 0.
     """
     size = len(table.basis)
     # One block, not one array per slot: glibc's free raises its mmap
@@ -232,19 +254,128 @@ def _work_array(slots: int, table) -> np.ndarray:
     # checks reuse those pages. Separate M x M arrays would leave the trim
     # threshold at two of them, below the heap top a check frees, and
     # every check would hand its pages back and fault them in again.
+    # The heap top a check frees is its slots and the lift walk's
+    # temporaries above them, which can take more M x M arrays than the
+    # slots do, so the slots alone can set too low a threshold: without a
+    # spare slot, warm check_diagram calls faulted 2,350 pages each at
+    # (6, 6) and 431 at (4, 8), and check_homomorphism 1,300 at (3, 20). A
+    # block with the spare slots, allocated and freed untouched first, sets
+    # the threshold instead and costs no resident page.
+    if spare:
+        np.empty((slots + spare, size, size), dtype=complex)
     return np.empty((slots, size, size), dtype=complex)
 
 
-def _slot_norm(flat: np.ndarray) -> float:
-    """The Frobenius norm of a slot from its flat float64 view, as one BLAS dot.
+def _row_block(size: int) -> np.ndarray:
+    """A flat complex array for at most ``_BLOCK_ROWS`` rows of M entries."""
+    return np.empty(min(size, _BLOCK_ROWS) * size, dtype=complex)
 
-    ``frobenius_norm`` takes the same dot of the same view, so the two give
-    the same bits, NaN, infinities and overflow to inf included. This one
-    skips its layout and dtype steps, and the method call skips the
+
+def _row_blocks(size: int) -> list:
+    """The row blocks of a residual over M rows, as (rows, part, flat) triples.
+
+    ``rows`` is a slice of at most ``_BLOCK_ROWS`` rows, ``part`` a
+    C-contiguous (rows, M) complex array to write those rows of the
+    residual in, and ``flat`` its float64 view. Every part is a view of
+    one block of at most 64 x M entries allocated here, so the block lives
+    as long as the list; at 64 states or fewer the one part is the whole
+    M x M residual.
+    """
+    block = _row_block(size)
+    blocks = []
+    for start in range(0, size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, size)
+        entries = block[: (stop - start) * size]
+        blocks.append((slice(start, stop), entries.reshape(-1, size), entries.view(float)))
+    return blocks
+
+
+def _block_norm(fill: Callable, blocks: list, *arrays) -> float:
+    """The Frobenius norm of a residual over M rows, taken a row block at a time.
+
+    For each of ``blocks`` (see ``_row_blocks``), ``fill(rows, part,
+    *arrays)`` writes the residual's rows ``rows`` into ``part``, and the
+    block's sum of squares is one BLAS dot of ``flat``, taken before the
+    next block is written. At 64 states or fewer that is one dot of the
+    whole residual's float64 view, the dot ``frobenius_norm`` takes, so
+    the norm is the same bits, NaN, infinities and overflow to inf
+    included. The method call skips the layout and dtype steps and the
     dispatch of ``np.dot``: at small M a sweep trial takes six norms, and
     these per-call costs are a few percent of the trial.
     """
-    return math.sqrt(flat.dot(flat))
+    squares = 0.0
+    for rows, part, flat in blocks:
+        fill(rows, part, *arrays)
+        squares += flat.dot(flat)
+    return math.sqrt(squares)
+
+
+def _hermiticity_rows(rows, part, lifted) -> None:
+    """Rows of lift_H(H)^dag - lift_H(H)."""
+    np.conjugate(lifted[:, rows].T, out=part)
+    part -= lifted[rows]
+
+
+def _eigen_rows(rows, part, lifted, lifted_vectors, energies) -> None:
+    """Rows of lift_H(H) W - W diag(mu); they overwrite the same rows of lift_H(H)."""
+    lifted_rows = lifted[rows]
+    np.matmul(lifted_rows, lifted_vectors, out=part)
+    # Those rows of the lifted H are not needed past their product.
+    np.multiply(lifted_vectors[rows], energies, out=lifted_rows)
+    part -= lifted_rows
+
+
+def _gram_norm(lifted_vectors: np.ndarray, freed: np.ndarray, blocks: list) -> float:
+    """||W^dag W - I||_F from the upper block triangle of W^dag W - I.
+
+    W^dag W - I is Hermitian, so each block right of the diagonal blocks
+    counts twice, for itself and its conjugate transpose, and each
+    diagonal block once. Row block R of the triangle is
+    conj(W[:, R])^T W[:, R.start:], one product into the memory of R's part
+    (see ``_row_blocks``), with conj(W[:, R]) written into ``freed``, a
+    flat complex array of M^2 entries whose contents do not matter, and
+    read transposed, as BLAS takes it. A row block's sum of squares is one
+    dot of its float64 view, doubled less its diagonal block's when it
+    reaches right of the diagonal. At 64 states or fewer the one block is
+    the whole Gram matrix, and its norm the one dot's square root.
+    """
+    size = len(lifted_vectors)
+    squares = 0.0
+    for rows, part, flat in blocks:
+        columns = lifted_vectors[:, rows]
+        width = columns.shape[1]
+        transposed = freed[: columns.size].reshape(columns.shape)
+        np.conjugate(columns, out=transposed)
+        if rows.start:
+            part = part.reshape(-1)[: width * (size - rows.start)].reshape(width, -1)
+            flat = flat[: 2 * part.size]
+        np.matmul(transposed.T, lifted_vectors[:, rows.start :], out=part)
+        # Less I in the real parts of the diagonal.
+        flat[:: 2 * part.shape[1] + 2] -= 1
+        if part.shape[1] == width:
+            squares += flat.dot(flat)
+        else:
+            diagonal = part[:, :width]
+            squares += 2 * flat.dot(flat) - np.vdot(diagonal, diagonal).real
+    return math.sqrt(squares)
+
+
+def _diagram_rows(rows, part, lifted_vectors, phases, group, phased) -> None:
+    """Rows of W diag(e^{i mu}) W^dag - G, as conj((conj(W_R) e^{-i mu}) W^T) - G_R.
+
+    conj(W_R) e^{-i mu} is taken as conj(W_R e^{i mu}) in ``phased``, a
+    flat complex array of at least 64 x M entries whose contents do not
+    matter, so no conjugate of all of W is formed. Every step but the
+    product is exact, and OpenBLAS's zgemm gave conj(A) B as the conjugate
+    of A conj(B) bit for bit at every M tried (1 to 69, 100, 220 and 462),
+    so the rows equal those of W e^{i mu} times conj(W)^T.
+    """
+    left = phased[: part.size].reshape(part.shape)
+    np.multiply(lifted_vectors[rows], phases, out=left)
+    np.conjugate(left, out=left)
+    np.matmul(left, lifted_vectors.T, out=part)
+    np.conjugate(part, out=part)
+    part -= group[rows]
 
 
 def _diagram_report(
@@ -252,23 +383,30 @@ def _diagram_report(
     values: np.ndarray,
     group: Callable[[np.ndarray], np.ndarray],
     lifted_vectors: np.ndarray,
-    scratch: np.ndarray,
     tol: float,
+    blocks: list | None = None,
 ) -> DiagramReport:
     """The report of ``check_diagram`` from its checked arrays.
 
     ``values`` are the eigenvalues lambda of the single-photon H, and
     ``lifted_vectors`` the expansion lift W = lift_U(V). ``group`` returns
     the expansion lift G = lift_U(e^{iH}) when given the M x M array of the
-    lifted H, which the last product has freed by then; it may lift G into
-    that array or return a G lifted before. The lifted H and W are
-    overwritten. Every residual is taken in ``scratch``, a C-contiguous
-    M x M complex array whose contents do not matter, each norm before the
-    next residual is written, so the report allocates no M x M array. It
-    takes three M x M products, lift_H(H) W, W^dag W and W e^{i mu} W^dag.
-    The check's one pass rule, for ``check_diagram`` and ``run_sweep``
-    alike, gates every residual on ``tol`` along with zero sparsity
-    violations.
+    lifted H, which the eigen residual has freed by then; it may lift G
+    into that array or return a G lifted before. The lifted H is
+    overwritten. Every residual is taken a block of at most 64 rows at a
+    time (see ``_block_norm``), each block's sum of squares before the next
+    block is written, so past 64 states the report allocates no M x M
+    array: in order the hermiticity, eigen and eigenbasis residuals, then
+    G, then the diagram residual. ``blocks`` are the row blocks (see
+    ``_row_blocks``), which ``run_sweep`` makes once for all its trials;
+    without them each residual makes its own, so none is held while
+    ``group`` runs. The products are lift_H(H) W and W e^{i mu} W^dag by
+    row blocks, and the Gram matrix W^dag W over its upper block triangle
+    alone (see ``_gram_norm``). The rows conj(W_R) e^{-i mu} of the last
+    product go in the lifted H's array when G is elsewhere, and in a
+    second block when G was lifted there. The check's one pass rule, for
+    ``check_diagram`` and ``run_sweep`` alike, gates every residual on
+    ``tol`` along with zero sparsity violations.
 
     The unitarity residual is the bound e (2 + e) + 2 d (1 + e) + d^2 on
     ||G^dag G - I||_F, from e = ||W^dag W - I||_F and d = ||D||_F for
@@ -279,29 +417,26 @@ def _diagram_report(
     and d^2. A NaN or infinite residual gives a bound that fails the rule.
     """
     lifted = lifted_h.matrix
-    flat = scratch.ravel().view(float)
+    size = len(lifted)
     violations = _count_sparsity_violations(lifted_h)
-    np.conjugate(lifted.T, out=scratch)
-    scratch -= lifted
-    hermiticity = _slot_norm(flat)
+    hermiticity = _block_norm(_hermiticity_rows, blocks or _row_blocks(size), lifted)
     energies = lifted_h.basis.occupations @ values
-    np.matmul(lifted, lifted_vectors, out=scratch)
-    # The lifted H is not needed past that product, so its array is reused.
-    np.multiply(lifted_vectors, energies, out=lifted)
-    scratch -= lifted
-    eigen = _slot_norm(flat)
-    # The Gram matrix W^dag W as conj(W)^T W, with conj(W) in the freed
-    # array, less I in the real parts of its diagonal.
-    np.conjugate(lifted_vectors, out=lifted)
-    np.matmul(lifted.T, lifted_vectors, out=scratch)
-    flat[:: 2 * len(scratch) + 2] -= 1
-    eigenbasis = _slot_norm(flat)
-    # W e^{i mu} W^dag - G; W is conjugated in place, as only W^dag is left to use.
-    np.multiply(lifted_vectors, np.exp(1j * energies), out=lifted)
-    np.conjugate(lifted_vectors, out=lifted_vectors)
-    np.matmul(lifted, lifted_vectors.T, out=scratch)
-    scratch -= group(lifted)
-    diagram = _slot_norm(flat)
+    eigen = _block_norm(
+        _eigen_rows, blocks or _row_blocks(size), lifted, lifted_vectors, energies
+    )
+    # The lifted H's array is free from here on.
+    freed = lifted.reshape(-1)
+    eigenbasis = _gram_norm(lifted_vectors, freed, blocks or _row_blocks(size))
+    lifted_group = group(lifted)
+    phased = _row_block(size) if np.may_share_memory(lifted_group, lifted) else freed
+    diagram = _block_norm(
+        _diagram_rows,
+        blocks or _row_blocks(size),
+        lifted_vectors,
+        np.exp(1j * energies),
+        lifted_group,
+        phased,
+    )
     unitarity = eigenbasis * (2 + eigenbasis) + 2 * diagram * (1 + eigenbasis) + diagram**2
     passed = (
         diagram <= tol
@@ -357,8 +492,8 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     non-zero coupling, counted against a stored index of the near pairs
     built from the basis alone (see ``_count_sparsity_violations``).
     Around the three GEMMs, that count is
-    one O(M^2) comparison with zero, and each norm one O(M^2) dot with no
-    temporary. The input must be Hermitian within ``tol``. Lambda,
+    one O(M^2) comparison with zero, and each norm one dot per row block.
+    The input must be Hermitian within ``tol``. Lambda,
     V and e^{iH} come from its Hermitian part, (H + H^dag) / 2, so a
     matrix that is Hermitian only within ``tol`` still gives a unitary G to
     rounding. Its anti-Hermitian part shows in ``residual_hermiticity``,
@@ -368,55 +503,65 @@ def check_diagram(h_single, photons: int, tol: float = 1e-8) -> DiagramReport:
     Every argument is checked, in the order ``lift_hamiltonian`` checks
     them, before anything M x M is allocated. Then every M x M array the
     check writes is a slot of one array (see ``_work_array``), and the
-    slots follow the passes of ``lift._expansion_lifts``. When the stack
-    [e^{iH}, V] fits in one pass (M <= 64), G and W are lifted in it, and
-    the lifted H, the scratch array every residual is taken in, G and W are
-    the four slots of one (4, M, M) array. Larger stacks take a pass per
-    matrix anyway, so the check takes three slots: W is lifted alone, the
-    lifted H filled, and after the three products G is lifted into the
-    slot of the lifted H, which the last of them, W e^{i mu} W^dag, has
-    freed. The peak is then three M x M arrays beside the lift walk of G,
-    not four. The split falls at the pass boundary because at m = 1 a lone
-    lift can differ from a stacked one in the last bit; above it both
-    orders lift G and W alone, so the reports are the same bits either
-    way. The residuals and the pass rule are ``_diagram_report``'s, which
-    every ``run_sweep`` trial calls too.
+    slots follow the passes of ``lift._expansion_lifts``. Every residual is
+    taken in blocks of at most 64 rows beside the slots (see
+    ``_block_norm``). When the stack [e^{iH}, V] fits in one pass
+    (M <= 64), G and W are lifted in it, and the lifted H, G and W are the
+    three slots of one (3, M, M) array. Larger stacks take a pass per
+    matrix anyway, so the check takes two slots: W is lifted alone and the
+    lifted H filled; once the Gram matrix is done, with no row block held,
+    G is lifted into the slot of the lifted H, which the eigen residual
+    freed. The peak is then two M x M arrays beside the lift walk of G:
+    warm, by tracemalloc, 3.00 M x M arrays at (10, 3), 3.12 at (8, 4),
+    3.65 at (6, 6) and 5.50 at (3, 40). The split falls at the pass
+    boundary because at
+    m = 1 a lone lift can differ from a stacked one in the last bit; above
+    it both orders lift G and W alone, so the reports are the same bits
+    either way. The residuals and the pass rule are ``_diagram_report``'s,
+    which every ``run_sweep`` trial calls too.
     """
     matrix, table = _checked_hamiltonian(h_single, photons, tol)
     values, vectors = _eigh_hermitian_part(matrix)
     exponential = _exp_i_eigh(values, vectors)
     photons = table.basis.photons
     if _STACK_BLOCK // len(table.basis) ** 2 < 2:
-        work = _work_array(3, table)
-        (lifted_vectors,) = _expansion_lifts([vectors], photons, work[2:])
+        work = _work_array(2, table)
+        (lifted_vectors,) = _expansion_lifts([vectors], photons, work[1:])
 
         def group(freed):
             return _expansion_lifts([exponential], photons, freed[None])[0]
 
     else:
-        work = _work_array(4, table)
-        stacked, lifted_vectors = _expansion_lifts([exponential, vectors], photons, work[2:])
+        work = _work_array(3, table)
+        stacked, lifted_vectors = _expansion_lifts([exponential, vectors], photons, work[1:])
 
         def group(freed):
             return stacked
 
     lifted_h = _fill_hamiltonian(matrix, table, work[0])
-    return _diagram_report(lifted_h, values, group, lifted_vectors, work[1], tol)
+    return _diagram_report(lifted_h, values, group, lifted_vectors, tol)
+
+
+def _product_rows(rows, part, left, right, product) -> None:
+    """Rows of left right - product."""
+    np.matmul(left[rows], right, out=part)
+    part -= product[rows]
 
 
 def _homomorphism_report(
-    basis, combined, lifted_b, lifted_a, scratch: np.ndarray, tol: float
+    basis, combined, lifted_b, lifted_a, tol: float, blocks: list | None = None
 ) -> HomomorphismReport:
     """The report of ``check_homomorphism`` from the lifts of b a, b and a.
 
-    The residual ||lift(b) lift(a) - lift(b a)||_F is taken in ``scratch``,
-    a C-contiguous M x M complex array over ``basis`` that is none of the
-    three lifts and whose contents do not matter. Holds the check's one
-    pass rule, for ``check_homomorphism`` and ``run_sweep`` alike.
+    The residual ||lift(b) lift(a) - lift(b a)||_F is taken a block of at
+    most 64 rows at a time (see ``_block_norm``), rows of lift(b) times
+    lift(a), in ``blocks`` (see ``_row_blocks``) or in blocks of its own,
+    so past 64 states the report allocates no M x M array, and it writes
+    no lift. Holds the check's one pass rule, for ``check_homomorphism``
+    and ``run_sweep`` alike.
     """
-    np.matmul(lifted_b, lifted_a, out=scratch)
-    scratch -= combined
-    residual = _slot_norm(scratch.ravel().view(float))
+    blocks = blocks or _row_blocks(len(combined))
+    residual = _block_norm(_product_rows, blocks, lifted_b, lifted_a, combined)
     return HomomorphismReport(
         modes=basis.modes,
         photons=basis.photons,
@@ -431,9 +576,9 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
 
     ``first`` acts first, ``second`` after it, matching operator order. The
     three lifts share stacked passes (see ``lift._expansion_lifts``), and
-    they and the product of two of them are the slots of one array. The
-    residual and the pass rule are ``_homomorphism_report``'s, which every
-    ``run_sweep`` trial calls too.
+    are the three slots of one array; the residual is taken in row blocks
+    beside them. The residual and the pass rule are
+    ``_homomorphism_report``'s, which every ``run_sweep`` trial calls too.
     """
     a = _as_square(first)
     b = _as_square(second)
@@ -443,25 +588,32 @@ def check_homomorphism(first, second, photons: int, tol: float = 1e-9) -> Homomo
     product = _as_square(b @ a)
     photons = _photon_number(photons)
     table = ladder_table(a.shape[0], photons)
-    work = _work_array(4, table)
-    lifts = _expansion_lifts([product, b, a], photons, work[1:])
-    return _homomorphism_report(table.basis, *lifts, work[0], tol)
+    work = _work_array(3, table)
+    lifts = _expansion_lifts([product, b, a], photons, work)
+    return _homomorphism_report(table.basis, *lifts, tol)
+
+
+def _rephased_rows(rows, part, plain, shifted, factor) -> None:
+    """Rows of shifted - factor plain."""
+    np.multiply(factor, plain[rows], out=part)
+    np.subtract(shifted[rows], part, out=part)
 
 
 def _phase_report(
-    basis, phase: float, plain, shifted, scratch: np.ndarray, tol: float
+    basis, phase: float, plain, shifted, tol: float, blocks: list | None = None
 ) -> GlobalPhaseReport:
     """The report of ``check_global_phase`` from the lifts of S and e^{i phase} S.
 
     The residual ||lift(e^{i phase} S) - e^{i n phase} lift(S)||_F is taken
-    in ``scratch``, a C-contiguous M x M complex array over ``basis``
-    whose contents do not matter. It is neither lift: numpy's complex
-    product can round differently in place. Holds the check's one pass
-    rule, for ``check_global_phase`` and ``run_sweep`` alike.
+    a block of at most 64 rows at a time (see ``_block_norm``), in
+    ``blocks`` (see ``_row_blocks``) or in blocks of its own, never in
+    either lift: numpy's complex product can round differently in place.
+    Holds the check's one pass rule, for ``check_global_phase`` and
+    ``run_sweep`` alike.
     """
-    np.multiply(np.exp(1j * basis.photons * phase), plain, out=scratch)
-    np.subtract(shifted, scratch, out=scratch)
-    residual = _slot_norm(scratch.ravel().view(float))
+    blocks = blocks or _row_blocks(len(plain))
+    factor = np.exp(1j * basis.photons * phase)
+    residual = _block_norm(_rephased_rows, blocks, plain, shifted, factor)
     return GlobalPhaseReport(
         modes=basis.modes,
         photons=basis.photons,
@@ -478,10 +630,11 @@ def check_global_phase(
     """Check that a global phase on S surfaces as n times the phase on the lift.
 
     S and e^{i phase} S are lifted in shared stacked passes (see
-    ``lift._expansion_lifts``), and they and the difference are the slots
-    of one array. A NaN or infinite ``phase`` raises ValueError before
-    anything is lifted. The residual and the pass rule are
-    ``_phase_report``'s, which every ``run_sweep`` trial calls too.
+    ``lift._expansion_lifts``) into the two slots of one array; the
+    residual is taken in row blocks beside them. A NaN or infinite
+    ``phase`` raises ValueError before anything is lifted. The residual and
+    the pass rule are ``_phase_report``'s, which every ``run_sweep`` trial
+    calls too.
     """
     matrix = _as_square(scattering)
     _check_tol(tol)
@@ -489,9 +642,9 @@ def check_global_phase(
     _check_phase(phase)
     rephased = _as_square(np.exp(1j * phase) * matrix)
     table = ladder_table(matrix.shape[0], photons)
-    work = _work_array(3, table)
-    lifts = _expansion_lifts([matrix, rephased], photons, work[1:])
-    return _phase_report(table.basis, phase, *lifts, work[0], tol)
+    work = _work_array(2, table)
+    lifts = _expansion_lifts([matrix, rephased], photons, work)
+    return _phase_report(table.basis, phase, *lifts, tol)
 
 
 def check_derivative_oracle(h_single, photons: int, step: float) -> float:
@@ -510,7 +663,7 @@ def check_derivative_oracle(h_single, photons: int, step: float) -> float:
     matrix, table = _checked_hamiltonian(h_single, photons, 1e-9)
     if not 0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
-    work = _work_array(3, table)
+    work = _work_array(3, table, spare=0)
     direct = _fill_hamiltonian(matrix, table, work[0]).matrix
     pair = [_exp_i_hermitian(step * matrix), _exp_i_hermitian(-step * matrix)]
     forward, backward = _expansion_lifts(pair, table.basis.photons, work[1:])
@@ -574,15 +727,19 @@ def run_sweep(
     e^{i phase} S] that one stacked expansion lift walks. The lift of H is
     what ``lift_hamiltonian`` gives.
 
-    The lifted H and the seven lifts are the first eight slots of one
-    (9, M, M) array (see ``_work_array``), and slot 8 is the one scratch
-    slot every residual passes through. The reports come from the three
-    report functions the public checks call, ``_diagram_report``,
-    ``_homomorphism_report`` and ``_phase_report``, so the sweep has no
-    residual code of its own, and they equal, by ``repr``, what calling
-    those checks one after another on the same draws gives. The array is
-    allocated once the arguments are checked and rewritten by every trial,
-    so no trial allocates an M x M array.
+    The lifted H and the seven lifts are the eight slots of one
+    (8, M, M) array (see ``_work_array``), and every residual is taken in
+    row blocks of at most 64 rows beside them (see ``_block_norm``): the
+    diagram's phased rows go in the lifted H's slot, free by then. The
+    reports come from the three report functions the public checks call,
+    ``_diagram_report``, ``_homomorphism_report`` and ``_phase_report``, so
+    the sweep has no residual code of its own, and they equal, by
+    ``repr``, what calling those checks one after another on the same
+    draws gives. The array is allocated once the arguments are checked and
+    rewritten by every trial, so a trial allocates no M x M array past 64
+    states, and only its one row block at or below. The warm tracemalloc
+    peak of a sweep is 9.00 M x M arrays at (10, 3) (see ``_work_array``
+    for why it is not lower).
     """
     trials = _whole_number(trials, 1, "trial counts must be whole numbers")
     modes = _mode_number(modes)
@@ -592,11 +749,11 @@ def run_sweep(
         _check_tol(bound)
     table = ladder_table(modes, photons)
     basis = table.basis
-    work = _work_array(9, table)
+    work = _work_array(8, table)
     # Slot 0 holds the lifted H, and slots 1-7 the lifts of the stack: W
     # and G side by side in 1 and 2, then lift(a), lift(b), lift(S),
-    # lift(b a) and lift(e^{i phase} S). Slot 8 is the scratch slot.
-    lifted_vectors, group, lifted_a, lifted_b, plain, combined, shifted, scratch = work[1:]
+    # lift(b a) and lift(e^{i phase} S).
+    lifted_vectors, group, lifted_a, lifted_b, plain, combined, shifted = work[1:]
     drawn = np.empty((4, modes, modes), dtype=complex)
     stack = np.empty((7, modes, modes), dtype=complex)
     rng = np.random.default_rng(seed)
@@ -620,14 +777,18 @@ def run_sweep(
         np.matmul(stack[3], stack[2], out=stack[5])
         np.multiply(np.exp(1j * phase), stack[4], out=stack[6])
         lifted_h = _fill_hamiltonian(drawn[0], table, work[0])
-        _expansion_lifts(stack, photons, work[1:8])
+        _expansion_lifts(stack, photons, work[1:])
+        # One block serves the trial's six residuals. It is made after the
+        # lift walk and dropped before the next, so the two never overlap.
+        blocks = _row_blocks(len(basis))
         diagram = _diagram_report(
-            lifted_h, values[0], lambda freed: group, lifted_vectors, scratch, tol
+            lifted_h, values[0], lambda freed: group, lifted_vectors, tol, blocks
         )
         homomorphism = _homomorphism_report(
-            basis, combined, lifted_b, lifted_a, scratch, homomorphism_tol
+            basis, combined, lifted_b, lifted_a, homomorphism_tol, blocks
         )
-        global_phase = _phase_report(basis, phase, plain, shifted, scratch, phase_tol)
+        global_phase = _phase_report(basis, phase, plain, shifted, phase_tol, blocks)
+        del blocks
         results += [
             ("diagram", trial, diagram),
             ("homomorphism", trial, homomorphism),

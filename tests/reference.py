@@ -37,11 +37,21 @@ standard library alone: the oracle of the marginals of
 ``photonlift.lift.transition_distribution``, and at two modes of the whole
 distribution.
 
+``occupations_by_combinations`` is the stars-and-bars enumeration of the
+basis through ``itertools.combinations``, the byte oracle of
+``photonlift.fock.enumerate_basis``, which fills one column at a time.
+
+``diagram_residuals_one_shot``, ``homomorphism_residual_one_shot`` and
+``phase_residual_one_shot`` take each residual of the check reports as one
+dense numpy expression over whole matrices, the oracle of the report
+functions, which take them a row block at a time.
+
 ``write_matrix_one_pass`` formats a whole matrix file in one ``%`` format
 and writes it in one call, the byte oracle of ``photonlift.io.write_matrix``,
 which formats and writes a block of entries at a time.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -287,6 +297,55 @@ def lift_permanent_by_passes(scattering, photons: int) -> np.ndarray:
     np.sqrt(norms, out=norms)
     lifted /= norms
     return lifted
+
+
+def occupations_by_combinations(modes: int, photons: int) -> np.ndarray:
+    """The (M, modes) ``np.intp`` occupations of the basis, by stars and bars.
+
+    Each state is a choice of modes - 1 bar positions among
+    modes + photons - 1 slots, and the gaps between consecutive bars (with
+    bars fixed at -1 and modes + photons - 1) are the counts. Bar choices
+    in lexicographic order give states in increasing order, so they are
+    written in reverse to get the canonical order. Takes whole counts,
+    modes >= 1 and photons >= 0.
+    """
+    slots = modes + photons - 1
+    size = math.comb(slots, photons)
+    choices = itertools.combinations(range(slots), modes - 1)
+    bars = np.empty((size, modes + 1), dtype=np.intp)
+    bars[:, 0] = -1
+    bars[:, -1] = slots
+    bars[::-1, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(choices), dtype=np.intp, count=size * (modes - 1)
+    ).reshape(size, modes - 1)
+    return np.diff(bars, axis=1) - 1
+
+
+def diagram_residuals_one_shot(lifted, energies, lifted_vectors, group) -> dict:
+    """The hermiticity, eigen, eigenbasis and diagram residuals of ``_diagram_report``.
+
+    ``lifted`` is the lifted H, ``energies`` the eigenvalues mu_q, and
+    ``lifted_vectors`` and ``group`` W and G; each residual is one dense
+    ``np.linalg.norm`` of the whole M x M difference.
+    """
+    eye = np.eye(len(lifted))
+    phased = lifted_vectors * np.exp(1j * energies)
+    return {
+        "residual_hermiticity": np.linalg.norm(lifted.conj().T - lifted),
+        "residual_eigen": np.linalg.norm(lifted @ lifted_vectors - lifted_vectors * energies),
+        "residual_eigenbasis": np.linalg.norm(lifted_vectors.conj().T @ lifted_vectors - eye),
+        "residual_diagram": np.linalg.norm(phased @ lifted_vectors.conj().T - group),
+    }
+
+
+def homomorphism_residual_one_shot(combined, lifted_b, lifted_a) -> float:
+    """||lift(b) lift(a) - lift(b a)||_F as one dense expression."""
+    return np.linalg.norm(lifted_b @ lifted_a - combined)
+
+
+def phase_residual_one_shot(plain, shifted, photons: int, phase: float) -> float:
+    """||lift(e^{i phase} S) - e^{i n phase} lift(S)||_F as one dense expression."""
+    return np.linalg.norm(shifted - np.exp(1j * photons * phase) * plain)
 
 
 def write_matrix_one_pass(matrix, path, metadata=None) -> None:

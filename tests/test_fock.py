@@ -21,7 +21,7 @@ from photonlift.fock import (
     ladder_table,
     photon_move_relation,
 )
-from reference import rank_occupations
+from reference import occupations_by_combinations, rank_occupations
 
 
 def exhaustive_states(modes, photons):
@@ -145,6 +145,18 @@ class TestEnumerateBasis:
         assert [basis[k] for k in range(len(basis))] == list(basis.states)
         # The tuples are read off the occupations on each use, never kept.
         assert "states" not in vars(basis)
+
+    @pytest.mark.parametrize(
+        "modes,photons",
+        [(m, n) for m in range(1, 8) for n in range(0, 7)] + [(2, 300), (20, 4)],
+    )
+    def test_equals_the_stars_and_bars_enumeration_byte_for_byte(self, modes, photons):
+        occupations = enumerate_basis(modes, photons).occupations
+        expected = occupations_by_combinations(modes, photons)
+        assert occupations.dtype == expected.dtype == np.intp
+        assert occupations.shape == expected.shape
+        assert occupations.flags.c_contiguous
+        assert occupations.tobytes() == expected.tobytes()
 
     def test_photon_count_rule(self):
         assert enumerate_basis(2, 2.0).photons == 2

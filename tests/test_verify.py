@@ -26,6 +26,7 @@ from photonlift.matfuncs import (
 )
 from photonlift.verify import (
     _count_sparsity_violations,
+    _row_blocks,
     check_derivative_oracle,
     check_diagram,
     check_global_phase,
@@ -34,7 +35,14 @@ from photonlift.verify import (
     random_unitary,
     run_sweep,
 )
-from reference import diagram_by_eigh, sparsity_violations_by_distance, sweep_by_checks
+from reference import (
+    diagram_by_eigh,
+    diagram_residuals_one_shot,
+    homomorphism_residual_one_shot,
+    phase_residual_one_shot,
+    sparsity_violations_by_distance,
+    sweep_by_checks,
+)
 
 # A fault of this size is 100 times the default diagram tolerance.
 FAULT = 1e-6
@@ -105,7 +113,7 @@ class TestCheckDiagram:
         position = fields.index("tolerance")
         assert fields[position - 2 : position] == ["residual_eigen", "residual_eigenbasis"]
 
-    @pytest.mark.parametrize("modes,photons,bound", [(10, 3, 4.0), (6, 6, 4.9)])
+    @pytest.mark.parametrize("modes,photons,bound", [(10, 3, 3.2), (6, 6, 3.9)])
     def test_peak_memory_stays_near_six_matrices(self, modes, photons, bound):
         h_single = random_hermitian(modes, np.random.default_rng(94))
         # A first call fills the plan store, which every later call reads, so
@@ -120,13 +128,15 @@ class TestCheckDiagram:
         size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
         assert report.passed
         # Past 64 states each lift takes a pass of its own, so the check's
-        # work array has three slots, the lifted H, the scratch array and W,
-        # and G is lifted after the three products into the slot of the
-        # lifted H, which the last of them freed. The peak is those three
-        # beside the lift walk of G: 3.81 M x M arrays at (10, 3), 4.65 at
-        # (6, 6). Up to 64 states G and W share a pass, since at m = 1 a
-        # lone lift can differ from a stacked one in the last bit, and a
-        # fourth slot holds G.
+        # work array has two slots, the lifted H and W, every residual is
+        # taken in blocks of at most 64 rows beside them, and G is lifted,
+        # once the Gram matrix is done, into the slot of the lifted H. The
+        # peak is those two beside the lift walk of G, or the untouched
+        # three-slot block that sets glibc's trim threshold: 3.00 M x M
+        # arrays at (10, 3), 3.65 at (6, 6). With a scratch slot they were
+        # 3.81 and 4.65. Up to 64 states G and W share a pass, since at
+        # m = 1 a lone lift can differ from a stacked one in the last bit,
+        # and a third slot holds G.
         assert peak <= bound * 16 * size**2
 
     @pytest.mark.parametrize("h_single", [np.eye(2), np.zeros((3, 3))])
@@ -356,7 +366,7 @@ class TestReusedWorkMemory:
 
     @staticmethod
     def fresh_report(h_single, photons):
-        """The report from a fresh lifted H and NaN-filled lift and scratch arrays.
+        """The report from a fresh lifted H and NaN-filled lift arrays.
 
         G and W are lifted in one stacked call, as ``check_diagram`` lifts
         them up to 64 states: at m = 1 a stacked lift can differ from a
@@ -367,12 +377,12 @@ class TestReusedWorkMemory:
         lifted_h = lift_hamiltonian(matrix, photons, tol=1e-8)
         values, vectors = _eigh_hermitian_part(matrix)
         size = len(lifted_h.basis)
-        work = np.full((3, size, size), np.nan, dtype=complex)
+        work = np.full((2, size, size), np.nan, dtype=complex)
         group, lifted_vectors = photonlift.verify._expansion_lifts(
-            [_exp_i_eigh(values, vectors), vectors], photons, work[1:]
+            [_exp_i_eigh(values, vectors), vectors], photons, work
         )
         return photonlift.verify._diagram_report(
-            lifted_h, values, lambda freed: group, lifted_vectors, work[0], 1e-8
+            lifted_h, values, lambda freed: group, lifted_vectors, 1e-8
         )
 
     @pytest.mark.parametrize("modes,photons", SIZES)
@@ -424,7 +434,33 @@ class TestAdversarialSpectra:
         assert report.residual_eigenbasis <= 1e-11
 
 
+def _warm_peak_in_matrices(call, modes, photons):
+    """The tracemalloc peak of a second ``call()``, in M x M complex arrays.
+
+    A first call fills the plan store, which every later call reads, so the
+    peak measured is the call's own whatever ran before it.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
+    return peak / (16 * size**2)
+
+
 class TestCheckHomomorphism:
+    def test_peak_memory_stays_near_four_matrices(self):
+        rng = np.random.default_rng(87)
+        first, second = random_unitary(10, rng), random_unitary(10, rng)
+        # The three lifts are the slots of the work array, and the residual
+        # is taken in blocks of at most 64 rows beside them; the untouched
+        # four-slot block that sets glibc's trim threshold is the peak: 4.00
+        # M x M arrays at (10, 3). A fourth, scratch slot read 4.81.
+        assert _warm_peak_in_matrices(lambda: check_homomorphism(first, second, 3), 10, 3) <= 4.3
+
     def test_inverse_pair_gives_identity(self):
         rng = np.random.default_rng(82)
         scattering = random_unitary(3, rng)
@@ -460,6 +496,14 @@ class TestCheckHomomorphism:
 
 
 class TestCheckGlobalPhase:
+    def test_peak_memory_stays_near_three_matrices(self):
+        scattering = random_unitary(10, np.random.default_rng(88))
+        # The two lifts are the slots of the work array, and the residual is
+        # taken in blocks of at most 64 rows beside them; the untouched
+        # three-slot block that sets glibc's trim threshold is the peak:
+        # 3.00 M x M arrays at (10, 3). A third, scratch slot read 3.81.
+        assert _warm_peak_in_matrices(lambda: check_global_phase(scattering, 0.3, 3), 10, 3) <= 3.3
+
     def test_random_instance(self):
         rng = np.random.default_rng(85)
         report = check_global_phase(random_unitary(3, rng), 0.9, 2, tol=1e-10)
@@ -753,7 +797,7 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(**{"modes": 2, "photons": 1, "trials": 1, **arguments})
 
-    @pytest.mark.parametrize("modes,photons,bound", [(10, 3, 10.4), (5, 4, 11.8)])
+    @pytest.mark.parametrize("modes,photons,bound", [(10, 3, 9.5), (5, 4, 10.8)])
     def test_peak_memory_stays_near_ten_matrices(self, modes, photons, bound):
         # A first sweep builds the plans the store keeps, so the measured
         # sweep holds its work array and the walk's temporaries alone.
@@ -766,10 +810,11 @@ class TestRunSweep:
             tracemalloc.stop()
         size = len(lift_hamiltonian(np.zeros((modes, modes)), photons).basis)
         assert all(report.passed for _, _, report in results)
-        # The nine slots of the work array (the lifted H, the seven lifts and
-        # one more, which with five of the lifts' slots holds the six
-        # residuals), beside the lift walk: about 9.9 and 11.3 matrices.
-        # A tenth slot would pass neither bound.
+        # The eight slots of the work array (the lifted H and the seven
+        # lifts) beside the lift walk, or the untouched nine-slot block that
+        # sets glibc's trim threshold: 9.00 and 10.22 matrices. The residuals
+        # are taken in blocks of at most 64 rows. A ninth, scratch slot read
+        # 9.86 and 11.22, and would pass neither bound.
         assert peak <= bound * 16 * size**2
 
     @pytest.mark.parametrize("modes,photons", [(1, 2), (2, 3), (3, 2)])
@@ -848,21 +893,162 @@ class TestReportFunctions:
         ],
         ids=repr,
     )
-    def test_slot_norm_is_frobenius_norm_bit_for_bit(self, entries):
+    def test_block_norm_is_frobenius_norm_bit_for_bit(self, entries):
         slot = np.zeros((3, 3), dtype=complex)
         slot.reshape(-1)[[0, 4, 5, 8][: len(entries)]] = entries
         slot[1, 0] = 0.25 - 3j
         # Squares past the float range warn as they overflow to inf.
         with np.errstate(over="ignore"):
-            norm = photonlift.verify._slot_norm(slot.reshape(-1).view(float))
+            norm = photonlift.verify._block_norm(_copied_rows, _row_blocks(3), slot)
             expected = frobenius_norm(slot)
         assert type(norm) is float
         assert np.float64(norm).tobytes() == np.float64(expected).tobytes()
 
-    def test_slot_norm_is_frobenius_norm_bit_for_bit_on_random_slots(self):
+    def test_block_norm_is_frobenius_norm_bit_for_bit_up_to_64_rows(self):
         rng = np.random.default_rng(107)
-        for size in (1, 2, 7, 20, 60):
+        for size in (1, 2, 7, 20, 60, 64):
             slot = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             slot *= 10.0 ** rng.integers(-150, 150)
-            norm = photonlift.verify._slot_norm(slot.reshape(-1).view(float))
+            norm = photonlift.verify._block_norm(_copied_rows, _row_blocks(size), slot)
             assert norm.hex() == frobenius_norm(slot).hex()
+
+
+def _copied_rows(rows, part, matrix):
+    """The rows of ``matrix`` itself, as a residual for ``_block_norm``."""
+    part[...] = matrix[rows]
+
+
+def _fault_last_row(monkeypatch, target):
+    """Patch verify to add FAULT to the last row of W, of G or of the lifted H.
+
+    The lifted H gets it on its last diagonal entry alone, so it stays
+    Hermitian and keeps its sparsity pattern, and only the eigen residual
+    can see it. W and G are told apart as ``_scale_one_group_column`` tells
+    them: by the V that verify's ``_eigh_hermitian_part`` returns.
+    """
+    if target == "lifted H":
+        exact_fill = photonlift.verify._fill_hamiltonian
+
+        def filled(matrix, table, out):
+            lifted = exact_fill(matrix, table, out)
+            lifted.matrix[-1, -1] += FAULT
+            return lifted
+
+        monkeypatch.setattr(photonlift.verify, "_fill_hamiltonian", filled)
+        return
+    exact_lifts = photonlift.verify._expansion_lifts
+    exact_eigh = photonlift.verify._eigh_hermitian_part
+    eigenvectors = []
+
+    def recorded(matrix):
+        values, vectors = exact_eigh(matrix)
+        eigenvectors.append(vectors)
+        return values, vectors
+
+    def lifted(matrices, photons, out=None):
+        lifts = exact_lifts(matrices, photons, out)
+        for matrix, lift in zip(matrices, lifts):
+            if any(matrix is vectors for vectors in eigenvectors) == (target == "W"):
+                lift[-1] += FAULT
+        return lifts
+
+    monkeypatch.setattr(photonlift.verify, "_eigh_hermitian_part", recorded)
+    monkeypatch.setattr(photonlift.verify, "_expansion_lifts", lifted)
+
+
+def _within_rounding(value, reference):
+    return abs(value - reference) <= 1e-12 * abs(reference) + 1e-16
+
+
+class TestRowBlockEdges:
+    """Residuals taken over several blocks of at most 64 rows.
+
+    At M = 65 (65 modes, one photon) the last block has one row, at
+    M = 128 the blocks divide M evenly, and at M = 220 (10 modes, three
+    photons) the last block has 28 rows.
+    """
+
+    SIZES = [(65, 1), (128, 1), (10, 3)]
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    @pytest.mark.parametrize(
+        "target,field",
+        [("W", "residual_eigenbasis"), ("G", "residual_diagram"), ("lifted H", "residual_eigen")],
+    )
+    def test_a_fault_in_the_last_row_fails_the_diagram(
+        self, monkeypatch, modes, photons, target, field
+    ):
+        h_single = random_hermitian(modes, np.random.default_rng([108, modes, photons]))
+        assert check_diagram(h_single, photons).passed
+        _fault_last_row(monkeypatch, target)
+        report = check_diagram(h_single, photons)
+        assert getattr(report, field) > report.tolerance
+        assert not report.passed
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_a_fault_in_the_last_row_of_lift_b_fails_the_homomorphism(
+        self, monkeypatch, modes, photons
+    ):
+        rng = np.random.default_rng([109, modes, photons])
+        first, second = random_unitary(modes, rng), random_unitary(modes, rng)
+        assert check_homomorphism(first, second, photons).passed
+        exact = photonlift.verify._expansion_lifts
+
+        def lifted(matrices, photons, out=None):
+            lifts = exact(matrices, photons, out)
+            # The stack is [b a, b, a].
+            lifts[1][-1] += FAULT
+            return lifts
+
+        monkeypatch.setattr(photonlift.verify, "_expansion_lifts", lifted)
+        report = check_homomorphism(first, second, photons)
+        assert report.residual > report.tolerance
+        assert not report.passed
+
+    @staticmethod
+    def random_matrices(count, size, rng):
+        return rng.standard_normal((count, size, size)) + 1j * rng.standard_normal(
+            (count, size, size)
+        )
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    @pytest.mark.parametrize("late", [False, True], ids=["stacked G", "G lifted late"])
+    def test_diagram_residuals_match_the_one_shot_reference(self, modes, photons, late):
+        # Dense random matrices, so every residual is far from rounding.
+        rng = np.random.default_rng([110, modes, photons])
+        basis = photonlift.fock.ladder_table(modes, photons).basis
+        lifted, vectors, group = self.random_matrices(3, len(basis), rng)
+        values = rng.standard_normal(modes)
+        expected = diagram_residuals_one_shot(lifted, basis.occupations @ values, vectors, group)
+        work = np.array([lifted, vectors])
+        if late:
+            # G goes into the lifted H's array, as check_diagram lifts it.
+            def group_of(freed):
+                np.copyto(freed, group)
+                return freed
+
+        else:
+
+            def group_of(freed):
+                return group
+
+        report = photonlift.verify._diagram_report(
+            LiftedHamiltonian(basis, work[0]), values, group_of, work[1], 1e-8
+        )
+        for field, reference in expected.items():
+            assert _within_rounding(getattr(report, field), reference), field
+        assert report.residual_diagram > 1 and not report.passed
+
+    @pytest.mark.parametrize("modes,photons", SIZES)
+    def test_homomorphism_and_phase_residuals_match_the_one_shot_reference(
+        self, modes, photons
+    ):
+        rng = np.random.default_rng([111, modes, photons])
+        basis = photonlift.fock.ladder_table(modes, photons).basis
+        combined, lifted_b, lifted_a = self.random_matrices(3, len(basis), rng)
+        report = photonlift.verify._homomorphism_report(basis, combined, lifted_b, lifted_a, 1e-9)
+        reference = homomorphism_residual_one_shot(combined, lifted_b, lifted_a)
+        assert _within_rounding(report.residual, reference)
+        report = photonlift.verify._phase_report(basis, 0.3, lifted_a, lifted_b, 1e-10)
+        reference = phase_residual_one_shot(lifted_a, lifted_b, photons, 0.3)
+        assert _within_rounding(report.residual, reference)
